@@ -365,14 +365,22 @@ def prepare_graph(
 
     Returns the working graph and, for the random-walk model, the per-assignment
     normalization parameters (identity when assume_normalized). Raises on a graph
-    with no submissions at all.
+    with no submissions at all, and, when z-scoring, on an assignment without
+    grades: its scores could not be mapped back to percentage points.
     """
     if not graph.assignments:
         raise ValueError("empty graph: no submissions to infer over")
     work, _ = exclude_self_grades(graph)
     if model is not Model.PG2 or assume_normalized:
         return work, {}
-    return normalize_all(work)
+    work, norm = normalize_all(work)
+    for a in work.assignments:
+        if a not in norm:
+            raise ValueError(
+                f"assignment {a}: no grades to resolve data-driven priors from or to "
+                "normalize by; grade it, or use assume_normalized with explicit mu0 and gamma0"
+            )
+    return work, norm
 
 
 def resolve_priors(

@@ -230,9 +230,7 @@ def fit_frozen(
     work, norm = prepare_graph(reduced, model)
     resolved = resolve_priors(work, hp, normalized=normalized)[a]
     if normalized:
-        p = norm.get(a)
-        if p is None:
-            raise ValueError(f"assignment {a} has no grades left to normalize after holding out {gradee!r}")
+        p = norm[a]
         mu0 = p.mean + p.std * resolved.mu0
         gamma0 = resolved.gamma0 / (p.std * p.std)
         prior_prec = (resolved.alpha0 / resolved.beta0) / (p.std * p.std)

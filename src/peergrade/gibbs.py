@@ -3,9 +3,13 @@
 One systematic-scan sweep updates every true score, then every grader bias,
 then every reliability (where inferred), then the reliability-line
 coefficients (score-linked model). Blocks that are conditionally independent
-given the rest are drawn as vectorized batches; the score-linked model's
-score updates are sequential because each student's score enters other
-students' likelihood precisions through the grades they gave.
+given the rest are drawn as vectorized batches. The score-linked model's
+scores are not: each student's score enters the likelihood precisions of the
+grades they gave. Its score block therefore runs on a chromatic schedule
+(Gonzalez et al., "Parallel Gibbs Sampling: From Colored Fields to Thin
+Junction Trees", AISTATS 2011): students are greedily coloured so that no
+grade joins two students of one colour, and each colour class takes one
+vectorized Metropolis step, which is a sequential scan in class order.
 
 Scalar reference implementations of each conditional sampler are exposed for
 distribution-level testing; the engines implement the same conditionals on
@@ -229,8 +233,8 @@ def cond_sample_score_affine(
 
 
 class _AssignmentIndex:
-    """Array view of one assignment: grade triples as index arrays plus CSR
-    orderings by gradee and by grader."""
+    """Array view of one assignment: grade triples as index arrays plus
+    per-student grade counts."""
 
     def __init__(
         self,
@@ -251,12 +255,6 @@ class _AssignmentIndex:
         self.grader = np.array([grader_pos[g.grader] for g in grades], dtype=np.intp)
         self.n_given = np.bincount(self.grader, minlength=self.n_graders).astype(float)
         self.n_received = np.bincount(self.gradee, minlength=self.n_students).astype(float)
-        self.recv_order = np.argsort(self.gradee, kind="stable")
-        self.recv_ptr = np.zeros(self.n_students + 1, dtype=np.intp)
-        np.cumsum(np.bincount(self.gradee, minlength=self.n_students), out=self.recv_ptr[1:])
-        self.give_order = np.argsort(self.grader, kind="stable")
-        self.give_ptr = np.zeros(self.n_graders + 1, dtype=np.intp)
-        np.cumsum(np.bincount(self.grader, minlength=self.n_graders), out=self.give_ptr[1:])
 
     def sum_by_gradee(self, values: np.ndarray) -> np.ndarray:
         return np.bincount(self.gradee, weights=values, minlength=self.n_students)
@@ -522,17 +520,74 @@ class _Pg2Engine:
         return spec
 
 
+class _ColourClass:
+    """Students of one colour class with their grade index arrays.
+
+    recv/give are the grades the members received/gave, *_loc the class-local
+    position of the member each grade belongs to, and draws the slice of the
+    sweep's draw arrays that the class consumes.
+    """
+
+    def __init__(self, idx: _AssignmentIndex, members: np.ndarray, draws: slice) -> None:
+        self.members = members
+        self.size = members.size
+        self.draws = draws
+        local = np.full(idx.n_students, -1, dtype=np.intp)
+        local[members] = np.arange(members.size)
+        self.recv = np.flatnonzero(local[idx.gradee] >= 0)
+        self.recv_loc = local[idx.gradee[self.recv]]
+        self.recv_grader = idx.grader[self.recv]
+        self.give = np.flatnonzero(local[idx.grader] >= 0)
+        self.give_loc = local[idx.grader[self.give]]
+        self.give_gradee = idx.gradee[self.give]
+        self.n_given = idx.n_given[members]
+
+
+def _colour_classes(idx: _AssignmentIndex) -> list[_ColourClass]:
+    """Greedy colouring of the undirected grader-gradee graph.
+
+    Students are visited in index order and each takes the smallest colour
+    none of its neighbours holds, so no grade joins two members of one class
+    and the classes depend only on the graph.
+    """
+    n = idx.n_students
+    neighbours: list[list[int]] = [[] for _ in range(n)]
+    for v, u in zip(idx.grader.tolist(), idx.gradee.tolist()):
+        neighbours[v].append(u)
+        neighbours[u].append(v)
+    colours: list[int] = []
+    for i in range(n):
+        taken = {colours[j] for j in neighbours[i] if j < i}
+        c = 0
+        while c in taken:
+            c += 1
+        colours.append(c)
+    colour = np.array(colours, dtype=np.intp)
+    order = np.argsort(colour, kind="stable")
+    classes, start = [], 0
+    for stop in np.cumsum(np.bincount(colour)).tolist():
+        classes.append(_ColourClass(idx, order[start:stop], slice(start, stop)))
+        start = stop
+    return classes
+
+
 class _Pg3Engine:
     """Single-assignment engine for the score-linked reliability model.
 
-    Score updates run sequentially (Metropolis-within-Gibbs); biases are a
-    vectorized conjugate block; theta moves by joint random-walk Metropolis
-    once per sweep under a flat prior restricted to the precision-floor
-    feasible region over current scores.
+    Scores move by Metropolis-within-Gibbs on a chromatic schedule: the
+    conditional of s_i involves only its graders (proposal precisions) and
+    its gradees (acceptance residuals), so the students of one colour class
+    are conditionally independent and take one vectorized Metropolis step
+    together, classes in turn. Each sweep draws its normals and exponentials
+    in one call each, laid out class by class. Biases are a vectorized
+    conjugate block; theta moves by joint random-walk Metropolis once per
+    sweep under a flat prior restricted to the precision-floor feasible
+    region over current scores.
     """
 
     def __init__(self, graph: GradingGraph, assignment: int, hp: Hyperparameters, cfg: GibbsConfig) -> None:
         self.idx = _AssignmentIndex(graph, assignment)
+        self.classes = _colour_classes(self.idx)
         self.hp = hp
         self.sample_theta = cfg.sample_theta
         self.s = self.idx.mean_received(hp.mu0)
@@ -568,37 +623,48 @@ class _Pg3Engine:
         resid = idx.z - self.s[idx.gradee] - self.b[idx.grader]
         return float(0.5 * np.sum(np.log(w)) - 0.5 * np.sum(w * resid * resid))
 
+    def _update_scores(self, rng: np.random.Generator, classes: Sequence[_ColourClass]) -> np.ndarray:
+        """One Metropolis step for every member of the given classes, class by
+        class; returns the precisions of the updated scores."""
+        idx = self.idx
+        eps = rng.standard_normal(idx.n_students)
+        # e2 = -2 log u for uniform u, so accepting when -2 log(ratio) <= e2
+        # accepts with probability min(1, ratio), and always when ratio == 1
+        e2 = rng.exponential(2.0, idx.n_students)
+        zb = idx.z - self.b[idx.grader]
+        w = self._prec(self.s)
+        for c in classes:
+            self._class_step(c, zb, w, eps, e2)
+            self.total_s += c.size
+        return w
+
+    def _class_step(
+        self, c: _ColourClass, zb: np.ndarray, w: np.ndarray, eps: np.ndarray, e2: np.ndarray
+    ) -> None:
+        """Same proposal and acceptance as cond_sample_score_affine, for all
+        members at once; w holds the precisions of the current scores."""
+        hp, s = self.hp, self.s
+        w_recv = w[c.recv_grader]
+        prec = hp.gamma0 + np.bincount(c.recv_loc, w_recv, c.size)
+        num = hp.gamma0 * hp.mu0 + np.bincount(c.recv_loc, w_recv * zb[c.recv], c.size)
+        prop = (num + eps[c.draws] * np.sqrt(prec)) / prec
+        cur = s[c.members]
+        w_old = w[c.members]
+        w_new = self._prec(prop)
+        resid = zb[c.give] - s[c.give_gradee]
+        rss = np.bincount(c.give_loc, resid * resid, c.size)
+        accept = (w_new - w_old) * rss - c.n_given * np.log(w_new / w_old) <= e2[c.draws]
+        np.putmask(cur, accept, prop)
+        np.putmask(w_old, accept, w_new)
+        s[c.members] = cur
+        w[c.members] = w_old
+        self.accept_s += int(np.count_nonzero(accept))
+
     def sweep(self, rng: np.random.Generator) -> None:
         hp, idx = self.hp, self.idx
-        floor = hp.precision_floor
-        z, grader, gradee = idx.z, idx.grader, idx.gradee
-        for i in range(idx.n_students):
-            r = idx.recv_order[idx.recv_ptr[i] : idx.recv_ptr[i + 1]]
-            if r.size:
-                gv = grader[r]
-                w = self._prec(self.s[gv])
-                p = hp.gamma0 + float(w.sum())
-                m = (hp.gamma0 * hp.mu0 + float(np.dot(w, z[r] - self.b[gv]))) / p
-            else:
-                p, m = hp.gamma0, hp.mu0
-            prop = float(rng.normal(m, math.sqrt(1.0 / p)))
-            g = idx.give_order[idx.give_ptr[i] : idx.give_ptr[i + 1]]
-            self.total_s += 1
-            if g.size == 0:
-                self.s[i] = prop
-                self.accept_s += 1
-                continue
-            w_old = max(self.th1 * self.s[i] + self.th0, floor)
-            w_new = max(self.th1 * prop + self.th0, floor)
-            rss = float(np.sum((z[g] - self.s[gradee[g]] - self.b[i]) ** 2))
-            log_ratio = 0.5 * g.size * (math.log(w_new) - math.log(w_old)) - 0.5 * (w_new - w_old) * rss
-            if log_ratio >= 0.0 or math.log(rng.uniform()) < log_ratio:
-                self.s[i] = prop
-                self.accept_s += 1
-
-        w = self._prec(self.s[grader])
+        w = self._update_scores(rng, self.classes)[idx.grader]
         prec_b = hp.eta0 + idx.sum_by_grader(w)
-        num_b = idx.sum_by_grader(w * (z - self.s[gradee]))
+        num_b = idx.sum_by_grader(w * (idx.z - self.s[idx.gradee]))
         self.b = rng.normal(num_b / prec_b, np.sqrt(1.0 / prec_b))
 
         if self.sample_theta:

@@ -2,22 +2,28 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from peergrade import (
     GibbsConfig,
     GradingGraph,
     Hyperparameters,
+    LatentState,
     Model,
     PeerGrade,
+    SynthConfig,
     TraceRecorder,
     cond_sample_bias,
     cond_sample_bias_chain,
     cond_sample_reliability,
     cond_sample_score,
+    cond_sample_score_affine,
+    generate,
     gibbs_infer,
     initial_state,
     sweep,
 )
+from peergrade.gibbs import _build_engines
 from conftest import make_graph
 
 HP = Hyperparameters(mu0=75.0, gamma0=1 / 100, eta0=1 / 25, alpha0=2.0, beta0=18.0)
@@ -92,6 +98,15 @@ class TestMarginals:
         assert summ.theta["theta0"].mean == pytest.approx(0.1)
         assert summ.theta["theta0"].var < 1e-12
         assert summ.theta["theta1"].mean == pytest.approx(0.001)
+
+    def test_pg2_rejects_assignment_without_grades(self):
+        # assignment 2 has a submission but no grades: there is nothing to
+        # z-score it by, so its scores could not come out in percentage points
+        g = make_graph([(1, "v", "u", 62.0), (1, "u", "v", 78.0)],
+                       submissions={1: ("u", "v"), 2: ("u",)})
+        cfg = GibbsConfig(model=Model.PG2, total_sweeps=20, burn_in=5, seed=4)
+        with pytest.raises(ValueError, match="assignment 2: no grades to resolve data-driven priors"):
+            gibbs_infer(g, Hyperparameters(), cfg)
 
     def test_pg2_outputs_percentage_points(self):
         rows = [(1, "v", "u1", 62.0), (1, "v", "u2", 78.0), (1, "w", "u1", 66.0), (1, "w", "u2", 84.0)]
@@ -214,3 +229,81 @@ class TestScalarSamplers:
     def test_requires_resolved_priors(self, rng):
         with pytest.raises(ValueError, match="resolve"):
             cond_sample_score((1, "u"), self.state, self.graph, Hyperparameters(), rng)
+
+
+class TestChromaticPg3:
+    """The PG3 score block updates one colour class of the grader-gradee
+    graph at a time, all members in one vectorized Metropolis step."""
+
+    HP = Hyperparameters(mu0=75.0, gamma0=1 / 16, eta0=1 / 4, theta0=-0.6, theta1=0.01)
+
+    @staticmethod
+    def engine(graph, hp):
+        return _build_engines(graph, hp, GibbsConfig(model=Model.PG3, seed=0))[0]
+
+    def test_class_update_matches_scalar_reference(self):
+        # u receives two grades and gives two; at this slope and these
+        # residuals both terms of the log ratio move the acceptance
+        graph = make_graph([
+            (1, "v", "u", 80.0), (1, "w", "u", 71.0), (1, "u", "x", 70.0),
+            (1, "u", "y", 66.0), (1, "x", "v", 74.0), (1, "y", "w", 68.0),
+            (1, "q", "x", 72.0), (1, "v", "q", 79.0),
+        ])
+        state = LatentState(
+            s={(1, k): m for k, m in
+               [("u", 75.0), ("v", 76.0), ("w", 73.0), ("x", 64.0), ("y", 70.0), ("q", 78.0)]},
+            b={(1, "u"): 0.5, (1, "v"): 1.0, (1, "w"): -1.0, (1, "x"): 0.0,
+               (1, "y"): 0.3, (1, "q"): -0.2},
+            theta=(-0.6, 0.01),
+        )
+        n = 20_000
+        engine = self.engine(graph, self.HP)
+        engine.load_state(state)
+        i = engine.idx.pos["u"]
+        cls = next(c for c in engine.classes if i in c.members)
+        s0 = engine.s.copy()
+        rng = np.random.default_rng(31)
+        got = np.empty(n)
+        for k in range(n):
+            engine.s[:] = s0
+            engine._update_scores(rng, [cls])
+            got[k] = engine.s[i]
+        got_accept = float(np.mean(got != s0[i]))
+
+        rng = np.random.default_rng(32)
+        ref = [cond_sample_score_affine((1, "u"), state, graph, self.HP, rng) for _ in range(n)]
+        want = np.array([value for value, _ in ref])
+        want_accept = float(np.mean([accepted for _, accepted in ref]))
+
+        assert 0.2 < want_accept < 0.95
+        assert stats.ks_2samp(got, want).pvalue >= 0.01
+        pooled = 0.5 * (got_accept + want_accept)
+        assert abs(got_accept - want_accept) <= 4 * math.sqrt(pooled * (1 - pooled) * 2 / n)
+
+    @staticmethod
+    def check_colouring(graph, hp):
+        engine = TestChromaticPg3.engine(graph, hp)
+        idx = engine.idx
+        colour = np.full(idx.n_students, -1)
+        for k, c in enumerate(engine.classes):
+            assert (colour[c.members] == -1).all(), "a student is in two classes"
+            colour[c.members] = k
+        assert (colour >= 0).all(), "a student is in no class"
+        assert not np.any(colour[idx.grader] == colour[idx.gradee]), "a grade joins one class"
+        again = TestChromaticPg3.engine(graph, hp)
+        assert [c.members.tolist() for c in again.classes] == [c.members.tolist() for c in engine.classes]
+        return engine.classes
+
+    def test_colouring_on_hci_shaped_network(self):
+        cfg = SynthConfig(
+            n_students=3600, n_assignments=1, grades_per_grader=4,
+            n_ground_truth=3, super_grades=160, model=Model.PG3, seed=0,
+        )
+        graph, _ = generate(cfg)
+        classes = self.check_colouring(graph, Hyperparameters())
+        assert sum(c.size for c in classes) == 3600
+
+    def test_colouring_on_two_node_network(self):
+        graph = make_graph([(1, "u", "v", 73.0), (1, "v", "u", 78.0)])
+        classes = self.check_colouring(graph, self.HP)
+        assert [c.members.tolist() for c in classes] == [[0], [1]]

@@ -286,6 +286,24 @@ class TestCliErrors:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("model", ["pg1", "pg2"])
+    def test_assignment_without_grades(self, tmp_path, capsys, model):
+        # ingest keeps assignment 2's universe after dropping its only grade,
+        # a self-grade; neither model has grades to put it in percentage points
+        gpath = tmp_path / "g.csv"
+        write_grades_csv(
+            [PeerGrade(1, "a", "b", 70.0), PeerGrade(1, "b", "a", 75.0),
+             PeerGrade(2, "a", "a", 80.0)],
+            gpath,
+        )
+        code, _, err = run_cli([
+            "infer", "--grades", str(gpath), "--model", model,
+            "--sweeps", "20", "--burnin", "5", "--out", str(tmp_path / "x"),
+        ], capsys)
+        assert code == 1
+        assert err.startswith("error: assignment 2: no grades to resolve data-driven priors")
+        assert "Traceback" not in err
+
     def test_missing_grades_file(self, tmp_path, capsys):
         code, _, err = run_cli([
             "infer", "--grades", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "x"),
