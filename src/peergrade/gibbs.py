@@ -2,14 +2,19 @@
 
 One systematic-scan sweep updates every true score, then every grader bias,
 then every reliability (where inferred), then the reliability-line
-coefficients (score-linked model). Blocks that are conditionally independent
-given the rest are drawn as vectorized batches. The score-linked model's
-scores are not: each student's score enters the likelihood precisions of the
-grades they gave. Its score block therefore runs on a chromatic schedule
-(Gonzalez et al., "Parallel Gibbs Sampling: From Colored Fields to Thin
-Junction Trees", AISTATS 2011): students are greedily coloured so that no
-grade joins two students of one colour, and each colour class takes one
-vectorized Metropolis step, which is a sequential scan in class order.
+coefficients (score-linked model). One engine, configured by model, serves
+PG1-bias, PG1 and PG2: biases form a chain across the engine's assignments,
+which with a single assignment is the independent bias block, and
+reliabilities are drawn or held fixed. The score-linked model (PG3) overrides
+only its score block, its bias arithmetic and its theta step. Blocks that are
+conditionally independent given the rest are drawn as vectorized batches.
+The score-linked model's scores are not: each student's score enters the
+likelihood precisions of the grades they gave. Its score block therefore
+runs on a chromatic schedule (Gonzalez et al., "Parallel Gibbs Sampling:
+From Colored Fields to Thin Junction Trees", AISTATS 2011): students are
+greedily coloured so that no grade joins two students of one colour, and
+each colour class takes one vectorized Metropolis step, which is a
+sequential scan in class order.
 
 Scalar reference implementations of each conditional sampler are exposed for
 distribution-level testing; the engines implement the same conditionals on
@@ -272,9 +277,9 @@ class _AssignmentIndex:
 class _Accumulator:
     """Streaming first and second moments of an array drawn once per sweep."""
 
-    def __init__(self, size: int) -> None:
-        self.sum = np.zeros(size)
-        self.sumsq = np.zeros(size)
+    def __init__(self, shape) -> None:
+        self.sum = np.zeros(shape)
+        self.sumsq = np.zeros(shape)
         self.n = 0
 
     def add(self, values: np.ndarray) -> None:
@@ -282,183 +287,124 @@ class _Accumulator:
         self.sumsq += values * values
         self.n += 1
 
-    def stats(self, scale: float = 1.0, shift: float = 0.0) -> list[VariableStat]:
-        """Moments of shift + scale*x per element."""
+    def moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-element mean and population variance."""
         mean = self.sum / self.n
-        var = np.maximum(self.sumsq / self.n - mean * mean, 0.0)
-        return [
-            VariableStat(mean=shift + scale * m, var=scale * scale * v, n=self.n)
-            for m, v in zip(mean, var)
-        ]
+        return mean, np.maximum(self.sumsq / self.n - mean * mean, 0.0)
 
 
-class _Pg1Engine:
-    """Single-assignment engine for the fixed-reliability and per-grader
-    reliability models (graders index into the same student list)."""
-
-    def __init__(self, graph: GradingGraph, assignment: int, hp: Hyperparameters, model: Model) -> None:
-        self.idx = _AssignmentIndex(graph, assignment)
-        self.hp = hp
-        self.infer_tau = model is Model.PG1
-        self.s = self.idx.mean_received(hp.mu0)
-        self.b = np.zeros(self.idx.n_students)
-        tau0 = hp.alpha0 / hp.beta0 if self.infer_tau else hp.effective_tau_fixed
-        self.tau = np.full(self.idx.n_students, tau0)
-        n = self.idx.n_students
-        self.acc_s = _Accumulator(n)
-        self.acc_b = _Accumulator(n)
-        self.acc_tau = _Accumulator(n) if self.infer_tau else None
-
-    def sweep(self, rng: np.random.Generator) -> None:
-        hp, idx = self.hp, self.idx
-        w = self.tau[idx.grader]
-        prec = hp.gamma0 + idx.sum_by_gradee(w)
-        num = hp.gamma0 * hp.mu0 + idx.sum_by_gradee(w * (idx.z - self.b[idx.grader]))
-        self.s = rng.normal(num / prec, np.sqrt(1.0 / prec))
-
-        prec_b = hp.eta0 + idx.n_given * self.tau
-        num_b = self.tau * idx.sum_by_grader(idx.z - self.s[idx.gradee])
-        self.b = rng.normal(num_b / prec_b, np.sqrt(1.0 / prec_b))
-
-        if self.infer_tau:
-            resid = idx.z - self.s[idx.gradee] - self.b[idx.grader]
-            shape = hp.alpha0 + 0.5 * idx.n_given
-            rate = hp.beta0 + 0.5 * idx.sum_by_grader(resid * resid)
-            self.tau = rng.gamma(shape, 1.0 / rate)
-
-    def accumulate(self) -> None:
-        self.acc_s.add(self.s)
-        self.acc_b.add(self.b)
-        if self.acc_tau is not None:
-            self.acc_tau.add(self.tau)
-
-    def load_state(self, state: LatentState) -> None:
-        a = self.idx.assignment
-        for i, student in enumerate(self.idx.students):
-            key = (a, student)
-            if key in state.s:
-                self.s[i] = state.s[key]
-            if key in state.b:
-                self.b[i] = state.b[key]
-            if key in state.tau:
-                self.tau[i] = state.tau[key]
-
-    def export_state(self, state: LatentState) -> None:
-        a = self.idx.assignment
-        grades_given = self.idx.n_given > 0
-        for i, student in enumerate(self.idx.students):
-            state.s[(a, student)] = float(self.s[i])
-            if grades_given[i]:
-                state.b[(a, student)] = float(self.b[i])
-                if self.infer_tau:
-                    state.tau[(a, student)] = float(self.tau[i])
-
-    def summarize(self, summary: PosteriorSummary) -> None:
-        a = self.idx.assignment
-        s_stats = self.acc_s.stats()
-        b_stats = self.acc_b.stats()
-        tau_stats = self.acc_tau.stats() if self.acc_tau is not None else None
-        grades_given = self.idx.n_given > 0
-        for i, student in enumerate(self.idx.students):
-            summary.s[(a, student)] = s_stats[i]
-            if grades_given[i]:
-                summary.b[(a, student)] = b_stats[i]
-                if tau_stats is not None:
-                    summary.tau[(a, student)] = tau_stats[i]
-
-    def trace_resolver(self, kind: str, a: int, student: str) -> Callable[[], float] | None:
-        if a != self.idx.assignment or student not in self.idx.pos:
-            return None
-        i = self.idx.pos[student]
-        if kind == "s":
-            return lambda: float(self.s[i])
-        if kind == "b":
-            return lambda: float(self.b[i])
-        if kind == "tau" and self.infer_tau:
-            return lambda: float(self.tau[i])
-        return None
-
-    def sample_spec(self):
-        return [(self.idx.assignment, self.idx.students, lambda: self.s, 1.0, 0.0)]
+def _normal(rng: np.random.Generator, mean: np.ndarray, prec: np.ndarray) -> np.ndarray:
+    """Gaussian draws with the given means and precisions; the same variates
+    as rng.normal(mean, 1/sqrt(prec)), without its per-call argument checks."""
+    return mean + np.sqrt(1.0 / prec) * rng.standard_normal(mean.shape)
 
 
-class _Pg2Engine:
-    """Joint engine for the random-walk bias model: per-assignment scores and
-    reliabilities, bias chains across assignments for each grader.
+_IDENTITY = NormalizationParams(mean=0.0, std=1.0)
 
-    Works in whatever units the graph carries (z-scores unless
-    assume_normalized); summaries are mapped back to percentage points with
-    the per-assignment normalization params (identity where absent).
+
+class _Engine:
+    """Gibbs engine over an (assignment, grader) layout, configured by model.
+
+    Scores are one array per assignment; biases and reliabilities are K x G
+    arrays over the engine's K assignments and G graders. The bias block is a
+    chain across assignments: eta0 anchors the first, omega0 links
+    consecutive ones, so with K = 1 it is the independent bias block.
+    Reliabilities are drawn for PG1 and PG2 and held at the fixed value for
+    PG1-bias. PG2 runs one engine over all assignments with every grader of
+    the graph; the other models run one engine per assignment whose graders
+    are its submissions.
+
+    Works in whatever units the graph carries (z-scores for PG2 unless
+    assume_normalized); summaries and traces are mapped back to percentage
+    points with the per-assignment normalization (identity where absent).
     """
 
     def __init__(
         self,
         graph: GradingGraph,
+        assignments: Sequence[int],
+        graders: Sequence[str],
         resolved: dict[int, Hyperparameters],
         norm: dict[int, NormalizationParams],
+        cfg: GibbsConfig,
     ) -> None:
-        self.assignments = list(graph.assignments)
-        self.hp = resolved
-        base = resolved[self.assignments[0]]
+        self.assignments = list(assignments)
+        self.hp = [resolved[a] for a in self.assignments]
+        base = self.hp[0]
         self.eta0, self.omega0 = base.eta0, base.omega0
         self.alpha0, self.beta0 = base.alpha0, base.beta0
-        self.norm = norm
-        self.graders = sorted({g.grader for g in graph.grades})
-        gpos = {v: i for i, v in enumerate(self.graders)}
-        self.idx = [_AssignmentIndex(graph, a, grader_pos=gpos) for a in self.assignments]
+        self.norm = [norm.get(a, _IDENTITY) for a in self.assignments]
+        self.graders = list(graders)
+        self.gpos = {v: j for j, v in enumerate(self.graders)}
+        self.idx = [_AssignmentIndex(graph, a, grader_pos=self.gpos) for a in self.assignments]
+        # a grader carries a bias (in every assignment of the engine) once it
+        # grades anywhere in the engine
+        self.biased = np.flatnonzero(np.sum([ix.n_given for ix in self.idx], axis=0) > 0)
+        self.infer_tau = cfg.model in (Model.PG1, Model.PG2)
         K, G = len(self.assignments), len(self.graders)
-        self.s = [self.idx[k].mean_received(self.hp[a].mu0) for k, a in enumerate(self.assignments)]
+        self.s = [ix.mean_received(hp.mu0) for ix, hp in zip(self.idx, self.hp)]
         self.b = np.zeros((K, G))
-        self.tau = np.full((K, G), self.alpha0 / self.beta0)
+        self.tau = np.full((K, G), self.alpha0 / self.beta0 if self.infer_tau else base.effective_tau_fixed)
+        self.theta: tuple[float, float] | None = None
         self.acc_s = [_Accumulator(ix.n_students) for ix in self.idx]
-        self.acc_b = _Accumulator(K * G)
-        self.acc_tau = _Accumulator(K * G)
+        self.acc_b = _Accumulator((K, G))
+        self.acc_tau = _Accumulator((K, G))
+        self.acc_theta = _Accumulator(2)
+        self.accept_s = self.total_s = 0
+        self.accept_theta = self.total_theta = 0
 
     def sweep(self, rng: np.random.Generator) -> None:
-        K = len(self.assignments)
-        for k in range(K):
-            idx, hp = self.idx[k], self.hp[self.assignments[k]]
+        self._score_block(rng)
+        self._bias_block(rng)
+        self._reliability_block(rng)
+
+    def _score_block(self, rng: np.random.Generator) -> None:
+        for k, (idx, hp) in enumerate(zip(self.idx, self.hp)):
             w = self.tau[k][idx.grader]
             prec = hp.gamma0 + idx.sum_by_gradee(w)
             num = hp.gamma0 * hp.mu0 + idx.sum_by_gradee(w * (idx.z - self.b[k][idx.grader]))
-            self.s[k] = rng.normal(num / prec, np.sqrt(1.0 / prec))
+            self.s[k] = _normal(rng, num / prec, prec)
 
+    def _bias_likelihood(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Precision and precision-weighted residual sum that assignment k's
+        grades contribute to each grader's bias."""
+        idx = self.idx[k]
+        return idx.n_given * self.tau[k], self.tau[k] * idx.sum_by_grader(idx.z - self.s[k][idx.gradee])
+
+    def _bias_block(self, rng: np.random.Generator) -> None:
+        K = len(self.assignments)
         for k in range(K):
-            idx = self.idx[k]
-            resid_sum = idx.sum_by_grader(idx.z - self.s[k][idx.gradee])
-            if k == 0:
-                prec = np.full(idx.n_graders, self.eta0)
-                num = np.zeros(idx.n_graders)
-            else:
-                prec = np.full(idx.n_graders, self.omega0)
-                num = self.omega0 * self.b[k - 1].copy()
+            prec = self.eta0 if k == 0 else self.omega0
+            num = 0.0 if k == 0 else self.omega0 * self.b[k - 1]
             if k + 1 < K:
                 prec += self.omega0
-                num += self.omega0 * self.b[k + 1]
-            prec += idx.n_given * self.tau[k]
-            num += self.tau[k] * resid_sum
-            self.b[k] = rng.normal(num / prec, np.sqrt(1.0 / prec))
+                num = num + self.omega0 * self.b[k + 1]
+            lik_prec, lik_num = self._bias_likelihood(k)
+            prec = prec + lik_prec
+            num = num + lik_num
+            self.b[k] = _normal(rng, num / prec, prec)
 
-        for k in range(K):
-            idx = self.idx[k]
+    def _reliability_block(self, rng: np.random.Generator) -> None:
+        if not self.infer_tau:
+            return
+        for k, idx in enumerate(self.idx):
             resid = idx.z - self.s[k][idx.gradee] - self.b[k][idx.grader]
             shape = self.alpha0 + 0.5 * idx.n_given
             rate = self.beta0 + 0.5 * idx.sum_by_grader(resid * resid)
-            self.tau[k] = rng.gamma(shape, 1.0 / rate)
+            self.tau[k] = (1.0 / rate) * rng.standard_gamma(shape)
 
     def accumulate(self) -> None:
         for acc, s in zip(self.acc_s, self.s):
             acc.add(s)
-        self.acc_b.add(self.b.ravel())
-        self.acc_tau.add(self.tau.ravel())
-
-    def _norm_of(self, a: int) -> NormalizationParams:
-        return self.norm.get(a) or NormalizationParams(mean=0.0, std=1.0)
+        self.acc_b.add(self.b)
+        if self.infer_tau:
+            self.acc_tau.add(self.tau)
+        if self.theta is not None:
+            self.acc_theta.add(np.array(self.theta))
 
     def load_state(self, state: LatentState) -> None:
         for k, a in enumerate(self.assignments):
-            idx = self.idx[k]
-            for i, student in enumerate(idx.students):
+            for i, student in enumerate(self.idx[k].students):
                 if (a, student) in state.s:
                     self.s[k][i] = state.s[(a, student)]
             for j, grader in enumerate(self.graders):
@@ -466,58 +412,66 @@ class _Pg2Engine:
                     self.b[k, j] = state.b[(a, grader)]
                 if (a, grader) in state.tau:
                     self.tau[k, j] = state.tau[(a, grader)]
+        if self.theta is not None and state.theta is not None:
+            self.theta = tuple(state.theta)
 
     def export_state(self, state: LatentState) -> None:
         for k, a in enumerate(self.assignments):
-            idx = self.idx[k]
-            for i, student in enumerate(idx.students):
-                state.s[(a, student)] = float(self.s[k][i])
-            for j, grader in enumerate(self.graders):
-                state.b[(a, grader)] = float(self.b[k, j])
-                if idx.n_given[j] > 0:
-                    state.tau[(a, grader)] = float(self.tau[k, j])
+            state.s.update(zip([(a, u) for u in self.idx[k].students], self.s[k].tolist()))
+            n_given = self.idx[k].n_given
+            for j in self.biased:
+                key = (a, self.graders[j])
+                state.b[key] = float(self.b[k, j])
+                if self.infer_tau and n_given[j] > 0:
+                    state.tau[key] = float(self.tau[k, j])
+        if self.theta is not None:
+            state.theta = self.theta
 
     def summarize(self, summary: PosteriorSummary) -> None:
-        K, G = len(self.assignments), len(self.graders)
-        b_stats = self.acc_b.stats()
-        tau_stats = self.acc_tau.stats()
+        n = self.acc_b.n
+        b_mean, b_var = self.acc_b.moments()
+        if self.infer_tau:
+            tau_mean, tau_var = self.acc_tau.moments()
         for k, a in enumerate(self.assignments):
-            p = self._norm_of(a)
+            p = self.norm[k]
             sd, var_scale = p.std, p.std * p.std
-            s_stats = self.acc_s[k].stats(scale=sd, shift=p.mean)
-            for i, student in enumerate(self.idx[k].students):
-                summary.s[(a, student)] = s_stats[i]
-            for j, grader in enumerate(self.graders):
-                st = b_stats[k * G + j]
-                summary.b[(a, grader)] = VariableStat(sd * st.mean, var_scale * st.var, st.n)
-                if self.idx[k].n_given[j] > 0:
-                    tt = tau_stats[k * G + j]
-                    summary.tau[(a, grader)] = VariableStat(
-                        tt.mean / var_scale, tt.var / (var_scale * var_scale), tt.n
-                    )
+            s_mean, s_var = self.acc_s[k].moments()
+            for student, m, v in zip(self.idx[k].students, p.mean + sd * s_mean, var_scale * s_var):
+                summary.s[(a, student)] = VariableStat(m, v, n)
+            for j, m, v in zip(self.biased, sd * b_mean[k, self.biased], var_scale * b_var[k, self.biased]):
+                summary.b[(a, self.graders[j])] = VariableStat(m, v, n)
+            if self.infer_tau:
+                has = np.flatnonzero(self.idx[k].n_given > 0)
+                for j, m, v in zip(has, tau_mean[k, has] / var_scale,
+                                   tau_var[k, has] / (var_scale * var_scale)):
+                    summary.tau[(a, self.graders[j])] = VariableStat(m, v, n)
+        if self.theta is not None:
+            th_mean, th_var = self.acc_theta.moments()
+            summary.theta = {"theta0": VariableStat(th_mean[0], th_var[0], n),
+                             "theta1": VariableStat(th_mean[1], th_var[1], n)}
 
     def trace_resolver(self, kind: str, a: int, student: str) -> Callable[[], float] | None:
+        """A getter for a latent in percentage points, for exactly the latents
+        summarize reports; None for any other."""
         if a not in self.assignments:
             return None
         k = self.assignments.index(a)
-        p = self._norm_of(a)
-        if kind == "s" and student in self.idx[k].pos:
-            i = self.idx[k].pos[student]
-            return lambda: p.mean + p.std * float(self.s[k][i])
-        if student in self.graders:
-            j = self.graders.index(student)
-            if kind == "b":
-                return lambda: p.std * float(self.b[k, j])
-            if kind == "tau" and self.idx[k].n_given[j] > 0:
-                return lambda: float(self.tau[k, j]) / (p.std * p.std)
+        p = self.norm[k]
+        if kind == "s":
+            i = self.idx[k].pos.get(student)
+            return None if i is None else (lambda: p.mean + p.std * float(self.s[k][i]))
+        j = self.gpos.get(student)
+        if j is None or j not in self.biased:
+            return None
+        if kind == "b":
+            return lambda: p.std * float(self.b[k, j])
+        if kind == "tau" and self.infer_tau and self.idx[k].n_given[j] > 0:
+            return lambda: float(self.tau[k, j]) / (p.std * p.std)
         return None
 
     def sample_spec(self):
-        spec = []
-        for k, a in enumerate(self.assignments):
-            p = self._norm_of(a)
-            spec.append((a, self.idx[k].students, lambda k=k: self.s[k], p.std, p.mean))
-        return spec
+        return [(a, self.idx[k].students, lambda k=k: self.s[k], self.norm[k].std, self.norm[k].mean)
+                for k, a in enumerate(self.assignments)]
 
 
 class _ColourClass:
@@ -571,79 +525,75 @@ def _colour_classes(idx: _AssignmentIndex) -> list[_ColourClass]:
     return classes
 
 
-class _Pg3Engine:
-    """Single-assignment engine for the score-linked reliability model.
+class _Pg3Engine(_Engine):
+    """The engine for the score-linked reliability model, on one assignment.
 
+    Overrides the score block, the bias arithmetic and the reliability block.
     Scores move by Metropolis-within-Gibbs on a chromatic schedule: the
     conditional of s_i involves only its graders (proposal precisions) and
     its gradees (acceptance residuals), so the students of one colour class
     are conditionally independent and take one vectorized Metropolis step
     together, classes in turn. Each sweep draws its normals and exponentials
-    in one call each, laid out class by class. Biases are a vectorized
-    conjugate block; theta moves by joint random-walk Metropolis once per
-    sweep under a flat prior restricted to the precision-floor feasible
-    region over current scores.
+    in one call each, laid out class by class. Biases stay conjugate, with
+    each grade weighted by the precision at its grader's score. Theta moves
+    by joint random-walk Metropolis once per sweep under a flat prior
+    restricted to the precision-floor feasible region over current scores.
     """
 
-    def __init__(self, graph: GradingGraph, assignment: int, hp: Hyperparameters, cfg: GibbsConfig) -> None:
-        self.idx = _AssignmentIndex(graph, assignment)
-        self.classes = _colour_classes(self.idx)
-        self.hp = hp
+    def __init__(self, graph: GradingGraph, assignments: Sequence[int], graders: Sequence[str],
+                 resolved: dict[int, Hyperparameters], norm: dict[int, NormalizationParams],
+                 cfg: GibbsConfig) -> None:
+        super().__init__(graph, assignments, graders, resolved, norm, cfg)
+        hp = self.hp[0]
+        self.classes = _colour_classes(self.idx[0])
         self.sample_theta = cfg.sample_theta
-        self.s = self.idx.mean_received(hp.mu0)
-        self.b = np.zeros(self.idx.n_students)
-        self.th0 = hp.effective_theta0
-        self.th1 = hp.theta1
+        self.theta = (hp.effective_theta0, hp.theta1)
         ref = hp.alpha0 / hp.beta0
         score_scale = max(1.0, abs(hp.mu0) + 4.0 / math.sqrt(hp.gamma0))
         self.sig0 = cfg.mh_proposal_scale * ref
         self.sig1 = cfg.mh_proposal_scale * ref / score_scale
-        n = self.idx.n_students
-        self.acc_s = _Accumulator(n)
-        self.acc_b = _Accumulator(n)
-        self.acc_theta = _Accumulator(2)
-        self.accept_s = 0
-        self.total_s = 0
-        self.accept_theta = 0
-        self.total_theta = 0
 
     def _prec(self, s_values: np.ndarray) -> np.ndarray:
-        return np.maximum(self.th1 * s_values + self.th0, self.hp.precision_floor)
+        th0, th1 = self.theta
+        return np.maximum(th1 * s_values + th0, self.hp[0].precision_floor)
 
     def _feasible(self, th0: float, th1: float) -> bool:
-        if self.s.size == 0:
-            return th0 >= self.hp.precision_floor
-        lo = th1 * float(self.s.min()) + th0
-        hi = th1 * float(self.s.max()) + th0
-        return min(lo, hi) >= self.hp.precision_floor
+        s = self.s[0]
+        if s.size == 0:
+            return th0 >= self.hp[0].precision_floor
+        lo = th1 * float(s.min()) + th0
+        hi = th1 * float(s.max()) + th0
+        return min(lo, hi) >= self.hp[0].precision_floor
 
     def _log_likelihood(self, th0: float, th1: float) -> float:
-        idx = self.idx
-        w = th1 * self.s[idx.grader] + th0  # feasibility guarantees w >= floor > 0
-        resid = idx.z - self.s[idx.gradee] - self.b[idx.grader]
+        idx, s = self.idx[0], self.s[0]
+        w = th1 * s[idx.grader] + th0  # feasibility guarantees w >= floor > 0
+        resid = idx.z - s[idx.gradee] - self.b[0][idx.grader]
         return float(0.5 * np.sum(np.log(w)) - 0.5 * np.sum(w * resid * resid))
 
-    def _update_scores(self, rng: np.random.Generator, classes: Sequence[_ColourClass]) -> np.ndarray:
+    def _score_block(self, rng: np.random.Generator) -> None:
+        self._update_scores(rng, self.classes)
+
+    def _update_scores(self, rng: np.random.Generator, classes: Sequence[_ColourClass]) -> None:
         """One Metropolis step for every member of the given classes, class by
-        class; returns the precisions of the updated scores."""
-        idx = self.idx
+        class."""
+        idx = self.idx[0]
         eps = rng.standard_normal(idx.n_students)
         # e2 = -2 log u for uniform u, so accepting when -2 log(ratio) <= e2
         # accepts with probability min(1, ratio), and always when ratio == 1
         e2 = rng.exponential(2.0, idx.n_students)
-        zb = idx.z - self.b[idx.grader]
-        w = self._prec(self.s)
+        zb = idx.z - self.b[0][idx.grader]
+        w = self._prec(self.s[0])
         for c in classes:
             self._class_step(c, zb, w, eps, e2)
             self.total_s += c.size
-        return w
 
     def _class_step(
         self, c: _ColourClass, zb: np.ndarray, w: np.ndarray, eps: np.ndarray, e2: np.ndarray
     ) -> None:
         """Same proposal and acceptance as cond_sample_score_affine, for all
         members at once; w holds the precisions of the current scores."""
-        hp, s = self.hp, self.s
+        hp, s = self.hp[0], self.s[0]
         w_recv = w[c.recv_grader]
         prec = hp.gamma0 + np.bincount(c.recv_loc, w_recv, c.size)
         num = hp.gamma0 * hp.mu0 + np.bincount(c.recv_loc, w_recv * zb[c.recv], c.size)
@@ -660,77 +610,26 @@ class _Pg3Engine:
         w[c.members] = w_old
         self.accept_s += int(np.count_nonzero(accept))
 
-    def sweep(self, rng: np.random.Generator) -> None:
-        hp, idx = self.hp, self.idx
-        w = self._update_scores(rng, self.classes)[idx.grader]
-        prec_b = hp.eta0 + idx.sum_by_grader(w)
-        num_b = idx.sum_by_grader(w * (idx.z - self.s[idx.gradee]))
-        self.b = rng.normal(num_b / prec_b, np.sqrt(1.0 / prec_b))
+    def _bias_likelihood(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        idx, s = self.idx[k], self.s[k]
+        w = self._prec(s)[idx.grader]
+        return idx.sum_by_grader(w), idx.sum_by_grader(w * (idx.z - s[idx.gradee]))
 
-        if self.sample_theta:
-            self._theta_step(rng)
-
-    def _theta_step(self, rng: np.random.Generator) -> None:
+    def _reliability_block(self, rng: np.random.Generator) -> None:
+        if not self.sample_theta:
+            return
         self.total_theta += 1
-        prop0 = self.th0 + float(rng.normal(0.0, self.sig0))
-        prop1 = self.th1 + float(rng.normal(0.0, self.sig1))
+        th0, th1 = self.theta
+        prop0 = th0 + float(rng.normal(0.0, self.sig0))
+        prop1 = th1 + float(rng.normal(0.0, self.sig1))
         if not self._feasible(prop0, prop1):
             return
-        if self._feasible(self.th0, self.th1):
-            log_ratio = self._log_likelihood(prop0, prop1) - self._log_likelihood(self.th0, self.th1)
+        if self._feasible(th0, th1):
+            log_ratio = self._log_likelihood(prop0, prop1) - self._log_likelihood(th0, th1)
             if log_ratio < 0.0 and math.log(rng.uniform()) >= log_ratio:
                 return
-        self.th0, self.th1 = prop0, prop1
+        self.theta = (prop0, prop1)
         self.accept_theta += 1
-
-    def accumulate(self) -> None:
-        self.acc_s.add(self.s)
-        self.acc_b.add(self.b)
-        self.acc_theta.add(np.array([self.th0, self.th1]))
-
-    def load_state(self, state: LatentState) -> None:
-        a = self.idx.assignment
-        for i, student in enumerate(self.idx.students):
-            if (a, student) in state.s:
-                self.s[i] = state.s[(a, student)]
-            if (a, student) in state.b:
-                self.b[i] = state.b[(a, student)]
-        if state.theta is not None:
-            self.th0, self.th1 = state.theta
-
-    def export_state(self, state: LatentState) -> None:
-        a = self.idx.assignment
-        grades_given = self.idx.n_given > 0
-        for i, student in enumerate(self.idx.students):
-            state.s[(a, student)] = float(self.s[i])
-            if grades_given[i]:
-                state.b[(a, student)] = float(self.b[i])
-        state.theta = (self.th0, self.th1)
-
-    def summarize(self, summary: PosteriorSummary) -> None:
-        a = self.idx.assignment
-        s_stats = self.acc_s.stats()
-        b_stats = self.acc_b.stats()
-        grades_given = self.idx.n_given > 0
-        for i, student in enumerate(self.idx.students):
-            summary.s[(a, student)] = s_stats[i]
-            if grades_given[i]:
-                summary.b[(a, student)] = b_stats[i]
-        th_stats = self.acc_theta.stats()
-        summary.theta = {"theta0": th_stats[0], "theta1": th_stats[1]}
-
-    def trace_resolver(self, kind: str, a: int, student: str) -> Callable[[], float] | None:
-        if a != self.idx.assignment or student not in self.idx.pos:
-            return None
-        i = self.idx.pos[student]
-        if kind == "s":
-            return lambda: float(self.s[i])
-        if kind == "b":
-            return lambda: float(self.b[i])
-        return None
-
-    def sample_spec(self):
-        return [(self.idx.assignment, self.idx.students, lambda: self.s, 1.0, 0.0)]
 
 
 # ---------------------------------------------------------------------------
@@ -756,19 +655,18 @@ class TraceRecorder:
                 raise ValueError(f"unknown trace variable kind {kind!r}")
 
 
-def _build_engines(graph: GradingGraph, hp: Hyperparameters, cfg: GibbsConfig):
+def _build_engines(graph: GradingGraph, hp: Hyperparameters, cfg: GibbsConfig) -> list[_Engine]:
+    """PG2 is one engine over all assignments and every grader of the graph;
+    the other models are one engine per assignment, graded by its
+    submissions. Engines draw from one generator each, in this order."""
     work, norm = prepare_graph(graph, cfg.model, cfg.assume_normalized)
     normalized = cfg.model is Model.PG2 and not cfg.assume_normalized
     resolved = resolve_priors(work, hp, normalized=normalized)
     if cfg.model is Model.PG2:
-        return [_Pg2Engine(work, resolved, norm)]
-    engines = []
-    for a in work.assignments:
-        if cfg.model is Model.PG3:
-            engines.append(_Pg3Engine(work, a, resolved[a], cfg))
-        else:
-            engines.append(_Pg1Engine(work, a, resolved[a], cfg.model))
-    return engines
+        graders = sorted({g.grader for g in work.grades})
+        return [_Engine(work, work.assignments, graders, resolved, norm, cfg)]
+    engine = _Pg3Engine if cfg.model is Model.PG3 else _Engine
+    return [engine(work, [a], work.submissions(a), resolved, norm, cfg) for a in work.assignments]
 
 
 def initial_state(graph: GradingGraph, hp: Hyperparameters, cfg: GibbsConfig) -> LatentState:
@@ -829,11 +727,7 @@ def gibbs_infer(
     resolvers = []
     if trace is not None:
         for kind, a, student in trace.variables:
-            resolver = None
-            for engine in engines:
-                resolver = engine.trace_resolver(kind, a, student)
-                if resolver is not None:
-                    break
+            resolver = next(filter(None, (e.trace_resolver(kind, a, student) for e in engines)), None)
             if resolver is None:
                 raise ValueError(f"trace variable ({kind!r}, {a}, {student!r}) not tracked by the model")
             resolvers.append((kind, a, student, resolver))
@@ -866,12 +760,10 @@ def gibbs_infer(
                 summary.score_samples[(a, student)] = converted[:, i]
     for engine in engines:
         engine.summarize(summary)
-    accept = sum(getattr(e, "accept_s", 0) for e in engines)
-    total = sum(getattr(e, "total_s", 0) for e in engines)
+    total = sum(e.total_s for e in engines)
     if total:
-        summary.mh_acceptance = accept / total
-    accept_t = sum(getattr(e, "accept_theta", 0) for e in engines)
-    total_t = sum(getattr(e, "total_theta", 0) for e in engines)
+        summary.mh_acceptance = sum(e.accept_s for e in engines) / total
+    total_t = sum(e.total_theta for e in engines)
     if total_t:
-        summary.theta_acceptance = accept_t / total_t
+        summary.theta_acceptance = sum(e.accept_theta for e in engines) / total_t
     return summary

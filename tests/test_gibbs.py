@@ -69,6 +69,34 @@ class TestDeterminism:
         b = gibbs_infer(graph, HP, GibbsConfig(model=Model.PG1, total_sweeps=60, burn_in=10, seed=6))
         assert summary_vector(a) != summary_vector(b)
 
+    def test_pg2_on_one_assignment_is_pg1(self, small_pg1):
+        # every submitter grades, so PG2's graders are PG1's, its bias chain is
+        # the anchored bias block alone, and both draw from one stream
+        graph, _ = small_pg1
+        assert {g.grader for g in graph.grades} == set(graph.submissions(1))
+        pg1 = gibbs_infer(graph, HP, GibbsConfig(model=Model.PG1, total_sweeps=200, burn_in=20, seed=5))
+        pg2 = gibbs_infer(graph, HP, GibbsConfig(model=Model.PG2, total_sweeps=200, burn_in=20, seed=5,
+                                                 assume_normalized=True))
+        for kind in ("s", "b", "tau"):
+            assert getattr(pg2, kind) == getattr(pg1, kind)
+        assert summary_vector(pg2) == summary_vector(pg1)
+
+    @pytest.mark.parametrize("model", [Model.PG1_BIAS, Model.PG1, Model.PG3], ids=lambda m: m.value)
+    def test_assignment_block_equals_fit_of_that_assignment(self, model):
+        # these models fit each assignment on its own stream, spawned in
+        # assignment order, so later assignments cannot move the first
+        graph, _ = generate(SynthConfig(n_students=60, n_assignments=3, n_ground_truth=3,
+                                        super_grades=20, seed=7))
+        alone = GradingGraph([g for g in graph.grades if g.assignment == 1],
+                             submissions={1: graph.submissions(1)})
+        cfg = GibbsConfig(model=model, total_sweeps=120, burn_in=20, seed=7)
+        full_fit = gibbs_infer(graph, Hyperparameters(), cfg)
+        alone_fit = gibbs_infer(alone, Hyperparameters(), cfg)
+        assert len(full_fit.s) == 3 * len(alone_fit.s)
+        for kind in ("s", "b", "tau"):
+            block = {k: v for k, v in getattr(full_fit, kind).items() if k[0] == 1}
+            assert block == getattr(alone_fit, kind)
+
 
 class TestMarginals:
     def test_prior_only_submission_tracks_prior(self):
@@ -117,23 +145,28 @@ class TestMarginals:
         assert all(40.0 < m < 100.0 for m in means)
 
 
+@pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
 class TestStateApi:
-    def test_initial_state_covers_latents(self, small_pg1):
+    def test_initial_state_covers_latents(self, small_pg1, model):
         graph, _ = small_pg1
-        cfg = GibbsConfig(model=Model.PG1, seed=0)
+        cfg = GibbsConfig(model=model, total_sweeps=20, burn_in=5, seed=0)
         state = initial_state(graph, HP, cfg)
         assert set(state.s) == {(1, u) for u in graph.submissions(1)}
         graders = {(g.assignment, g.grader) for g in graph.grades}
         assert set(state.b) == graders
-        assert set(state.tau) == graders
+        assert set(state.tau) == (graders if model in (Model.PG1, Model.PG2) else set())
+        summary = gibbs_infer(graph, HP, cfg)
+        for kind in ("s", "b", "tau"):
+            assert set(getattr(state, kind)) == set(getattr(summary, kind))
+        assert (state.theta is None) == (summary.theta is None) == (model is not Model.PG3)
 
-    def test_sweep_is_deterministic_and_moves(self, small_pg1):
+    def test_sweep_is_deterministic_and_moves(self, small_pg1, model):
         graph, _ = small_pg1
-        cfg = GibbsConfig(model=Model.PG1, seed=0)
+        cfg = GibbsConfig(model=model, seed=0)
         state = initial_state(graph, HP, cfg)
         s1 = sweep(state, graph, HP, cfg, np.random.default_rng(11))
         s2 = sweep(state, graph, HP, cfg, np.random.default_rng(11))
-        assert s1.s == s2.s and s1.b == s2.b and s1.tau == s2.tau
+        assert s1.s == s2.s and s1.b == s2.b and s1.tau == s2.tau and s1.theta == s2.theta
         assert s1.s != state.s
 
 
@@ -155,6 +188,27 @@ class TestTrace:
         trace = TraceRecorder([("s", 1, "nobody")])
         with pytest.raises(ValueError, match="not tracked"):
             gibbs_infer(g, HP, GibbsConfig(model=Model.PG1, total_sweeps=20, burn_in=5, seed=2), trace=trace)
+
+    @pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
+    def test_traceable_exactly_when_summarized(self, model):
+        # u grades nobody: it has a score, but no bias or reliability to report
+        g = make_graph([(1, "v", "u", 80.0)])
+        cfg = GibbsConfig(model=model, total_sweeps=20, burn_in=5, seed=2,
+                          assume_normalized=model is Model.PG2)
+        summary = gibbs_infer(g, HP, cfg)
+        assert (1, "u") not in summary.b and (1, "u") not in summary.tau
+        for kind in ("s", "b", "tau"):
+            reported = getattr(summary, kind)
+            for student in ("u", "v"):
+                trace = TraceRecorder([(kind, 1, student)])
+                if (1, student) not in reported:
+                    with pytest.raises(ValueError, match="not tracked"):
+                        gibbs_infer(g, HP, cfg, trace=trace)
+                    continue
+                gibbs_infer(g, HP, cfg, trace=trace)
+                values = [row[4] for row in trace.rows]
+                assert len(values) == 15
+                assert np.mean(values) == pytest.approx(reported[(1, student)].mean, rel=1e-9)
 
 
 class TestCollectScores:
@@ -259,15 +313,16 @@ class TestChromaticPg3:
         n = 20_000
         engine = self.engine(graph, self.HP)
         engine.load_state(state)
-        i = engine.idx.pos["u"]
+        i = engine.idx[0].pos["u"]
         cls = next(c for c in engine.classes if i in c.members)
-        s0 = engine.s.copy()
+        s = engine.s[0]
+        s0 = s.copy()
         rng = np.random.default_rng(31)
         got = np.empty(n)
         for k in range(n):
-            engine.s[:] = s0
+            s[:] = s0
             engine._update_scores(rng, [cls])
-            got[k] = engine.s[i]
+            got[k] = s[i]
         got_accept = float(np.mean(got != s0[i]))
 
         rng = np.random.default_rng(32)
@@ -283,7 +338,7 @@ class TestChromaticPg3:
     @staticmethod
     def check_colouring(graph, hp):
         engine = TestChromaticPg3.engine(graph, hp)
-        idx = engine.idx
+        idx = engine.idx[0]
         colour = np.full(idx.n_students, -1)
         for k, c in enumerate(engine.classes):
             assert (colour[c.members] == -1).all(), "a student is in two classes"

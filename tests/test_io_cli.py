@@ -304,6 +304,18 @@ class TestCliErrors:
         assert err.startswith("error: assignment 2: no grades to resolve data-driven priors")
         assert "Traceback" not in err
 
+    def test_trace_of_non_grader_bias(self, tmp_path, capsys):
+        # u grades nobody, so it has no bias to trace
+        gpath = tmp_path / "g.csv"
+        write_grades_csv([PeerGrade(1, "v", "u", 80.0), PeerGrade(1, "w", "u", 72.0)], gpath)
+        code, _, err = run_cli([
+            "infer", "--grades", str(gpath), "--sweeps", "20", "--burnin", "5",
+            "--trace", "b:1:u", "--out", str(tmp_path / "x"),
+        ], capsys)
+        assert code == 1
+        assert err.startswith("error: trace variable ('b', 1, 'u') not tracked by the model")
+        assert "Traceback" not in err
+
     def test_missing_grades_file(self, tmp_path, capsys):
         code, _, err = run_cli([
             "infer", "--grades", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "x"),
