@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import GradingGraph
+from .core import GradingGraph, StatBlock
 
 __all__ = [
     "Covariate",
@@ -50,15 +50,25 @@ def _as_float(value) -> float:
     return float(value)
 
 
+def _mean_map(block) -> dict[tuple[int, str], float]:
+    """(assignment, student) -> estimate; a StatBlock is read from its mean
+    columns without building a VariableStat per latent."""
+    if isinstance(block, StatBlock):
+        return {
+            (a, student): m
+            for a, col in block.columns.items()
+            for student, m in zip(col.students, col.mean.tolist())
+        }
+    return {key: _as_float(value) for key, value in block.items()}
+
+
 def _bias_map(estimates) -> dict[tuple[int, str], float]:
     """Accept a PosteriorSummary, PointEstimates, or plain mapping of biases."""
-    b = getattr(estimates, "b", estimates)
-    return {key: _as_float(value) for key, value in b.items()}
+    return _mean_map(getattr(estimates, "b", estimates))
 
 
 def _score_map(estimates) -> dict[tuple[int, str], float]:
-    s = getattr(estimates, "s", estimates)
-    return {k: _as_float(v) for k, v in s.items()}
+    return _mean_map(getattr(estimates, "s", estimates))
 
 
 @dataclass(frozen=True)

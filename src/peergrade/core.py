@@ -4,15 +4,22 @@ Defines the grading graph (who graded whom, with what score), the model
 identifiers, prior hyperparameters with data-driven resolution, latent-state
 containers, posterior summaries, and per-assignment z-score normalization.
 Scores are percentages on a 0..100 scale unless a graph has been normalized.
+
+Posterior summaries hold their moments as arrays: each block (scores, biases,
+reliabilities) is a read-only mapping over one column per assignment, and a
+lookup builds the VariableStat of one latent on demand.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import ItemsView
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 import numpy as np
+
+V = TypeVar("V")
 
 __all__ = [
     "Model",
@@ -23,6 +30,8 @@ __all__ = [
     "Hyperparameters",
     "LatentState",
     "VariableStat",
+    "StatColumn",
+    "StatBlock",
     "PosteriorSummary",
     "exclude_self_grades",
     "zscore_normalize",
@@ -248,13 +257,9 @@ def exclude_self_grades(graph: GradingGraph) -> tuple[GradingGraph, int]:
     return graph.with_grades(kept), removed
 
 
-def zscore_normalize(graph: GradingGraph, assignment: int) -> tuple[GradingGraph, NormalizationParams]:
-    """Z-score every grade of one assignment by its own mean and population std.
-
-    Errors on assignments with fewer than two grades or zero score variance,
-    where the transform is undefined.
-    """
-    scores = graph.scores_in(assignment)
+def _zscore_params(scores: np.ndarray, assignment: int) -> NormalizationParams:
+    """Mean and population std of one assignment's grades; errors on fewer
+    than two grades or zero score variance, where the transform is undefined."""
     if scores.size < 2:
         raise ValueError(
             f"cannot normalize assignment {assignment}: needs at least 2 grades, has {scores.size}"
@@ -263,23 +268,44 @@ def zscore_normalize(graph: GradingGraph, assignment: int) -> tuple[GradingGraph
     std = float(np.std(scores))  # population std, ddof=0
     if std == 0.0:
         raise ValueError(f"degenerate assignment {assignment}: all grades equal ({mean})")
-    params = NormalizationParams(mean=mean, std=std)
-    out = [
-        replace(g, score=(g.score - mean) / std) if g.assignment == assignment else g
-        for g in graph.grades
-    ]
-    return graph.with_grades(out), params
+    return NormalizationParams(mean=mean, std=std)
+
+
+def _apply_zscores(graph: GradingGraph, params: Mapping[int, NormalizationParams]) -> GradingGraph:
+    """One graph with every grade of the given assignments z-scored."""
+    if not params:
+        return graph
+    out = []
+    for g in graph.grades:
+        p = params.get(g.assignment)
+        out.append(g if p is None else PeerGrade(g.assignment, g.grader, g.gradee,
+                                                   (g.score - p.mean) / p.std, g.seconds))
+    return graph.with_grades(out)
+
+
+def zscore_normalize(graph: GradingGraph, assignment: int) -> tuple[GradingGraph, NormalizationParams]:
+    """Z-score every grade of one assignment by its own mean and population std.
+
+    Errors on assignments with fewer than two grades or zero score variance,
+    where the transform is undefined.
+    """
+    params = _zscore_params(graph.scores_in(assignment), assignment)
+    return _apply_zscores(graph, {assignment: params}), params
 
 
 def normalize_all(graph: GradingGraph) -> tuple[GradingGraph, dict[int, NormalizationParams]]:
-    """Z-score every assignment that has grades; empty assignments pass through."""
-    params: dict[int, NormalizationParams] = {}
-    out = graph
-    for a in graph.assignments:
-        if graph.scores_in(a).size == 0:
-            continue
-        out, params[a] = zscore_normalize(out, a)
-    return out, params
+    """Z-score every assignment that has grades; empty assignments pass through.
+
+    Computes every assignment's parameters first, then builds one graph.
+    """
+    scores: dict[int, list[float]] = {}
+    for g in graph.grades:
+        scores.setdefault(g.assignment, []).append(g.score)
+    params = {
+        a: _zscore_params(np.array(scores[a], dtype=float), a)
+        for a in graph.assignments if a in scores
+    }
+    return _apply_zscores(graph, params), params
 
 
 def denormalize(score: float, params: NormalizationParams) -> float:
@@ -447,6 +473,104 @@ class VariableStat:
     n: int
 
 
+def by_assignment(values: Mapping[tuple[int, str], V]) -> dict[int, tuple[list[str], list[V]]]:
+    """Per assignment, the students of (assignment, student)-keyed values in
+    sorted order and their values."""
+    groups: dict[int, dict[str, V]] = {}
+    for (a, student), v in values.items():
+        groups.setdefault(a, {})[student] = v
+    out = {}
+    for a, group in groups.items():
+        students = sorted(group)
+        out[a] = (students, [group[u] for u in students])
+    return out
+
+
+class StatColumn(NamedTuple):
+    """Moments of one block's latents in one assignment: students in sorted
+    order, with mean, var and n aligned to them."""
+
+    students: Sequence[str]
+    mean: np.ndarray
+    var: np.ndarray
+    n: np.ndarray
+
+
+class StatBlock(Mapping[tuple[int, str], VariableStat]):
+    """Read-only mapping (assignment, student) -> VariableStat over one
+    StatColumn per assignment.
+
+    Iterates assignments in ascending order and students in column order. A
+    lookup builds a VariableStat of plain floats from the columns.
+    """
+
+    def __init__(self, columns: Mapping[int, StatColumn] | None = None) -> None:
+        self.columns: dict[int, StatColumn] = {
+            a: col for a, col in sorted((columns or {}).items()) if len(col.students)
+        }
+        self._pos: dict[int, dict[str, int]] = {}
+
+    @classmethod
+    def from_stats(cls, stats: Mapping[tuple[int, str], VariableStat]) -> "StatBlock":
+        """Group per-latent stats into columns, students sorted."""
+        return cls({
+            a: StatColumn(
+                students=students,
+                mean=np.array([st.mean for st in rows], dtype=float),
+                var=np.array([st.var for st in rows], dtype=float),
+                n=np.array([st.n for st in rows], dtype=np.int64),
+            )
+            for a, (students, rows) in by_assignment(stats).items()
+        })
+
+    def _row(self, key) -> tuple[StatColumn, int] | None:
+        try:
+            a, student = key
+        except (TypeError, ValueError):
+            return None
+        col = self.columns.get(a)
+        if col is None:
+            return None
+        pos = self._pos.get(a)
+        if pos is None:
+            pos = self._pos[a] = {u: i for i, u in enumerate(col.students)}
+        i = pos.get(student)
+        return None if i is None else (col, i)
+
+    def __getitem__(self, key) -> VariableStat:
+        row = self._row(key)
+        if row is None:
+            raise KeyError(key)
+        col, i = row
+        return VariableStat(float(col.mean[i]), float(col.var[i]), int(col.n[i]))
+
+    def __contains__(self, key) -> bool:
+        return self._row(key) is not None
+
+    def __iter__(self) -> Iterator[tuple[int, str]]:
+        for a, col in self.columns.items():
+            for student in col.students:
+                yield (a, student)
+
+    def __len__(self) -> int:
+        return sum(len(col.students) for col in self.columns.values())
+
+    def items(self) -> ItemsView:
+        return _StatItems(self)
+
+    def __repr__(self) -> str:
+        return f"StatBlock(assignments={list(self.columns)}, latents={len(self)})"
+
+
+class _StatItems(ItemsView):
+    """A StatBlock's items, read column by column instead of key by key."""
+
+    def __iter__(self) -> Iterator[tuple[tuple[int, str], VariableStat]]:
+        for a, col in self._mapping.columns.items():
+            for student, m, v, n in zip(col.students, col.mean.tolist(), col.var.tolist(), col.n.tolist()):
+                yield (a, student), VariableStat(m, v, n)
+
+
 def _gaussian_within(delta: float, var: float) -> float:
     """P(|X - mean| <= delta) for X Gaussian with the given variance."""
     if delta == 0.0:
@@ -459,19 +583,26 @@ class PosteriorSummary:
     """Posterior moments per latent variable, always in percentage points.
 
     Produced by both the samplers (moments over retained sweeps) and the grid
-    oracle (moments under the gridded posterior). mh_acceptance and
+    oracle (moments under the gridded posterior). s, b and tau are StatBlocks;
+    a mapping of VariableStats given for one is converted. mh_acceptance and
     theta_acceptance report Metropolis acceptance rates where applicable.
     """
 
     model: Model
-    s: dict[tuple[int, str], VariableStat]
-    b: dict[tuple[int, str], VariableStat]
-    tau: dict[tuple[int, str], VariableStat]
+    s: StatBlock
+    b: StatBlock
+    tau: StatBlock
     theta: dict[str, VariableStat] | None = None
     n_samples: int = 0
     mh_acceptance: float | None = None
     theta_acceptance: float | None = None
     score_samples: dict[tuple[int, str], np.ndarray] | None = None  # retained draws, pp
+
+    def __post_init__(self) -> None:
+        for name in ("s", "b", "tau"):
+            block = getattr(self, name)
+            if not isinstance(block, StatBlock):
+                setattr(self, name, StatBlock.from_stats(block))
 
     def estimate(self, assignment: int, student: str) -> float:
         """Posterior-mean score of one submission."""

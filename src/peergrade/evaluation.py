@@ -248,9 +248,12 @@ def fit_frozen(
     elif engine == "gibbs":
         cfg = _default_gibbs_cfg(model, gibbs_cfg)
         summary = gibbs_infer(reduced, hp, cfg)
-        b_hat = {k: v.mean for k, v in summary.b.items()}
-        tau_hat = {k: v.mean for k, v in summary.tau.items()}
-        s_hat = {k: v.mean for k, v in summary.s.items()}
+        # only the pool graders' latents are needed
+        keys = [(a, g.grader) for g in pool]
+        b_hat, tau_hat, s_hat = (
+            {k: block[k].mean for k in keys if k in block}
+            for block in (summary.b, summary.tau, summary.s)
+        )
         theta = summary.theta
     else:
         raise ValueError(f"unknown engine {engine!r}; expected gibbs or em")

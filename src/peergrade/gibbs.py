@@ -35,6 +35,8 @@ from .core import (
     Model,
     NormalizationParams,
     PosteriorSummary,
+    StatBlock,
+    StatColumn,
     VariableStat,
     prepare_graph,
     resolve_priors,
@@ -275,22 +277,31 @@ class _AssignmentIndex:
 
 
 class _Accumulator:
-    """Streaming first and second moments of an array drawn once per sweep."""
+    """Streaming first and second moments of an array drawn once per sweep,
+    shaped by the first draw.
 
-    def __init__(self, shape) -> None:
-        self.sum = np.zeros(shape)
-        self.sumsq = np.zeros(shape)
+    The second moment is taken about the first accumulated draw, so the
+    variance does not cancel when values sit far from zero.
+    """
+
+    def __init__(self) -> None:
         self.n = 0
 
     def add(self, values: np.ndarray) -> None:
+        if self.n == 0:
+            self.sum = np.zeros(values.shape)
+            self.sumsq = np.zeros(values.shape)
+            self.shift = np.array(values, dtype=float)
         self.sum += values
-        self.sumsq += values * values
+        d = values - self.shift
+        self.sumsq += d * d
         self.n += 1
 
     def moments(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-element mean and population variance."""
         mean = self.sum / self.n
-        return mean, np.maximum(self.sumsq / self.n - mean * mean, 0.0)
+        d = mean - self.shift
+        return mean, np.maximum(self.sumsq / self.n - d * d, 0.0)
 
 
 def _normal(rng: np.random.Generator, mean: np.ndarray, prec: np.ndarray) -> np.ndarray:
@@ -346,10 +357,7 @@ class _Engine:
         self.b = np.zeros((K, G))
         self.tau = np.full((K, G), self.alpha0 / self.beta0 if self.infer_tau else base.effective_tau_fixed)
         self.theta: tuple[float, float] | None = None
-        self.acc_s = [_Accumulator(ix.n_students) for ix in self.idx]
-        self.acc_b = _Accumulator((K, G))
-        self.acc_tau = _Accumulator((K, G))
-        self.acc_theta = _Accumulator(2)
+        self.acc = _Accumulator()  # every latent of _draws(), in one array
         self.accept_s = self.total_s = 0
         self.accept_theta = self.total_theta = 0
 
@@ -393,14 +401,27 @@ class _Engine:
             rate = self.beta0 + 0.5 * idx.sum_by_grader(resid * resid)
             self.tau[k] = (1.0 / rate) * rng.standard_gamma(shape)
 
-    def accumulate(self) -> None:
-        for acc, s in zip(self.acc_s, self.s):
-            acc.add(s)
-        self.acc_b.add(self.b)
+    def _draws(self) -> list:
+        """The arrays accumulate() records, in the order of the accumulator."""
+        draws = [*self.s, self.b.ravel()]
         if self.infer_tau:
-            self.acc_tau.add(self.tau)
+            draws.append(self.tau.ravel())
         if self.theta is not None:
-            self.acc_theta.add(np.array(self.theta))
+            draws.append(self.theta)
+        return draws
+
+    def accumulate(self) -> None:
+        self.acc.add(np.concatenate(self._draws()))
+
+    def _moments(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Mean and variance of each array of _draws(), flattened."""
+        mean, var = self.acc.moments()
+        out, start = [], 0
+        for d in self._draws():
+            stop = start + len(d)
+            out.append((mean[start:stop], var[start:stop]))
+            start = stop
+        return out
 
     def load_state(self, state: LatentState) -> None:
         for k, a in enumerate(self.assignments):
@@ -427,28 +448,31 @@ class _Engine:
         if self.theta is not None:
             state.theta = self.theta
 
-    def summarize(self, summary: PosteriorSummary) -> None:
-        n = self.acc_b.n
-        b_mean, b_var = self.acc_b.moments()
+    def summarize(self, blocks: dict[str, dict[int, StatColumn]]) -> tuple[np.ndarray, np.ndarray] | None:
+        """Add this engine's columns, in percentage points, to the s, b and tau
+        blocks; return theta's mean and variance where the engine has theta."""
+        n = self.acc.n
+        moments = iter(self._moments())
+        s_moments = [next(moments) for _ in self.s]
+        b_mean, b_var = (m.reshape(self.b.shape) for m in next(moments))
         if self.infer_tau:
-            tau_mean, tau_var = self.acc_tau.moments()
+            tau_mean, tau_var = (m.reshape(self.tau.shape) for m in next(moments))
+        biased = [self.graders[j] for j in self.biased.tolist()]
         for k, a in enumerate(self.assignments):
             p = self.norm[k]
             sd, var_scale = p.std, p.std * p.std
-            s_mean, s_var = self.acc_s[k].moments()
-            for student, m, v in zip(self.idx[k].students, p.mean + sd * s_mean, var_scale * s_var):
-                summary.s[(a, student)] = VariableStat(m, v, n)
-            for j, m, v in zip(self.biased, sd * b_mean[k, self.biased], var_scale * b_var[k, self.biased]):
-                summary.b[(a, self.graders[j])] = VariableStat(m, v, n)
+            s_mean, s_var = s_moments[k]
+            students = self.idx[k].students
+            blocks["s"][a] = StatColumn(students, p.mean + sd * s_mean, var_scale * s_var,
+                                        np.full(len(students), n))
+            blocks["b"][a] = StatColumn(biased, sd * b_mean[k, self.biased],
+                                        var_scale * b_var[k, self.biased], np.full(len(biased), n))
             if self.infer_tau:
                 has = np.flatnonzero(self.idx[k].n_given > 0)
-                for j, m, v in zip(has, tau_mean[k, has] / var_scale,
-                                   tau_var[k, has] / (var_scale * var_scale)):
-                    summary.tau[(a, self.graders[j])] = VariableStat(m, v, n)
-        if self.theta is not None:
-            th_mean, th_var = self.acc_theta.moments()
-            summary.theta = {"theta0": VariableStat(th_mean[0], th_var[0], n),
-                             "theta1": VariableStat(th_mean[1], th_var[1], n)}
+                blocks["tau"][a] = StatColumn(
+                    [self.graders[j] for j in has.tolist()], tau_mean[k, has] / var_scale,
+                    tau_var[k, has] / (var_scale * var_scale), np.full(has.size, n))
+        return next(moments, None)
 
     def trace_resolver(self, kind: str, a: int, student: str) -> Callable[[], float] | None:
         """A getter for a latent in percentage points, for exactly the latents
@@ -751,15 +775,31 @@ def gibbs_infer(
             for a, students, getter, scale, shift, buf in buffers:
                 buf[sweep_no - cfg.burn_in - 1] = getter()
 
-    summary = PosteriorSummary(model=cfg.model, s={}, b={}, tau={}, n_samples=cfg.retained_sweeps)
+    score_samples = None
     if collect_scores:
-        summary.score_samples = {}
+        score_samples = {}
         for a, students, getter, scale, shift, buf in buffers:
             converted = shift + scale * buf
             for i, student in enumerate(students):
-                summary.score_samples[(a, student)] = converted[:, i]
+                score_samples[(a, student)] = converted[:, i]
+    blocks: dict[str, dict[int, StatColumn]] = {"s": {}, "b": {}, "tau": {}}
+    theta = None
     for engine in engines:
-        engine.summarize(summary)
+        moments = engine.summarize(blocks)
+        if moments is not None:  # as in export_state, a later engine's theta wins
+            theta = moments
+    summary = PosteriorSummary(
+        model=cfg.model,
+        s=StatBlock(blocks["s"]),
+        b=StatBlock(blocks["b"]),
+        tau=StatBlock(blocks["tau"]),
+        n_samples=cfg.retained_sweeps,
+        score_samples=score_samples,
+    )
+    if theta is not None:
+        th_mean, th_var = theta
+        summary.theta = {"theta0": VariableStat(float(th_mean[0]), float(th_var[0]), cfg.retained_sweeps),
+                         "theta1": VariableStat(float(th_mean[1]), float(th_var[1]), cfg.retained_sweeps)}
     total = sum(e.total_s for e in engines)
     if total:
         summary.mh_acceptance = sum(e.accept_s for e in engines) / total

@@ -1,8 +1,13 @@
 """File formats: grade/ground-truth CSV ingestion and result emission.
 
 All emitted floats go through a 6-significant-digit format so outputs are
-byte-stable across runs and platforms; JSON objects are written with sorted
-keys. Ingestion validates headers and cell types with line-numbered errors.
+byte-stable across runs and platforms. Every JSON file is written by one
+encoder: two-space indents, keys sorted as strings, ASCII-escaped strings,
+floats rounded to 6 significant digits and then written as Python's repr,
+NaN and Infinity as the json module writes them. A posterior or point
+estimate block ({assignment: {student: row}}) is rendered one row per
+student straight from its per-assignment columns. Ingestion validates
+headers and cell types with line-numbered errors.
 """
 from __future__ import annotations
 
@@ -10,6 +15,7 @@ import csv
 import json
 import logging
 import math
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -17,7 +23,7 @@ import numpy as np
 
 from .analytics import BinnedResidualTable, ResidualHeatmap, TemporalCorrelationReport
 from .calibration import CalibrationReport, RoundsReport
-from .core import GradingGraph, GroundTruth, PeerGrade, PosteriorSummary
+from .core import GradingGraph, GroundTruth, PeerGrade, PosteriorSummary, StatBlock, by_assignment
 from .em import PointEstimates
 from .evaluation import METRIC_ROWS, EvaluationReport
 from .gibbs import TraceRecorder
@@ -84,10 +90,125 @@ def jsonable(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _float(x: float) -> str:
+    if math.isfinite(x):
+        return repr(float(format(x, ".6g")))
+    return "NaN" if math.isnan(x) else ("Infinity" if x > 0 else "-Infinity")
+
+
+def _scalar(obj) -> str | None:
+    """The JSON text of a leaf value, None for a container."""
+    if obj is None:
+        return "null"
+    if isinstance(obj, str):
+        return _quote(obj)
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (np.floating, float)):
+        return _float(float(obj))
+    if isinstance(obj, (np.integer, int)):
+        return int.__repr__(int(obj))
+    return None
+
+
+@dataclass(frozen=True)
+class _Rows:
+    """{assignment: {student: row}} as columns: per assignment, students in
+    sorted order and either a mapping field -> values (a row is an object of
+    those fields) or one sequence of values (a row is the bare value)."""
+
+    columns: Mapping[int, tuple[Sequence[str], Mapping[str, Sequence] | Sequence]]
+
+
+def _encode(obj, pad: str, out: list[str]) -> None:
+    """Append obj's JSON text, indented two spaces per level from pad; the
+    bytes json.dump(jsonable(obj), sort_keys=True, indent=2) writes."""
+    leaf = _scalar(obj)
+    if leaf is not None:
+        out.append(leaf)
+    elif isinstance(obj, _Rows):
+        _encode_rows(obj, pad, out)
+    elif isinstance(obj, np.ndarray):
+        _encode_list(list(obj.tolist()), pad, out)
+    elif isinstance(obj, Mapping):
+        items = sorted({str(k): v for k, v in obj.items()}.items(), key=lambda kv: kv[0])
+        if not items:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{\n"
+        for k, v in items:
+            out.append(sep + inner + _quote(k) + ": ")
+            _encode(v, inner, out)
+            sep = ",\n"
+        out.append("\n" + pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        _encode_list(obj, pad, out)
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _encode_list(items: Sequence, pad: str, out: list[str]) -> None:
+    if not items:
+        out.append("[]")
+        return
+    inner = pad + "  "
+    sep = "[\n"
+    for v in items:
+        out.append(sep + inner)
+        _encode(v, inner, out)
+        sep = ",\n"
+    out.append("\n" + pad + "]")
+
+
+def _cells(values: Sequence) -> list[str]:
+    """The JSON text of each value of one row field."""
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind == "f":
+            return list(map(_float, values.tolist()))
+        values = values.tolist()
+    return [_scalar(v) or _unsupported(v) for v in values]
+
+
+def _unsupported(v) -> str:
+    raise TypeError(f"cannot serialize {type(v).__name__} in a row")
+
+
+def _encode_rows(rows: _Rows, pad: str, out: list[str]) -> None:
+    columns = sorted(((str(a), col) for a, col in rows.columns.items() if len(col[0])),
+                     key=lambda kv: kv[0])
+    if not columns:
+        out.append("{}")
+        return
+    p2, p4, p6 = pad + "  ", pad + "    ", pad + "      "
+    sep = "{\n"
+    for a, (students, fields) in columns:
+        if isinstance(fields, Mapping):
+            names = sorted(fields)
+            template = p4 + "%s: {\n" + ",\n".join(
+                p6 + _quote(name).replace("%", "%%") + ": %s" for name in names
+            ) + "\n" + p4 + "}"
+            cells = [_cells(fields[name]) for name in names]
+        else:
+            template = p4 + "%s: %s"
+            cells = [_cells(fields)]
+        out.append(sep + p2 + _quote(a) + ": {\n")
+        out.append(",\n".join([template % row for row in zip(map(_quote, students), *cells)]))
+        out.append("\n" + p2 + "}")
+        sep = ",\n"
+    out.append("\n" + pad + "}")
+
+
 def write_json(obj, path) -> None:
+    """Write obj as indented JSON with sorted keys and rounded floats."""
+    out: list[str] = []
+    _encode(obj, "", out)
+    out.append("\n")
     with open(path, "w") as fh:
-        json.dump(jsonable(obj), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write("".join(out))
 
 
 def _writer(fh):
@@ -253,20 +374,18 @@ def write_latents_csv(latents: TrueLatents, path) -> None:
             w.writerow([a, student, f6(latents.s[key]), f6(latents.b[key]), f6(latents.tau[key])])
 
 
-def _stats_dict(stats: Mapping[tuple[int, str], object]) -> dict:
-    out: dict = {}
-    for (a, student), st in sorted(stats.items()):
-        out.setdefault(str(a), {})[student] = {"mean": st.mean, "var": st.var, "n": st.n}
-    return out
+def _stat_rows(block: StatBlock) -> _Rows:
+    return _Rows({a: (col.students, {"mean": col.mean, "var": col.var, "n": col.n})
+                  for a, col in block.columns.items()})
 
 
 def write_summary_json(summary: PosteriorSummary, path) -> None:
     doc = {
         "model": summary.model.value,
         "n_samples": summary.n_samples,
-        "s": _stats_dict(summary.s),
-        "b": _stats_dict(summary.b),
-        "tau": _stats_dict(summary.tau),
+        "s": _stat_rows(summary.s),
+        "b": _stat_rows(summary.b),
+        "tau": _stat_rows(summary.tau),
     }
     if summary.theta is not None:
         doc["theta"] = {k: {"mean": v.mean, "var": v.var, "n": v.n} for k, v in summary.theta.items()}
@@ -278,17 +397,11 @@ def write_summary_json(summary: PosteriorSummary, path) -> None:
 
 
 def write_points_json(points: PointEstimates, path) -> None:
-    def plain(d: Mapping[tuple[int, str], float]) -> dict:
-        out: dict = {}
-        for (a, student), v in sorted(d.items()):
-            out.setdefault(str(a), {})[student] = v
-        return out
-
     doc = {
         "model": points.model.value,
-        "s": plain(points.s),
-        "b": plain(points.b),
-        "tau": plain(points.tau),
+        "s": _Rows(by_assignment(points.s)),
+        "b": _Rows(by_assignment(points.b)),
+        "tau": _Rows(by_assignment(points.tau)),
         "n_iterations": {str(a): n for a, n in points.n_iterations.items()},
         "converged": {str(a): c for a, c in points.converged.items()},
         "log_joint": points.log_joint,

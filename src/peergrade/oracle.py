@@ -195,12 +195,12 @@ def oracle_posterior(
             return p.std * mean, p.std * p.std * var
         return mean / (p.std * p.std), var / (p.std ** 4)
 
-    summary = PosteriorSummary(model=model, s={}, b={}, tau={})
+    stats: dict[str, dict[tuple[int, str], VariableStat]] = {"s": {}, "b": {}, "tau": {}}
     for a, u, mean, var in prior_only:
         m, v = to_pp(a, "s", mean, var)
-        summary.s[(a, u)] = VariableStat(mean=m, var=v, n=0)
+        stats["s"][(a, u)] = VariableStat(mean=m, var=v, n=0)
     if not gvars:
-        return summary
+        return PosteriorSummary(model=model, **stats)
 
     k = len(gvars)
     pos = {(v.kind, v.assignment, v.student): j for j, v in enumerate(gvars)}
@@ -300,12 +300,10 @@ def oracle_posterior(
         raise ValueError("posterior mass underflows the grid; widen or re-center it")
 
     n_total = int(np.prod([v.grid.size for v in gvars]))
-    summary.n_samples = n_total
     for j, var in enumerate(gvars):
         w = marginals[j] / mass
         mean = float(np.dot(w, var.grid))
         second = float(np.dot(w, var.grid * var.grid))
         mean_pp, var_pp = to_pp(var.assignment, var.kind, mean, max(second - mean * mean, 0.0))
-        stat = VariableStat(mean=mean_pp, var=var_pp, n=n_total)
-        getattr(summary, var.kind)[(var.assignment, var.student)] = stat
-    return summary
+        stats[var.kind][(var.assignment, var.student)] = VariableStat(mean=mean_pp, var=var_pp, n=n_total)
+    return PosteriorSummary(model=model, n_samples=n_total, **stats)

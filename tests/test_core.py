@@ -11,6 +11,7 @@ from peergrade import (
     Model,
     PeerGrade,
     PosteriorSummary,
+    StatBlock,
     VariableStat,
     denormalize,
     exclude_self_grades,
@@ -124,6 +125,29 @@ class TestZscore:
         back = [denormalize(x.score, params[1]) for x in normed.grades]
         assert back == pytest.approx([x.score for x in g.grades], abs=1e-9)
 
+    def test_normalize_all_matches_per_assignment_chain(self):
+        """One pass over all assignments gives the bits that z-scoring them one
+        at a time gives; an assignment without grades passes through."""
+        rng = np.random.default_rng(5)
+        rows = [(int(a), f"v{i}", f"u{i % 7}", float(x))
+                for i, (a, x) in enumerate(zip(rng.choice([1, 2, 10], 60), rng.normal(70, 12, 60)))]
+        g = make_graph(rows, submissions={1: [f"u{i}" for i in range(7)] + [f"v{i}" for i in range(60)],
+                                          2: [f"u{i}" for i in range(7)] + [f"v{i}" for i in range(60)],
+                                          3: ["u0"],
+                                          10: [f"u{i}" for i in range(7)] + [f"v{i}" for i in range(60)]})
+        chained, chained_params = g, {}
+        for a in (1, 2, 10):
+            chained, chained_params[a] = zscore_normalize(chained, a)
+        normed, params = normalize_all(g)
+        assert params == chained_params
+        assert normed.grades == chained.grades
+        assert normed.submissions(3) == ("u0",)
+
+    def test_normalize_all_keeps_errors(self):
+        g = make_graph([(1, "a", "u", 70.0), (1, "b", "u", 80.0), (2, "a", "u", 70.0)])
+        with pytest.raises(ValueError, match="cannot normalize assignment 2: needs at least 2 grades"):
+            normalize_all(g)
+
     def test_normalized_moments(self):
         g = make_graph([(1, "a", "u", 61.0), (1, "b", "u", 74.5), (1, "c", "w", 88.0)])
         normed, _ = zscore_normalize(g, 1)
@@ -204,3 +228,36 @@ class TestPosteriorSummary:
         summ = PosteriorSummary(model=Model.PG1, s={(1, "u"): VariableStat(mean=80.0, var=0.0, n=100)}, b={}, tau={})
         with pytest.raises(ValueError):
             summ.confidence(1, "u", 5.0)
+
+
+class TestStatBlock:
+    STATS = {
+        (2, "b"): VariableStat(mean=1.5, var=0.25, n=10),
+        (10, "a"): VariableStat(mean=-2.0, var=4.0, n=0),
+        (2, "a"): VariableStat(mean=np.float64(80.0), var=np.float64(4.0), n=10),
+    }
+
+    def test_mapping_protocol(self):
+        block = StatBlock.from_stats(self.STATS)
+        assert len(block) == 3
+        assert list(block) == [(2, "a"), (2, "b"), (10, "a")]
+        assert block == self.STATS and self.STATS == block
+        assert block != {**self.STATS, (2, "b"): VariableStat(mean=1.5, var=0.25, n=11)}
+        assert block.get((10, "a")) == VariableStat(-2.0, 4.0, 0)
+        assert block.get((3, "a")) is None and block.get("a") is None
+        assert (2, "b") in block and (2, "c") not in block and (7, "a") not in block
+        with pytest.raises(KeyError):
+            block[(2, "zz")]
+        assert dict(block.items()) == self.STATS
+        assert list(block.values()) == [self.STATS[k] for k in block]
+
+    def test_fields_are_plain(self):
+        stat = StatBlock.from_stats(self.STATS)[(2, "a")]
+        assert type(stat.mean) is float and type(stat.var) is float and type(stat.n) is int
+
+    def test_summary_converts_mappings(self):
+        summ = PosteriorSummary(model=Model.PG1, s=self.STATS, b={}, tau={})
+        assert isinstance(summ.s, StatBlock) and isinstance(summ.b, StatBlock)
+        assert len(summ.b) == 0 and list(summ.b) == []
+        assert summ.estimate(2, "a") == 80.0
+        assert summ == PosteriorSummary(model=Model.PG1, s=StatBlock.from_stats(self.STATS), b={}, tau={})

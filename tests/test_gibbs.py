@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -143,6 +144,28 @@ class TestMarginals:
         means = [summ.s[k].mean for k in sorted(summ.s)]
         # grades average ~72.5; pp output should sit in that range, not z-units
         assert all(40.0 < m < 100.0 for m in means)
+
+
+class TestLargeOffset:
+    def test_score_variances_survive_a_large_offset(self, small_pg1):
+        """Moving every grade and mu0 by 1e6 moves the posterior without
+        changing its spread; a tight prior keeps the posterior sd near 0.05,
+        where E[x^2] - E[x]^2 at 1e6 cancels to zero."""
+        offset = 1e6
+        graph, _ = small_pg1
+        shifted = graph.with_grades(
+            [PeerGrade(g.assignment, g.grader, g.gradee, g.score + offset, g.seconds) for g in graph.grades]
+        )
+        hp = Hyperparameters(mu0=75.0, gamma0=400.0, eta0=1 / 25, alpha0=2.0, beta0=18.0)
+        cfg = GibbsConfig(model=Model.PG1, total_sweeps=400, burn_in=50, seed=4)
+        base = gibbs_infer(graph, hp, cfg)
+        moved = gibbs_infer(shifted, replace(hp, mu0=75.0 + offset), cfg)
+        assert len(moved.s) == len(base.s)
+        for key, stat in base.s.items():
+            var = moved.s[key].var
+            assert var > 0.0, key
+            assert var == pytest.approx(stat.var, rel=1e-3), key
+            assert moved.confidence(*key, 0.05) == pytest.approx(base.confidence(*key, 0.05), rel=1e-3)
 
 
 @pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)

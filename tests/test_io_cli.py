@@ -2,12 +2,15 @@ import filecmp
 import json
 import logging
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from peergrade import cli
-from peergrade.core import GradingGraph, GroundTruth, PeerGrade
+from peergrade.core import GradingGraph, GroundTruth, Model, PeerGrade, PosteriorSummary, VariableStat
+from peergrade.em import PointEstimates
 from peergrade.io import (
     describe,
     f6,
@@ -17,6 +20,8 @@ from peergrade.io import (
     read_truth_csv,
     write_grades_csv,
     write_json,
+    write_points_json,
+    write_summary_json,
     write_truth_csv,
 )
 
@@ -60,6 +65,97 @@ class TestFormatting:
         assert p1.read_bytes() == p2.read_bytes()
         assert p1.read_bytes().endswith(b"\n")
         assert json.loads(p1.read_text()) == {"a": {"y": 3, "z": 2}, "b": 1.0}
+
+
+def reference_json(doc) -> bytes:
+    """What json.dump(jsonable(doc), sort_keys=True, indent=2) plus a newline writes."""
+    return (json.dumps(jsonable(doc), sort_keys=True, indent=2) + "\n").encode()
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 1e-5, 1e17, -1e17, 1.23456789, 123456789.0, 5e-324,
+                  float("nan"), float("inf"), float("-inf")]
+ids = st.text(max_size=6) | st.sampled_from(["s00001", "\u00e9t\u00fc", 'a"b', "a\\b", "\x00\x1f\n", "\U0001f600"])
+floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(SPECIAL_FLOATS)
+leaves = (
+    st.none() | st.booleans() | st.integers() | floats | ids
+    | floats.map(np.float64) | st.floats(width=32).map(np.float32) | st.integers(-2**63, 2**63 - 1).map(np.int64)
+    | st.booleans().map(np.bool_)
+    | st.lists(floats, max_size=4).map(lambda v: np.array(v, dtype=float))
+    | st.lists(st.integers(-9, 9), max_size=4).map(lambda v: np.array(v, dtype=np.int64).reshape(-1, 1))
+)
+keys = st.integers(-3, 12) | st.sampled_from([2, 10, "2", "10"]) | ids
+documents = st.recursive(
+    leaves,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(keys, inner, max_size=4)),
+    max_leaves=20,
+)
+
+
+class TestJsonEncoder:
+    @settings(max_examples=300, deadline=None)
+    @given(doc=documents)
+    def test_bytes_equal_json_module(self, tmp_path_factory, doc):
+        path = tmp_path_factory.getbasetemp() / "encoder.json"
+        write_json(doc, path)
+        assert path.read_bytes() == reference_json(doc)
+
+    def test_key_order_is_string_order(self, tmp_path):
+        write_json({2: "a", 10: "b", "1x": None}, tmp_path / "k.json")
+        assert list(json.loads((tmp_path / "k.json").read_text())) == ["10", "1x", "2"]
+
+    def test_rejects_unknown(self, tmp_path):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            write_json({"a": [object()]}, tmp_path / "x.json")
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        stats=st.dictionaries(
+            st.tuples(st.sampled_from([1, 2, 10]), ids.filter(bool)),
+            st.builds(VariableStat, floats, floats, st.integers(0, 10**6)),
+            max_size=12,
+        ),
+        theta=st.none() | st.builds(VariableStat, floats, floats, st.integers(0, 9)),
+    )
+    def test_summary_rows_match_nested_document(self, tmp_path_factory, stats, theta):
+        """The row path writes the bytes of the nested document that
+        {assignment: {student: {mean, n, var}}} spells out."""
+        summary = PosteriorSummary(model=Model.PG1, s=stats, b={}, tau=dict(list(stats.items())[:3]),
+                                   n_samples=7, mh_acceptance=0.25)
+        if theta is not None:
+            summary.theta = {"theta0": theta, "theta1": theta}
+
+        def nested(block):
+            out = {}
+            for (a, u), v in block.items():
+                out.setdefault(str(a), {})[u] = {"mean": v.mean, "var": v.var, "n": v.n}
+            return out
+
+        doc = {"model": "pg1", "n_samples": 7, "s": nested(summary.s), "b": {},
+               "tau": nested(summary.tau), "mh_acceptance": 0.25}
+        if theta is not None:
+            doc["theta"] = {k: {"mean": v.mean, "var": v.var, "n": v.n} for k, v in summary.theta.items()}
+        path = tmp_path_factory.getbasetemp() / "summary.json"
+        write_summary_json(summary, path)
+        assert path.read_bytes() == reference_json(doc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.dictionaries(st.tuples(st.sampled_from([1, 2, 10]), ids.filter(bool)), floats, max_size=12))
+    def test_point_rows_match_nested_document(self, tmp_path_factory, values):
+        points = PointEstimates(model=Model.PG1, s=values, b={}, tau=values,
+                                n_iterations={1: 3}, converged={1: True}, objective_trace={1: [-1.5]})
+
+        def nested(block):
+            out = {}
+            for (a, u), v in block.items():
+                out.setdefault(str(a), {})[u] = v
+            return out
+
+        doc = {"model": "pg1", "s": nested(values), "b": {}, "tau": nested(values),
+               "n_iterations": {"1": 3}, "converged": {"1": True}, "log_joint": -1.5}
+        path = tmp_path_factory.getbasetemp() / "points.json"
+        write_points_json(points, path)
+        assert path.read_bytes() == reference_json(doc)
 
 
 GRADE_ROWS = [
@@ -401,3 +497,28 @@ class TestCliDeterminism:
             outs.append(out)
         for name in ("report.json", "report.csv"):
             assert filecmp.cmp(outs[0] / name, outs[1] / name, shallow=False)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_golden_bytes(tmp_path, capsys):
+    """The CLI writes the committed bytes under tests/golden: synth (PG2, 60
+    students x 2 assignments, seed 7), infer for pg1bias, pg1 and pg2, and
+    infer --engine em. PG3 is left out: its accept test goes through np.log,
+    whose last bit may differ between libm builds."""
+    grades = str(tmp_path / "synth" / "grades.csv")
+    commands = [["synth", "--model", "pg2", "--students", "60", "--assignments", "2", "--gt", "3",
+                 "--super-grades", "20", "--seed", "7", "--out", str(tmp_path / "synth")]]
+    for model in ("pg1bias", "pg1", "pg2"):
+        commands.append(["infer", "--grades", grades, "--model", model, "--sweeps", "300",
+                         "--burnin", "50", "--seed", "7", "--out", str(tmp_path / f"infer-{model}")])
+    commands.append(["infer", "--grades", grades, "--model", "pg1", "--engine", "em",
+                     "--out", str(tmp_path / "infer-em")])
+    for args in commands:
+        assert run_cli(args, capsys)[0] == 0
+    expected = sorted(p.relative_to(GOLDEN) for p in GOLDEN.rglob("*") if p.is_file())
+    written = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file())
+    assert written == expected
+    for rel in expected:
+        assert (tmp_path / rel).read_bytes() == (GOLDEN / rel).read_bytes(), rel
