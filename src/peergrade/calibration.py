@@ -10,7 +10,6 @@ confident about; grading more rounds should grow that set.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,7 @@ from scipy.special import erf as _erf
 
 from .core import GradingGraph, Hyperparameters, Model, exclude_self_grades
 from .em import EmConfig
-from .evaluation import EvalConfig, EvaluationReport, evaluate_model
+from .evaluation import EvalConfig, EvaluationReport, _run_indexed, evaluate_model
 from .gibbs import GibbsConfig, gibbs_infer
 
 __all__ = [
@@ -214,11 +213,5 @@ def rounds_experiment(
                     confident += 1
         return RoundStat(round=k, confident_count=confident, total=total)
 
-    rounds = list(range(1, k_max + 1))
-    if max_workers <= 1:
-        rows = [run_round(k) for k in rounds]
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = [pool.submit(run_round, k) for k in rounds]
-            rows = [f.result() for f in futures]
+    rows = _run_indexed([lambda k=k: run_round(k) for k in range(1, k_max + 1)], max_workers)
     return RoundsReport(rows=tuple(rows), delta=delta, threshold=threshold)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import ItemsView
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
@@ -603,6 +603,17 @@ class PosteriorSummary:
             block = getattr(self, name)
             if not isinstance(block, StatBlock):
                 setattr(self, name, StatBlock.from_stats(block))
+
+    def __eq__(self, other: object) -> bool:
+        """Field by field, with score_samples compared array by array."""
+        if not isinstance(other, PosteriorSummary):
+            return NotImplemented
+        if any(getattr(self, f.name) != getattr(other, f.name) for f in fields(self) if f.name != "score_samples"):
+            return False
+        mine, theirs = self.score_samples, other.score_samples
+        if mine is None or theirs is None:
+            return mine is theirs
+        return mine.keys() == theirs.keys() and all(np.array_equal(v, theirs[k]) for k, v in mine.items())
 
     def estimate(self, assignment: int, student: str) -> float:
         """Posterior-mean score of one submission."""

@@ -1,10 +1,12 @@
 """MAP point estimation by coordinate ascent.
 
-Supports the fixed-reliability and per-grader reliability models. Each
-iteration sets every block (scores, then biases, then reliabilities) to the
-exact maximizer of the log joint density given the others, so the objective
-is non-decreasing; reliabilities use the conditional posterior mode clamped
-at the precision floor.
+Supports the fixed-reliability and per-grader reliability models. It runs on
+the Gibbs engines, one per assignment, with each block set to its conditional
+mode instead of drawn from it: each iteration sets every score, then every
+bias, then every reliability (in sweep order) to the exact maximizer of the
+log joint density given the others, so the objective is non-decreasing.
+Scores and biases take their Gaussian conditional means; reliabilities take
+the Gamma conditional mode (shape - 1) / rate, clamped at the precision floor.
 """
 from __future__ import annotations
 
@@ -14,14 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln
 
-from .core import (
-    GradingGraph,
-    Hyperparameters,
-    Model,
-    prepare_graph,
-    resolve_priors,
-)
-from .gibbs import _AssignmentIndex
+from .core import GradingGraph, Hyperparameters, LatentState, Model
+from .gibbs import _build_engines, _Engine
 
 __all__ = ["EmConfig", "PointEstimates", "em_infer"]
 
@@ -73,16 +69,18 @@ class PointEstimates:
         return self.s[(assignment, student)]
 
 
-def _log_joint(idx: _AssignmentIndex, hp: Hyperparameters, infer_tau: bool,
-               s: np.ndarray, b: np.ndarray, tau: np.ndarray, graders: np.ndarray) -> float:
+def _log_joint(engine: _Engine) -> float:
+    """Log joint density at the engine's current state (one assignment)."""
+    idx, hp = engine.idx[0], engine.hp[0]
+    s, b, tau = engine.s[0], engine.b[0], engine.tau[0]
     resid = idx.z - s[idx.gradee] - b[idx.grader]
     w = tau[idx.grader]
     total = float(np.sum(0.5 * (np.log(w) - _LOG_2PI) - 0.5 * w * resid * resid))
     total += float(np.sum(0.5 * (math.log(hp.gamma0) - _LOG_2PI) - 0.5 * hp.gamma0 * (s - hp.mu0) ** 2))
-    bg = b[graders]
+    bg = b[engine.biased]
     total += float(np.sum(0.5 * (math.log(hp.eta0) - _LOG_2PI) - 0.5 * hp.eta0 * bg * bg))
-    if infer_tau:
-        tg = tau[graders]
+    if engine.infer_tau:
+        tg = tau[engine.biased]
         total += float(
             np.sum(
                 hp.alpha0 * math.log(hp.beta0)
@@ -94,60 +92,33 @@ def _log_joint(idx: _AssignmentIndex, hp: Hyperparameters, infer_tau: bool,
     return total
 
 
-def _fit_assignment(idx: _AssignmentIndex, hp: Hyperparameters, cfg: EmConfig):
-    infer_tau = cfg.model is Model.PG1
-    s = idx.mean_received(hp.mu0)
-    b = np.zeros(idx.n_students)
-    tau = np.full(idx.n_students, hp.alpha0 / hp.beta0 if infer_tau else hp.effective_tau_fixed)
-    graders = np.flatnonzero(idx.n_given > 0)
-
-    trace = [_log_joint(idx, hp, infer_tau, s, b, tau, graders)]
-    converged = False
-    iterations = 0
-    for _ in range(cfg.max_iterations):
-        iterations += 1
-        w = tau[idx.grader]
-        prec = hp.gamma0 + idx.sum_by_gradee(w)
-        s_new = (hp.gamma0 * hp.mu0 + idx.sum_by_gradee(w * (idx.z - b[idx.grader]))) / prec
-
-        prec_b = hp.eta0 + idx.n_given * tau
-        b_new = tau * idx.sum_by_grader(idx.z - s_new[idx.gradee]) / prec_b
-
-        if infer_tau:
-            resid = idx.z - s_new[idx.gradee] - b_new[idx.grader]
-            mode = (hp.alpha0 + 0.5 * idx.n_given - 1.0) / (hp.beta0 + 0.5 * idx.sum_by_grader(resid * resid))
-            tau_new = np.maximum(mode, hp.precision_floor)
-        else:
-            tau_new = tau
-
-        delta = max(
-            float(np.max(np.abs(s_new - s), initial=0.0)),
-            float(np.max(np.abs(b_new - b), initial=0.0)),
-            float(np.max(np.abs(tau_new - tau), initial=0.0)),
-        )
-        s, b, tau = s_new, b_new, tau_new
-        trace.append(_log_joint(idx, hp, infer_tau, s, b, tau, graders))
-        if delta < cfg.tol:
-            converged = True
-            break
-    return s, b, tau, graders, iterations, converged, trace
+def _ascend(engine: _Engine) -> None:
+    """One iteration: the engine's blocks, in sweep order, set to their
+    conditional modes (one assignment)."""
+    engine.s[0] = engine.score_conditional(0)[0]
+    engine.b[0] = engine.bias_conditional(0)[0]
+    if engine.infer_tau:
+        shape, rate = engine.reliability_conditional(0)
+        engine.tau[0] = np.maximum((shape - 1.0) / rate, engine.hp[0].precision_floor)
 
 
 def em_infer(graph: GradingGraph, hp: Hyperparameters, cfg: EmConfig) -> PointEstimates:
     """MAP estimates per assignment; deterministic (no randomness involved)."""
-    work, _ = prepare_graph(graph, cfg.model)
-    resolved = resolve_priors(work, hp)
     out = PointEstimates(model=cfg.model)
-    for a in work.assignments:
-        idx = _AssignmentIndex(work, a)
-        s, b, tau, graders, iterations, converged, trace = _fit_assignment(idx, resolved[a], cfg)
-        for i, student in enumerate(idx.students):
-            out.s[(a, student)] = float(s[i])
-        for i in graders:
-            out.b[(a, idx.students[i])] = float(b[i])
-            if cfg.model is Model.PG1:
-                out.tau[(a, idx.students[i])] = float(tau[i])
-        out.n_iterations[a] = iterations
-        out.converged[a] = converged
+    state = LatentState(out.s, out.b, out.tau)  # export_state fills the estimates
+    for engine in _build_engines(graph, hp, cfg):
+        (a,) = engine.assignments
+        trace = [_log_joint(engine)]
+        for iteration in range(1, cfg.max_iterations + 1):
+            before = (engine.s[0], engine.b.copy(), engine.tau.copy())
+            _ascend(engine)
+            delta = max(float(np.max(np.abs(new - old), initial=0.0))
+                        for new, old in zip((engine.s[0], engine.b, engine.tau), before))
+            trace.append(_log_joint(engine))
+            if delta < cfg.tol:
+                break
+        out.n_iterations[a] = iteration
+        out.converged[a] = delta < cfg.tol
         out.objective_trace[a] = trace
+        engine.export_state(state)
     return out

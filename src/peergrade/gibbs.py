@@ -16,15 +16,18 @@ greedily coloured so that no grade joins two students of one colour, and
 each colour class takes one vectorized Metropolis step, which is a
 sequential scan in class order.
 
-Scalar reference implementations of each conditional sampler are exposed for
-distribution-level testing; the engines implement the same conditionals on
-arrays.
+Each block of the engine first computes its conditional's parameters (score
+mean and precision, bias-chain mean and precision, reliability shape and
+rate) and then draws from them; coordinate ascent (em.py) sets the same
+blocks to their conditional modes. Scalar reference implementations of each
+conditional sampler are exposed for distribution-level testing; the engines
+implement the same conditionals on arrays.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -41,6 +44,9 @@ from .core import (
     prepare_graph,
     resolve_priors,
 )
+
+if TYPE_CHECKING:
+    from .em import EmConfig
 
 __all__ = [
     "GibbsConfig",
@@ -337,7 +343,7 @@ class _Engine:
         graders: Sequence[str],
         resolved: dict[int, Hyperparameters],
         norm: dict[int, NormalizationParams],
-        cfg: GibbsConfig,
+        cfg: GibbsConfig | EmConfig,
     ) -> None:
         self.assignments = list(assignments)
         self.hp = [resolved[a] for a in self.assignments]
@@ -366,12 +372,17 @@ class _Engine:
         self._bias_block(rng)
         self._reliability_block(rng)
 
+    def score_conditional(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Mean and precision of assignment k's scores given the rest."""
+        idx, hp = self.idx[k], self.hp[k]
+        w = self.tau[k][idx.grader]
+        prec = hp.gamma0 + idx.sum_by_gradee(w)
+        num = hp.gamma0 * hp.mu0 + idx.sum_by_gradee(w * (idx.z - self.b[k][idx.grader]))
+        return num / prec, prec
+
     def _score_block(self, rng: np.random.Generator) -> None:
-        for k, (idx, hp) in enumerate(zip(self.idx, self.hp)):
-            w = self.tau[k][idx.grader]
-            prec = hp.gamma0 + idx.sum_by_gradee(w)
-            num = hp.gamma0 * hp.mu0 + idx.sum_by_gradee(w * (idx.z - self.b[k][idx.grader]))
-            self.s[k] = _normal(rng, num / prec, prec)
+        for k in range(len(self.assignments)):
+            self.s[k] = _normal(rng, *self.score_conditional(k))
 
     def _bias_likelihood(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Precision and precision-weighted residual sum that assignment k's
@@ -379,26 +390,33 @@ class _Engine:
         idx = self.idx[k]
         return idx.n_given * self.tau[k], self.tau[k] * idx.sum_by_grader(idx.z - self.s[k][idx.gradee])
 
+    def bias_conditional(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Mean and precision of row k of the bias chain given the rest."""
+        prec = self.eta0 if k == 0 else self.omega0
+        num = 0.0 if k == 0 else self.omega0 * self.b[k - 1]
+        if k + 1 < len(self.assignments):
+            prec += self.omega0
+            num = num + self.omega0 * self.b[k + 1]
+        lik_prec, lik_num = self._bias_likelihood(k)
+        prec = prec + lik_prec
+        num = num + lik_num
+        return num / prec, prec
+
     def _bias_block(self, rng: np.random.Generator) -> None:
-        K = len(self.assignments)
-        for k in range(K):
-            prec = self.eta0 if k == 0 else self.omega0
-            num = 0.0 if k == 0 else self.omega0 * self.b[k - 1]
-            if k + 1 < K:
-                prec += self.omega0
-                num = num + self.omega0 * self.b[k + 1]
-            lik_prec, lik_num = self._bias_likelihood(k)
-            prec = prec + lik_prec
-            num = num + lik_num
-            self.b[k] = _normal(rng, num / prec, prec)
+        for k in range(len(self.assignments)):
+            self.b[k] = _normal(rng, *self.bias_conditional(k))
+
+    def reliability_conditional(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Gamma shape and rate of assignment k's reliabilities given the rest."""
+        idx = self.idx[k]
+        resid = idx.z - self.s[k][idx.gradee] - self.b[k][idx.grader]
+        return self.alpha0 + 0.5 * idx.n_given, self.beta0 + 0.5 * idx.sum_by_grader(resid * resid)
 
     def _reliability_block(self, rng: np.random.Generator) -> None:
         if not self.infer_tau:
             return
-        for k, idx in enumerate(self.idx):
-            resid = idx.z - self.s[k][idx.gradee] - self.b[k][idx.grader]
-            shape = self.alpha0 + 0.5 * idx.n_given
-            rate = self.beta0 + 0.5 * idx.sum_by_grader(resid * resid)
+        for k in range(len(self.assignments)):
+            shape, rate = self.reliability_conditional(k)
             self.tau[k] = (1.0 / rate) * rng.standard_gamma(shape)
 
     def _draws(self) -> list:
@@ -679,14 +697,19 @@ class TraceRecorder:
                 raise ValueError(f"unknown trace variable kind {kind!r}")
 
 
-def _build_engines(graph: GradingGraph, hp: Hyperparameters, cfg: GibbsConfig) -> list[_Engine]:
+def _build_engines(graph: GradingGraph, hp: Hyperparameters, cfg: GibbsConfig | EmConfig) -> list[_Engine]:
     """PG2 is one engine over all assignments and every grader of the graph;
     the other models are one engine per assignment, graded by its
-    submissions. Engines draw from one generator each, in this order."""
-    work, norm = prepare_graph(graph, cfg.model, cfg.assume_normalized)
-    normalized = cfg.model is Model.PG2 and not cfg.assume_normalized
-    resolved = resolve_priors(work, hp, normalized=normalized)
-    if cfg.model is Model.PG2:
+    submissions. Engines draw from one generator each, in this order.
+
+    Reads cfg.model; PG2 also reads assume_normalized and PG3 its theta-step
+    settings, so coordinate ascent builds its PG1-bias and PG1 engines from
+    its own config.
+    """
+    pg2 = cfg.model is Model.PG2
+    work, norm = prepare_graph(graph, cfg.model, pg2 and cfg.assume_normalized)
+    resolved = resolve_priors(work, hp, normalized=pg2 and not cfg.assume_normalized)
+    if pg2:
         graders = sorted({g.grader for g in work.grades})
         return [_Engine(work, work.assignments, graders, resolved, norm, cfg)]
     engine = _Pg3Engine if cfg.model is Model.PG3 else _Engine

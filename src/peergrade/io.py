@@ -23,7 +23,8 @@ import numpy as np
 
 from .analytics import BinnedResidualTable, ResidualHeatmap, TemporalCorrelationReport
 from .calibration import CalibrationReport, RoundsReport
-from .core import GradingGraph, GroundTruth, PeerGrade, PosteriorSummary, StatBlock, by_assignment
+from .core import (GradingGraph, GroundTruth, PeerGrade, PosteriorSummary, StatBlock, by_assignment,
+                   exclude_self_grades)
 from .em import PointEstimates
 from .evaluation import METRIC_ROWS, EvaluationReport
 from .gibbs import TraceRecorder
@@ -306,16 +307,9 @@ def ingest(grades_path, truth_path=None) -> GradingGraph:
     logged count (they never enter inference)."""
     grades = read_grades_csv(grades_path)
     truth = read_truth_csv(truth_path) if truth_path else None
-    graph = GradingGraph(grades, ground_truth=truth)
-    n_self = sum(1 for g in grades if g.is_self_grade)
+    graph, n_self = exclude_self_grades(GradingGraph(grades, ground_truth=truth))
     if n_self:
         log.info("excluded %d self-grades at ingestion", n_self)
-        kept = [g for g in grades if not g.is_self_grade]
-        graph = GradingGraph(
-            kept,
-            ground_truth=truth,
-            submissions={a: graph.submissions(a) for a in graph.assignments},
-        )
     return graph
 
 

@@ -1,7 +1,15 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from peergrade import GradingGraph, Model, PeerGrade, SynthConfig, generate
+
+# pyproject's pythonpath setting reaches only the test process; CLI
+# subprocesses the tests start find this checkout's package through PYTHONPATH.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
 def make_graph(rows, **kwargs) -> GradingGraph:

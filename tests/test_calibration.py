@@ -144,6 +144,13 @@ class TestRoundsExperiment:
         b = rounds_experiment(rounds_graph, Hyperparameters(), Model.PG1, gibbs_cfg=cfg, max_rounds=2)
         assert [(r.round, r.confident_count) for r in a.rows] == [(r.round, r.confident_count) for r in b.rows]
 
+    def test_rows_independent_of_thread_count(self, rounds_graph):
+        cfg = GibbsConfig(model=Model.PG1, total_sweeps=100, burn_in=20, seed=8)
+        one, two = (rounds_experiment(rounds_graph, Hyperparameters(), Model.PG1, gibbs_cfg=cfg,
+                                      max_rounds=3, max_workers=n) for n in (1, 2))
+        assert len(one.rows) == 3
+        assert one.rows == two.rows
+
     def test_empirical_method_runs(self, rounds_graph):
         rep = rounds_experiment(rounds_graph, Hyperparameters(), Model.PG1,
                                 gibbs_cfg=GibbsConfig(model=Model.PG1, total_sweeps=150, burn_in=30, seed=8),

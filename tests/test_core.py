@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from peergrade import (
+    GibbsConfig,
     GradingGraph,
     GroundTruth,
     Hyperparameters,
@@ -15,6 +17,7 @@ from peergrade import (
     VariableStat,
     denormalize,
     exclude_self_grades,
+    gibbs_infer,
     normalize_all,
     resolve_priors,
     zscore_normalize,
@@ -228,6 +231,19 @@ class TestPosteriorSummary:
         summ = PosteriorSummary(model=Model.PG1, s={(1, "u"): VariableStat(mean=80.0, var=0.0, n=100)}, b={}, tau={})
         with pytest.raises(ValueError):
             summ.confidence(1, "u", 5.0)
+
+    def test_equality_with_score_samples(self):
+        g = make_graph([(1, "v", "u", 80.0), (1, "u", "v", 70.0)])
+        hp = Hyperparameters(mu0=75.0, gamma0=1 / 100)
+
+        def fit(seed):
+            cfg = GibbsConfig(model=Model.PG1, total_sweeps=60, burn_in=10, seed=seed)
+            return gibbs_infer(g, hp, cfg, collect_scores=True)
+
+        first, again, other = fit(4), fit(4), fit(5)
+        assert first == again
+        assert first != other
+        assert first != replace(first, score_samples=None)
 
 
 class TestStatBlock:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from peergrade import EmConfig, GradingGraph, Hyperparameters, Model, PeerGrade, em_infer
+from peergrade import EmConfig, GradingGraph, Hyperparameters, Model, PeerGrade, SynthConfig, em_infer, generate
 from conftest import make_graph
 
 HP = Hyperparameters(mu0=75.0, gamma0=1 / 100, eta0=1 / 25, alpha0=2.0, beta0=18.0)
@@ -146,3 +146,24 @@ class TestOutputs:
         g = make_graph([(1, "v", "u", 80.0), (1, "w", "u", 74.0)])
         pts = em_infer(g, HP, EmConfig(model=Model.PG1))
         assert pts.estimate(1, "u") == pts.s[(1, "u")]
+
+
+class TestMultiAssignment:
+    @pytest.mark.parametrize("model", [Model.PG1_BIAS, Model.PG1], ids=lambda m: m.value)
+    def test_assignment_entries_equal_fit_of_that_assignment(self, model):
+        # each assignment is fitted on its own, so the others cannot move it
+        graph, _ = generate(SynthConfig(n_students=60, n_assignments=3, n_ground_truth=3,
+                                        super_grades=20, seed=7))
+        cfg = EmConfig(model=model)
+        full = em_infer(graph, Hyperparameters(), cfg)
+        for a in graph.assignments:
+            alone = em_infer(GradingGraph([g for g in graph.grades if g.assignment == a],
+                                          submissions={a: graph.submissions(a)}), Hyperparameters(), cfg)
+            for kind in ("s", "b", "tau"):
+                block = {k: v.hex() for k, v in getattr(full, kind).items() if k[0] == a}
+                assert block == {k: v.hex() for k, v in getattr(alone, kind).items()}
+            assert full.n_iterations[a] == alone.n_iterations[a]
+            assert full.converged[a] == alone.converged[a]
+            assert [v.hex() for v in full.objective_trace[a]] == [v.hex() for v in alone.objective_trace[a]]
+        assert len(full.s) == 180
+        assert len(full.tau) == (180 if model is Model.PG1 else 0)

@@ -522,3 +522,17 @@ def test_golden_bytes(tmp_path, capsys):
     assert written == expected
     for rel in expected:
         assert (tmp_path / rel).read_bytes() == (GOLDEN / rel).read_bytes(), rel
+
+
+GOLDEN_EM_PG1BIAS = Path(__file__).parent / "golden_em_pg1bias" / "summary.json"
+
+
+def test_golden_em_pg1bias_bytes(tmp_path, capsys):
+    """infer --engine em --model pg1bias on the synth set of test_golden_bytes
+    writes the committed bytes."""
+    out = tmp_path / "infer"
+    grades = str(GOLDEN / "synth" / "grades.csv")
+    assert run_cli(["infer", "--grades", grades, "--model", "pg1bias", "--engine", "em", "--out", str(out)],
+                   capsys)[0] == 0
+    assert sorted(p.name for p in out.iterdir()) == ["summary.json"]
+    assert (out / "summary.json").read_bytes() == GOLDEN_EM_PG1BIAS.read_bytes()
