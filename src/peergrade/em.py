@@ -10,6 +10,7 @@ the Gamma conditional mode (shape - 1) / rate, clamped at the precision floor.
 """
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -20,6 +21,8 @@ from .core import GradingGraph, Hyperparameters, LatentState, Model
 from .gibbs import _build_engines, _Engine
 
 __all__ = ["EmConfig", "PointEstimates", "em_infer"]
+
+log = logging.getLogger(__name__)
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -119,6 +122,9 @@ def em_infer(graph: GradingGraph, hp: Hyperparameters, cfg: EmConfig) -> PointEs
                 break
         out.n_iterations[a] = iteration
         out.converged[a] = delta < cfg.tol
+        if not out.converged[a]:
+            log.warning("assignment %d: EM stopped after %d iterations (max_iterations) "
+                        "without meeting tol=%g", a, iteration, cfg.tol)
         out.objective_trace[a] = trace
         engine.export_state(state)
     return out

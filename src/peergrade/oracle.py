@@ -7,12 +7,22 @@ over a Gamma-prior quantile range), evaluates the unnormalized log posterior
 over the full lattice in the log domain, and reads off means and variances
 from the marginals. Exponential in the number of latents; refuses more than a
 handful. Used to validate the samplers on small networks.
+
+The lattice is visited once, in blocks over its leading (outer) axes. Every
+term of the log density records the axes it reads; the terms that read only
+inner axes, with the inner unaries, are summed into one inner-shape array
+once per call, and each block adds to a copy of it only the terms that read
+an outer axis. Blocks are exponentiated against a running maximum of the log
+density: when a block raises it, the mass and marginals summed so far are
+rescaled. Nothing is marginalized analytically; every lattice point is
+evaluated and summed.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.stats import gamma as gamma_dist
@@ -205,7 +215,9 @@ def oracle_posterior(
     k = len(gvars)
     pos = {(v.kind, v.assignment, v.student): j for j, v in enumerate(gvars)}
 
-    terms = []
+    # each likelihood and chain-link term: the lattice axes it reads, and its
+    # log density over them
+    terms: list[tuple[tuple[int, ...], Callable]] = []
     for g in work.grades:
         a = g.assignment
         js = pos[("s", a, g.gradee)]
@@ -220,12 +232,16 @@ def oracle_posterior(
                 resid = z - v[js] - v[jb]
                 return 0.5 * np.log(w) - 0.5 * w * resid * resid
 
+            terms.append(((js, jb, jv), term))
+
         elif model is Model.PG1_BIAS:
             tau = resolved[a].effective_tau_fixed
 
             def term(v, z=g.score, js=js, jb=jb, tau=tau):
                 resid = z - v[js] - v[jb]
                 return -0.5 * tau * resid * resid
+
+            terms.append(((js, jb), term))
 
         else:
             jt = pos[("tau", a, g.grader)]
@@ -234,7 +250,7 @@ def oracle_posterior(
                 resid = z - v[js] - v[jb]
                 return 0.5 * np.log(v[jt]) - 0.5 * v[jt] * resid * resid
 
-        terms.append(term)
+            terms.append(((js, jb, jt), term))
 
     if model is Model.PG2:
         assignments = list(work.assignments)
@@ -248,62 +264,71 @@ def oracle_posterior(
                     d = v[j2] - v[j1]
                     return -0.5 * omega0 * d * d
 
-                terms.append(link)
+                terms.append(((j1, j2), link))
 
-    # evaluate the lattice in blocks: loop over enough leading axes that one
-    # block stays within a fixed float budget
+    # evaluate the lattice in blocks: loop over enough leading (outer) axes
+    # that one block stays within a fixed float budget
     sizes = [v.grid.size for v in gvars]
     n_outer = 0
     while n_outer < k - 1 and math.prod(sizes[n_outer:]) > _BLOCK_BUDGET:
         n_outer += 1
     inner_shape = tuple(sizes[n_outer:])
 
+    # everything that reads only inner axes is the same in every block: sum it once
     vals: list = [None] * k
-    inner_unaries = []
+    inner = np.zeros(inner_shape)
     for j in range(n_outer, k):
         shape = [1] * (k - n_outer)
         shape[j - n_outer] = sizes[j]
         vals[j] = gvars[j].grid.reshape(shape)
-        inner_unaries.append(gvars[j].unary.reshape(shape))
+        inner += gvars[j].unary.reshape(shape)
+    outer_terms = []
+    for axes, t in terms:
+        if min(axes) < n_outer:
+            outer_terms.append(t)
+        else:
+            inner += t(vals)
 
-    def block_logp(idx: tuple[int, ...]) -> np.ndarray:
+    # one pass over the blocks, normalized by the running maximum of the log
+    # density: when a block raises it, the mass summed so far is rescaled
+    block = np.empty(inner_shape)
+    marginals = [np.zeros(s) for s in sizes]
+    mass = 0.0
+    gmax = -np.inf
+    for idx in itertools.product(*(range(s) for s in sizes[:n_outer])):
         base = 0.0
         for j, i in enumerate(idx):
             vals[j] = gvars[j].grid[i]
             base += gvars[j].unary[i]
-        logp = np.full(inner_shape, base)
-        for u in inner_unaries:
-            logp = logp + u
-        for t in terms:
-            logp = logp + t(vals)
-        return logp
-
-    outer = list(itertools.product(*(range(s) for s in sizes[:n_outer])))
-    gmax = -np.inf
-    for idx in outer:
-        gmax = max(gmax, float(np.max(block_logp(idx))))
-    if not np.isfinite(gmax):
-        raise ValueError("posterior mass underflows the grid; widen or re-center it")
-
-    marginals = [np.zeros(s) for s in sizes]
-    mass = 0.0
-    for idx in outer:
-        p = np.exp(block_logp(idx) - gmax)
-        total = float(p.sum())
+        np.add(inner, base, out=block)
+        for t in outer_terms:
+            block += t(vals)
+        bmax = float(block.max())
+        if bmax == -np.inf:
+            continue  # no mass here; subtracting an infinite gmax would give NaN
+        if bmax > gmax:
+            scale = math.exp(gmax - bmax)
+            mass *= scale
+            for m in marginals:
+                m *= scale
+            gmax = bmax
+        block -= gmax
+        np.exp(block, out=block)
+        total = float(block.sum())
         mass += total
         for j, i in enumerate(idx):
             marginals[j][i] += total
         for j in range(n_outer, k):
             axes = tuple(ax for ax in range(k - n_outer) if ax != j - n_outer)
-            marginals[j] += p.sum(axis=axes) if axes else np.atleast_1d(p)
-    if mass <= 0.0:
+            marginals[j] += block.sum(axis=axes) if axes else block
+    if gmax == -np.inf:
         raise ValueError("posterior mass underflows the grid; widen or re-center it")
 
     n_total = int(np.prod([v.grid.size for v in gvars]))
     for j, var in enumerate(gvars):
         w = marginals[j] / mass
         mean = float(np.dot(w, var.grid))
-        second = float(np.dot(w, var.grid * var.grid))
-        mean_pp, var_pp = to_pp(var.assignment, var.kind, mean, max(second - mean * mean, 0.0))
+        centered = var.grid - mean
+        mean_pp, var_pp = to_pp(var.assignment, var.kind, mean, float(np.dot(w, centered * centered)))
         stats[var.kind][(var.assignment, var.student)] = VariableStat(mean=mean_pp, var=var_pp, n=n_total)
     return PosteriorSummary(model=model, n_samples=n_total, **stats)

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,24 @@ class TestOutputs:
         g = make_graph([(1, "v", "u", 80.0), (1, "w", "u", 74.0)])
         pts = em_infer(g, HP, EmConfig(model=Model.PG1))
         assert pts.estimate(1, "u") == pts.s[(1, "u")]
+
+
+class TestIterationCap:
+    def test_warns_when_cap_stops_an_assignment(self, caplog):
+        graph, _ = generate(SynthConfig(n_students=60, n_assignments=2, n_ground_truth=3,
+                                        super_grades=20, seed=7))
+        with caplog.at_level(logging.WARNING, logger="peergrade.em"):
+            pts = em_infer(graph, Hyperparameters(), EmConfig(model=Model.PG1, max_iterations=3))
+        assert pts.converged == {1: False, 2: False}
+        messages = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert messages == [f"assignment {a}: EM stopped after 3 iterations (max_iterations) "
+                            "without meeting tol=1e-10" for a in (1, 2)]
+
+    def test_silent_when_converged(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="peergrade.em"):
+            pts = em_infer(random_net(15, 3, seed=3), HP, EmConfig(model=Model.PG1))
+        assert pts.converged == {1: True}
+        assert not caplog.records
 
 
 class TestMultiAssignment:

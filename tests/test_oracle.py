@@ -1,10 +1,18 @@
+import dataclasses
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import multivariate_normal
 
 from peergrade import GridSpec, Hyperparameters, Model, oracle_posterior
+from peergrade.io import write_summary_json
 from conftest import make_graph
+from test_acceptance import _oracle_net
+
+GOLDEN_ORACLE = Path(__file__).parent / "golden_oracle"
 
 
 class TestGridSpec:
@@ -28,12 +36,18 @@ class TestGuards:
             oracle_posterior(make_graph(rows), Hyperparameters(mu0=75, gamma0=0.01), Model.PG1,
                              GridSpec(points_per_dim=5, tau_points=5, max_latents=4))
 
-    def test_underflow_detected(self):
-        # a grade so extreme the log density is -inf at every grid point
+    def test_underflow_detected(self, monkeypatch):
+        # a grade so extreme the log density is -inf at every grid point, in
+        # one block and in 21; no block may produce a NaN on the way to the error
         g = make_graph([(1, "v", "u", 1e160)])
         hp = Hyperparameters(mu0=75.0, gamma0=1 / 16, eta0=1.0, tau_fixed=400.0)
-        with pytest.raises(ValueError, match="underflow"), np.errstate(over="ignore"):
-            oracle_posterior(g, hp, Model.PG1_BIAS, GridSpec(points_per_dim=21, prior_std_span=1.0))
+        for budget in (None, 21):
+            if budget is not None:
+                monkeypatch.setattr("peergrade.oracle._BLOCK_BUDGET", budget)
+            with pytest.raises(ValueError, match="underflow"), np.errstate(over="ignore"), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                oracle_posterior(g, hp, Model.PG1_BIAS, GridSpec(points_per_dim=21, prior_std_span=1.0))
 
 
 class TestClosedFormAgreement:
@@ -45,6 +59,26 @@ class TestClosedFormAgreement:
         P = np.array([[hp.gamma0 + tau, tau], [tau, hp.eta0 + tau]])
         mean = np.linalg.solve(P, np.array([hp.gamma0 * 70.0 + tau * 80.0, tau * 80.0]))
         cov = np.linalg.inv(P)
+        assert post.s[(1, "u")].mean == pytest.approx(mean[0], abs=1e-4)
+        assert post.s[(1, "u")].var == pytest.approx(cov[0, 0], rel=1e-4)
+        assert post.b[(1, "v")].mean == pytest.approx(mean[1], abs=1e-4)
+        assert post.b[(1, "v")].var == pytest.approx(cov[1, 1], rel=1e-4)
+
+    def test_late_mode_rescales_running_maximum(self, monkeypatch):
+        """One outer axis (the score) and a mode in its last quarter: the log
+        density's running maximum rises block after block, so the mass summed
+        before the mode is rescaled many times and must still integrate to the
+        closed form."""
+        monkeypatch.setattr("peergrade.oracle._BLOCK_BUDGET", 201)
+        hp = Hyperparameters(mu0=70.0, gamma0=1 / 100, eta0=1 / 4, tau_fixed=1.0)
+        g = make_graph([(1, "v", "u", 120.0)])
+        spec = GridSpec(points_per_dim=201, prior_std_span=7.0)
+        post = oracle_posterior(g, hp, Model.PG1_BIAS, spec)
+        P = np.array([[hp.gamma0 + 1.0, 1.0], [1.0, hp.eta0 + 1.0]])
+        mean = np.linalg.solve(P, np.array([hp.gamma0 * 70.0 + 120.0, 120.0]))
+        cov = np.linalg.inv(P)
+        grid = np.linspace(0.0, 140.0, 201)
+        assert np.argmin(np.abs(grid - mean[0])) > 0.75 * grid.size
         assert post.s[(1, "u")].mean == pytest.approx(mean[0], abs=1e-4)
         assert post.s[(1, "u")].var == pytest.approx(cov[0, 0], rel=1e-4)
         assert post.b[(1, "v")].mean == pytest.approx(mean[1], abs=1e-4)
@@ -92,6 +126,23 @@ class TestClosedFormAgreement:
 
 
 class TestStructuralProperties:
+    @pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
+    def test_block_split_matches_one_block(self, model, monkeypatch):
+        """Four 41- or 31-point axes in one block, then split over two outer
+        axes (1,681 blocks of at most 41 x 41). The split puts PG2's chain
+        link and every PG3 term on an outer axis; the moments must not move
+        beyond summation order."""
+        whole = golden_oracle_summary(model)
+        monkeypatch.setattr("peergrade.oracle._BLOCK_BUDGET", 41 * 41)
+        split = golden_oracle_summary(model)
+        assert split.n_samples == whole.n_samples
+        for kind in ("s", "b", "tau"):
+            w, p = getattr(whole, kind), getattr(split, kind)
+            assert set(w) == set(p)
+            for key in w:
+                assert p[key].mean == pytest.approx(w[key].mean, rel=1e-12, abs=0)
+                assert p[key].var == pytest.approx(w[key].var, rel=1e-12, abs=0)
+
     def test_prior_only_scores_reported_analytically(self):
         g = make_graph([(1, "v", "u", 80.0)])
         hp = Hyperparameters(mu0=70.0, gamma0=0.01, eta0=0.04, tau_fixed=0.1)
@@ -126,3 +177,19 @@ class TestStructuralProperties:
             for key in cd:
                 assert cd[key].mean == pytest.approx(fd[key].mean, abs=5e-3)
                 assert cd[key].var == pytest.approx(fd[key].var, rel=5e-3)
+
+
+def golden_oracle_summary(model: Model):
+    """Acceptance 1's seed-1 network for ``model`` on a 41-point grid (31 tau
+    points)."""
+    graph, hp, spec, _ = _oracle_net(model, 1)
+    spec = dataclasses.replace(spec, points_per_dim=41, tau_points=31)
+    return oracle_posterior(graph, hp, model, spec, assume_normalized=model is Model.PG2)
+
+
+@pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
+def test_golden_oracle_bytes(model, tmp_path):
+    """The oracle writes the committed bytes under tests/golden_oracle."""
+    out = tmp_path / f"{model.value}.json"
+    write_summary_json(golden_oracle_summary(model), out)
+    assert out.read_bytes() == (GOLDEN_ORACLE / f"{model.value}.json").read_bytes()
