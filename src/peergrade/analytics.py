@@ -181,8 +181,6 @@ def _collect(graph: GradingGraph, estimates, covariate: Covariate):
     s_hat = _score_map(estimates)
     resid, cov, assign = [], [], []
     for g in graph.grades:
-        if g.is_self_grade:
-            continue
         if covariate is Covariate.TIME_SPENT:
             if g.seconds is None:
                 continue
@@ -263,8 +261,6 @@ def joint_residual_heatmap(
     s_hat = _score_map(estimates)
     resid, grader_s, gradee_s, assign = [], [], [], []
     for g in graph.grades:
-        if g.is_self_grade:
-            continue
         resid.append(g.score - s_hat[(g.assignment, g.gradee)])
         grader_s.append(s_hat[(g.assignment, g.grader)])
         gradee_s.append(s_hat[(g.assignment, g.gradee)])

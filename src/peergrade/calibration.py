@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf as _erf
 
-from .core import GradingGraph, Hyperparameters, Model, exclude_self_grades
+from .core import GradingGraph, Hyperparameters, Model
 from .em import EmConfig
 from .evaluation import EvalConfig, EvaluationReport, _run_indexed, evaluate_model
 from .gibbs import GibbsConfig, gibbs_infer
@@ -188,19 +188,18 @@ def rounds_experiment(
     cfg = gibbs_cfg or GibbsConfig(model=model)
     if cfg.model is not model:
         raise ValueError(f"gibbs config is for {cfg.model.value}, experiment asked for {model.value}")
-    clean, _ = exclude_self_grades(graph)
     per_grader: dict[tuple[int, str], int] = {}
-    for g in clean.grades:
+    for g in graph.grades:
         per_grader[(g.assignment, g.grader)] = per_grader.get((g.assignment, g.grader), 0) + 1
     if not per_grader:
         raise ValueError("no grades to run rounds over")
     k_max = max(per_grader.values())
     if max_rounds is not None:
         k_max = min(k_max, max_rounds)
-    total = sum(len(clean.submissions(a)) for a in clean.assignments)
+    total = sum(len(graph.submissions(a)) for a in graph.assignments)
 
     def run_round(k: int) -> RoundStat:
-        restricted = restrict_to_first_grades(clean, k)
+        restricted = restrict_to_first_grades(graph, k)
         summary = gibbs_infer(restricted, hp, cfg, collect_scores=(method == "empirical"))
         confident = 0
         for a in restricted.assignments:

@@ -120,13 +120,16 @@ class NormalizationParams:
 
 
 class GradingGraph:
-    """Immutable bipartite-per-assignment grading network.
+    """Immutable bipartite-per-assignment grading network of peer grades.
 
     Nodes are (assignment, student) submissions; edges are observed peer
-    grades. The submission universe defaults to every student appearing as a
-    grader or gradee, but can be given explicitly so that students (or whole
-    assignments) without grades stay addressable, which leave-one-out
-    evaluation and the random-walk bias chain rely on.
+    grades. The graph is the one place self-grades are dropped: every input
+    row, self-grades included, is checked for duplicates and counts toward the
+    submission universe, and then only grades whose grader is not the gradee
+    are kept, in input order. The submission universe defaults to every
+    student appearing as a grader or gradee, but can be given explicitly so
+    that students (or whole assignments) without grades stay addressable,
+    which leave-one-out evaluation and the random-walk bias chain rely on.
     """
 
     def __init__(
@@ -135,10 +138,10 @@ class GradingGraph:
         ground_truth: Mapping[tuple[int, str], GroundTruth] | None = None,
         submissions: Mapping[int, Iterable[str]] | None = None,
     ) -> None:
-        self._grades: tuple[PeerGrade, ...] = tuple(grades)
+        rows = tuple(grades)
         seen: set[tuple[int, str, str]] = set()
         derived: dict[int, set[str]] = {}
-        for g in self._grades:
+        for g in rows:
             key = (g.assignment, g.grader, g.gradee)
             if key in seen:
                 raise ValueError(
@@ -147,6 +150,18 @@ class GradingGraph:
                 )
             seen.add(key)
             derived.setdefault(g.assignment, set()).update((g.grader, g.gradee))
+        self._grades: tuple[PeerGrade, ...] = tuple(g for g in rows if not g.is_self_grade)
+        self._n_self_grades = len(rows) - len(self._grades)
+
+        # peer grades indexed by assignment, by receiving and by giving student
+        by_assignment: dict[int, list[PeerGrade]] = {}
+        self._received: dict[tuple[int, str], list[PeerGrade]] = {}
+        self._given: dict[tuple[int, str], list[PeerGrade]] = {}
+        for g in self._grades:
+            by_assignment.setdefault(g.assignment, []).append(g)
+            self._received.setdefault((g.assignment, g.gradee), []).append(g)
+            self._given.setdefault((g.assignment, g.grader), []).append(g)
+        self._by_assignment = {a: tuple(gs) for a, gs in by_assignment.items()}
 
         if submissions is not None:
             subs = {int(a): set(studs) for a, studs in submissions.items()}
@@ -173,19 +188,17 @@ class GradingGraph:
             if a not in self._submissions or student not in set(self._submissions[a]):
                 raise ValueError(f"ground truth references unknown submission ({a}, {student!r})")
 
-        # adjacency: grades indexed by receiving and by giving student
-        self._received: dict[tuple[int, str], list[PeerGrade]] = {}
-        self._given: dict[tuple[int, str], list[PeerGrade]] = {}
-        for g in self._grades:
-            self._received.setdefault((g.assignment, g.gradee), []).append(g)
-            self._given.setdefault((g.assignment, g.grader), []).append(g)
-
     # -- basic views ------------------------------------------------------
 
     @property
     def grades(self) -> tuple[PeerGrade, ...]:
-        """All grades in input order."""
+        """All peer grades in input order."""
         return self._grades
+
+    @property
+    def n_self_grades(self) -> int:
+        """How many input rows were self-grades and were dropped."""
+        return self._n_self_grades
 
     @property
     def assignments(self) -> tuple[int, ...]:
@@ -208,7 +221,8 @@ class GradingGraph:
             raise KeyError(f"unknown assignment {assignment}") from None
 
     def grades_in(self, assignment: int) -> tuple[PeerGrade, ...]:
-        return tuple(g for g in self._grades if g.assignment == assignment)
+        """Grades of one assignment, in input order."""
+        return self._by_assignment.get(assignment, ())
 
     def graders_of(self, assignment: int, gradee: str) -> tuple[PeerGrade, ...]:
         """Grades received by a submission, in input order."""
@@ -219,7 +233,7 @@ class GradingGraph:
         return tuple(self._given.get((assignment, grader), ()))
 
     def scores_in(self, assignment: int) -> np.ndarray:
-        return np.array([g.score for g in self._grades if g.assignment == assignment], dtype=float)
+        return np.array([g.score for g in self.grades_in(assignment)], dtype=float)
 
     # -- derived graphs ----------------------------------------------------
 
@@ -249,12 +263,9 @@ class GradingGraph:
 
 
 def exclude_self_grades(graph: GradingGraph) -> tuple[GradingGraph, int]:
-    """Remove grades where grader == gradee; returns (graph, removed count)."""
-    kept = [g for g in graph.grades if not g.is_self_grade]
-    removed = len(graph.grades) - len(kept)
-    if removed == 0:
-        return graph, 0
-    return graph.with_grades(kept), removed
+    """The graph and how many self-grades building it dropped; a GradingGraph
+    never holds a self-grade, so the graph is returned as it is."""
+    return graph, graph.n_self_grades
 
 
 def _zscore_params(scores: np.ndarray, assignment: int) -> NormalizationParams:
@@ -298,13 +309,7 @@ def normalize_all(graph: GradingGraph) -> tuple[GradingGraph, dict[int, Normaliz
 
     Computes every assignment's parameters first, then builds one graph.
     """
-    scores: dict[int, list[float]] = {}
-    for g in graph.grades:
-        scores.setdefault(g.assignment, []).append(g.score)
-    params = {
-        a: _zscore_params(np.array(scores[a], dtype=float), a)
-        for a in graph.assignments if a in scores
-    }
+    params = {a: _zscore_params(graph.scores_in(a), a) for a in graph.assignments if graph.grades_in(a)}
     return _apply_zscores(graph, params), params
 
 
@@ -387,7 +392,7 @@ def prepare_graph(
     model: Model,
     assume_normalized: bool = False,
 ) -> tuple[GradingGraph, dict[int, NormalizationParams]]:
-    """Shared inference preprocessing: drop self-grades, z-score for the chain model.
+    """Shared inference preprocessing: z-score for the chain model.
 
     Returns the working graph and, for the random-walk model, the per-assignment
     normalization parameters (identity when assume_normalized). Raises on a graph
@@ -396,10 +401,9 @@ def prepare_graph(
     """
     if not graph.assignments:
         raise ValueError("empty graph: no submissions to infer over")
-    work, _ = exclude_self_grades(graph)
     if model is not Model.PG2 or assume_normalized:
-        return work, {}
-    work, norm = normalize_all(work)
+        return graph, {}
+    work, norm = normalize_all(graph)
     for a in work.assignments:
         if a not in norm:
             raise ValueError(

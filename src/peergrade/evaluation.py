@@ -15,7 +15,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .core import (
     Hyperparameters,
     Model,
     PeerGrade,
-    exclude_self_grades,
     prepare_graph,
     resolve_priors,
 )
@@ -93,13 +92,7 @@ class FrozenPrediction:
     truth_staff: float | None
 
     def truth(self, source: TruthSource) -> float:
-        if source is TruthSource.STAFF:
-            if self.truth_staff is None:
-                raise ValueError(
-                    f"submission ({self.assignment}, {self.gradee!r}) has no staff score"
-                )
-            return self.truth_staff
-        return self.truth_consensus
+        return _truth((self.assignment, self.gradee), self.truth_consensus, self.truth_staff, source)
 
     def estimate(self, grades: Sequence[PeerGrade]) -> tuple[float, float]:
         """Conditional posterior mean and std of the true score given a grade
@@ -111,6 +104,14 @@ class FrozenPrediction:
             p += t
             num += t * (g.score - self.bias[g.grader])
         return num / p, math.sqrt(1.0 / p)
+
+
+def _truth(key: tuple[int, str], consensus: float, staff: float | None, source: TruthSource) -> float:
+    if source is TruthSource.STAFF:
+        if staff is None:
+            raise ValueError(f"submission ({key[0]}, {key[1]!r}) has no staff score")
+        return staff
+    return consensus
 
 
 @dataclass(frozen=True)
@@ -221,13 +222,22 @@ def fit_frozen(
     truth = graph.ground_truth.get(key)
     if truth is None:
         raise KeyError(f"({a}, {gradee!r}) is not a ground-truth submission")
-    clean, _ = exclude_self_grades(graph)
-    pool = clean.graders_of(a, gradee)
-    reduced = clean.without_received(a, gradee)
+    pool = graph.graders_of(a, gradee)
+    reduced = graph.without_received(a, gradee)
+    if engine == "em":
+        cfg = em_cfg or EmConfig(model=model)
+        if cfg.model is not model:
+            raise ValueError(f"em config is for {cfg.model.value}, evaluation asked for {model.value}")
+        assume_normalized = False
+    elif engine == "gibbs":
+        cfg = _default_gibbs_cfg(model, gibbs_cfg)
+        assume_normalized = cfg.assume_normalized
+    else:
+        raise ValueError(f"unknown engine {engine!r}; expected gibbs or em")
 
     # priors in pp for the reduced graph, mirroring what inference resolves
-    normalized = model is Model.PG2
-    work, norm = prepare_graph(reduced, model)
+    normalized = model is Model.PG2 and not assume_normalized
+    work, norm = prepare_graph(reduced, model, assume_normalized)
     resolved = resolve_priors(work, hp, normalized=normalized)[a]
     if normalized:
         p = norm[a]
@@ -239,14 +249,10 @@ def fit_frozen(
         prior_prec = resolved.alpha0 / resolved.beta0
 
     if engine == "em":
-        cfg = em_cfg or EmConfig(model=model)
-        if cfg.model is not model:
-            raise ValueError(f"em config is for {cfg.model.value}, evaluation asked for {model.value}")
         points = em_infer(reduced, hp, cfg)
         b_hat, tau_hat, s_hat = points.b, points.tau, points.s
         theta = None
-    elif engine == "gibbs":
-        cfg = _default_gibbs_cfg(model, gibbs_cfg)
+    else:
         summary = gibbs_infer(reduced, hp, cfg)
         # only the pool graders' latents are needed
         keys = [(a, g.grader) for g in pool]
@@ -255,8 +261,6 @@ def fit_frozen(
             for block in (summary.b, summary.tau, summary.s)
         )
         theta = summary.theta
-    else:
-        raise ValueError(f"unknown engine {engine!r}; expected gibbs or em")
 
     bias: dict[str, float] = {}
     precision: dict[str, float] = {}
@@ -290,35 +294,44 @@ def _pool_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,))))
 
 
-def _draw_indices(rng: np.random.Generator, pool_size: int, k: int) -> np.ndarray:
-    return rng.choice(pool_size, size=k, replace=False)
+def _simulate(
+    key: tuple[int, str],
+    index: int,
+    pool_size: int,
+    truth: float,
+    cfg: EvalConfig,
+    estimate: Callable[[np.ndarray], tuple[float, float | None]],
+) -> SubmissionEval:
+    """The draw loop the models and the baseline share: cfg.n_simulations
+    draws of cfg.grades_per_simulation pool positions without replacement
+    from the submission's own RNG stream, derived from (cfg.seed, index), so
+    results do not depend on scheduling. estimate maps the drawn positions to
+    (estimate, posterior std), the std None for an estimator without a
+    posterior."""
+    a, gradee = key
+    k = cfg.grades_per_simulation
+    if pool_size < k:
+        raise ValueError(
+            f"submission ({a}, {gradee!r}) has a pool of {pool_size} grades, "
+            f"cannot draw {k} without replacement"
+        )
+    rng = _pool_rng(cfg.seed, index)
+    estimates, sigmas = zip(*(estimate(rng.choice(pool_size, size=k, replace=False))
+                              for _ in range(cfg.n_simulations)))
+    return SubmissionEval(
+        assignment=a,
+        gradee=gradee,
+        truth=truth,
+        estimates=np.array(estimates, dtype=float),
+        sigmas=None if sigmas[0] is None else np.array(sigmas, dtype=float),
+    )
 
 
 def simulate_frozen(fp: FrozenPrediction, cfg: EvalConfig) -> SubmissionEval:
-    """Step 2: repeated grade draws without replacement, closed-form
-    estimates. Each submission gets its own RNG stream derived from
-    (cfg.seed, fp.index), so results do not depend on scheduling."""
-    k = cfg.grades_per_simulation
-    if len(fp.pool) < k:
-        raise ValueError(
-            f"submission ({fp.assignment}, {fp.gradee!r}) has a pool of {len(fp.pool)} grades, "
-            f"cannot draw {k} without replacement"
-        )
-    rng = _pool_rng(cfg.seed, fp.index)
-    estimates = np.empty(cfg.n_simulations)
-    sigmas = np.empty(cfg.n_simulations)
-    for i in range(cfg.n_simulations):
-        chosen = _draw_indices(rng, len(fp.pool), k)
-        est, sig = fp.estimate([fp.pool[j] for j in chosen])
-        estimates[i] = est
-        sigmas[i] = sig
-    return SubmissionEval(
-        assignment=fp.assignment,
-        gradee=fp.gradee,
-        truth=fp.truth(cfg.truth_source),
-        estimates=estimates,
-        sigmas=sigmas,
-    )
+    """Step 2: closed-form estimates from repeated grade draws without
+    replacement, on the submission's own RNG stream (cfg.seed, fp.index)."""
+    return _simulate((fp.assignment, fp.gradee), fp.index, len(fp.pool), fp.truth(cfg.truth_source), cfg,
+                     lambda chosen: fp.estimate([fp.pool[j] for j in chosen]))
 
 
 def _run_indexed(tasks, max_workers: int):
@@ -368,30 +381,14 @@ def evaluate_baseline(
     """Median-of-sampled-grades baseline on draws identical to the models'
     (same seed, same per-submission streams)."""
     keys = _gt_keys(graph)
-    clean, _ = exclude_self_grades(graph)
     truth_map = graph.ground_truth
 
     def run_one(key: tuple[int, str], index: int) -> SubmissionEval:
-        a, gradee = key
-        pool = clean.graders_of(a, gradee)
-        k = eval_cfg.grades_per_simulation
-        if len(pool) < k:
-            raise ValueError(
-                f"submission ({a}, {gradee!r}) has a pool of {len(pool)} grades, "
-                f"cannot draw {k} without replacement"
-            )
         gt = truth_map[key]
-        truth = gt.staff_score if eval_cfg.truth_source is TruthSource.STAFF else gt.consensus_score
-        if truth is None:
-            raise ValueError(f"submission ({a}, {gradee!r}) has no staff score")
-        scores = np.array([g.score for g in pool])
-        rng = _pool_rng(eval_cfg.seed, index)
-        estimates = np.empty(eval_cfg.n_simulations)
-        for i in range(eval_cfg.n_simulations):
-            chosen = _draw_indices(rng, len(pool), k)
-            estimates[i] = median_baseline(scores[chosen])
-        return SubmissionEval(assignment=a, gradee=gradee, truth=truth,
-                              estimates=estimates, sigmas=None)
+        truth = _truth(key, gt.consensus_score, gt.staff_score, eval_cfg.truth_source)
+        scores = np.array([g.score for g in graph.graders_of(*key)])
+        return _simulate(key, index, len(scores), truth, eval_cfg,
+                         lambda chosen: (median_baseline(scores[chosen]), None))
 
     tasks = [(lambda key=key, i=i: run_one(key, i)) for i, key in enumerate(keys)]
     subs = _run_indexed(tasks, max_workers)

@@ -103,14 +103,6 @@ def _require_resolved(hp: Hyperparameters) -> None:
         raise ValueError("conditional samplers need concrete mu0/gamma0; call hp.resolve first")
 
 
-def _received(graph: GradingGraph, a: int, student: str):
-    return [g for g in graph.graders_of(a, student) if not g.is_self_grade]
-
-
-def _given(graph: GradingGraph, a: int, grader: str):
-    return [g for g in graph.gradees_of(a, grader) if not g.is_self_grade]
-
-
 def cond_sample_score(
     u: tuple[int, str],
     state: LatentState,
@@ -124,7 +116,7 @@ def cond_sample_score(
     a, student = u
     p = hp.gamma0
     num = hp.gamma0 * hp.mu0
-    for g in _received(graph, a, student):
+    for g in graph.graders_of(a, student):
         t = state.tau[(a, g.grader)]
         p += t
         num += t * (g.score - state.b[(a, g.grader)])
@@ -142,7 +134,7 @@ def cond_sample_bias(
     tau_v * sum(z - s_u) / precision."""
     a, grader = v
     t = state.tau[v]
-    given = _given(graph, a, grader)
+    given = graph.gradees_of(a, grader)
     p = hp.eta0 + len(given) * t
     num = t * sum(g.score - state.s[(a, g.gradee)] for g in given)
     return float(rng.normal(num / p, math.sqrt(1.0 / p)))
@@ -157,7 +149,7 @@ def cond_sample_reliability(
 ) -> float:
     """Draw tau_v | rest: Gamma(alpha0 + n_v/2, beta0 + sum resid^2 / 2), shape-rate."""
     a, grader = v
-    given = _given(graph, a, grader)
+    given = graph.gradees_of(a, grader)
     rss = sum((g.score - state.s[(a, g.gradee)] - state.b[v]) ** 2 for g in given)
     shape = hp.alpha0 + 0.5 * len(given)
     rate = hp.beta0 + 0.5 * rss
@@ -192,7 +184,7 @@ def cond_sample_bias_chain(
         p += hp.omega0
         num += hp.omega0 * state.b[(assignments[k + 1], v)]
     t = state.tau[(T, v)]
-    given = _given(graph, T, v)
+    given = graph.gradees_of(T, v)
     p += len(given) * t
     num += t * sum(g.score - state.s[(T, g.gradee)] for g in given)
     return float(rng.normal(num / p, math.sqrt(1.0 / p)))
@@ -221,13 +213,13 @@ def cond_sample_score_affine(
     a, student = u
     p = hp.gamma0
     num = hp.gamma0 * hp.mu0
-    for g in _received(graph, a, student):
+    for g in graph.graders_of(a, student):
         w = max(th1 * state.s[(a, g.grader)] + th0, floor)
         p += w
         num += w * (g.score - state.b[(a, g.grader)])
     prop = float(rng.normal(num / p, math.sqrt(1.0 / p)))
 
-    given = _given(graph, a, student)
+    given = graph.gradees_of(a, student)
     if not given:
         return prop, True
     cur = state.s[u]

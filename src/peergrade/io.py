@@ -17,14 +17,13 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .analytics import BinnedResidualTable, ResidualHeatmap, TemporalCorrelationReport
 from .calibration import CalibrationReport, RoundsReport
-from .core import (GradingGraph, GroundTruth, PeerGrade, PosteriorSummary, StatBlock, by_assignment,
-                   exclude_self_grades)
+from .core import GradingGraph, GroundTruth, PeerGrade, PosteriorSummary, StatBlock, by_assignment
 from .em import PointEstimates
 from .evaluation import METRIC_ROWS, EvaluationReport
 from .gibbs import TraceRecorder
@@ -235,81 +234,87 @@ def _parse_float(value: str, what: str, lineno: int) -> float:
         raise ValueError(f"line {lineno}: {what} must be a number, got {value!r}") from None
 
 
+def _records(path) -> Iterator[tuple[int, list[str]]]:
+    """(line number, cells) for each record of a CSV file; a record whose
+    quoted cell spans lines is numbered by its last line. A malformed record
+    or bytes that do not decode stop with a ValueError naming the line or the
+    file."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            for row in reader:
+                yield reader.line_num, row
+        except csv.Error as e:
+            raise ValueError(f"line {reader.line_num}: {e}") from None
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{path}: cannot decode as text ({e.reason})") from None
+
+
 def read_grades_csv(path) -> list[PeerGrade]:
     """Parse a grades file (header assignment,grader,gradee,score with an
     optional trailing seconds column)."""
     grades: list[PeerGrade] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    records = _records(path)
+    _, header = next(records, (1, None))
+    if header is None:
+        raise ValueError(f"{path}: empty file, expected header {','.join(GRADE_HEADER)}")
+    if header not in (GRADE_HEADER, GRADE_HEADER_SECONDS):
+        raise ValueError(
+            f"{path}: bad header {','.join(header)!r}; expected {','.join(GRADE_HEADER)}"
+            " (optionally with a trailing seconds column)"
+        )
+    has_seconds = header == GRADE_HEADER_SECONDS
+    for lineno, row in records:
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ValueError(f"line {lineno}: expected {len(header)} cells, got {len(row)}")
+        seconds = None
+        if has_seconds and row[4].strip() != "":
+            seconds = _parse_float(row[4], "seconds", lineno)
+        assignment = _parse_int(row[0], "assignment", lineno)
+        score = _parse_float(row[3], "score", lineno)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, expected header {','.join(GRADE_HEADER)}") from None
-        if header not in (GRADE_HEADER, GRADE_HEADER_SECONDS):
-            raise ValueError(
-                f"{path}: bad header {','.join(header)!r}; expected {','.join(GRADE_HEADER)}"
-                " (optionally with a trailing seconds column)"
-            )
-        has_seconds = header == GRADE_HEADER_SECONDS
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(f"line {lineno}: expected {len(header)} cells, got {len(row)}")
-            seconds = None
-            if has_seconds and row[4].strip() != "":
-                seconds = _parse_float(row[4], "seconds", lineno)
-            try:
-                grades.append(
-                    PeerGrade(
-                        assignment=_parse_int(row[0], "assignment", lineno),
-                        grader=row[1],
-                        gradee=row[2],
-                        score=_parse_float(row[3], "score", lineno),
-                        seconds=seconds,
-                    )
-                )
-            except ValueError as e:
-                raise ValueError(f"line {lineno}: {e}") from None
+            grades.append(PeerGrade(assignment, row[1], row[2], score, seconds))
+        except ValueError as e:
+            raise ValueError(f"line {lineno}: {e}") from None
     return grades
 
 
 def read_truth_csv(path) -> dict[tuple[int, str], GroundTruth]:
     """Parse a ground-truth file (staff_score may be empty)."""
     truth: dict[tuple[int, str], GroundTruth] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    records = _records(path)
+    _, header = next(records, (1, None))
+    if header is None:
+        raise ValueError(f"{path}: empty file, expected header {','.join(TRUTH_HEADER)}")
+    if header != TRUTH_HEADER:
+        raise ValueError(f"{path}: bad header {','.join(header)!r}; expected {','.join(TRUTH_HEADER)}")
+    for lineno, row in records:
+        if not row:
+            continue
+        if len(row) != 4:
+            raise ValueError(f"line {lineno}: expected 4 cells, got {len(row)}")
+        key = (_parse_int(row[0], "assignment", lineno), row[1])
+        if key in truth:
+            raise ValueError(f"line {lineno}: duplicate ground truth for {key}")
+        staff = None if row[2].strip() == "" else _parse_float(row[2], "staff_score", lineno)
+        consensus = _parse_float(row[3], "consensus_score", lineno)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, expected header {','.join(TRUTH_HEADER)}") from None
-        if header != TRUTH_HEADER:
-            raise ValueError(f"{path}: bad header {','.join(header)!r}; expected {','.join(TRUTH_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ValueError(f"line {lineno}: expected 4 cells, got {len(row)}")
-            key = (_parse_int(row[0], "assignment", lineno), row[1])
-            if key in truth:
-                raise ValueError(f"line {lineno}: duplicate ground truth for {key}")
-            staff = None if row[2].strip() == "" else _parse_float(row[2], "staff_score", lineno)
-            consensus = _parse_float(row[3], "consensus_score", lineno)
-            try:
-                truth[key] = GroundTruth(consensus_score=consensus, staff_score=staff)
-            except ValueError as e:
-                raise ValueError(f"line {lineno}: {e}") from None
+            truth[key] = GroundTruth(consensus_score=consensus, staff_score=staff)
+        except ValueError as e:
+            raise ValueError(f"line {lineno}: {e}") from None
     return truth
 
 
 def ingest(grades_path, truth_path=None) -> GradingGraph:
-    """Build a validated graph from files; self-grades are dropped with a
-    logged count (they never enter inference)."""
+    """Build a validated graph from files; the graph drops self-grades, and
+    their count is logged."""
     grades = read_grades_csv(grades_path)
     truth = read_truth_csv(truth_path) if truth_path else None
-    graph, n_self = exclude_self_grades(GradingGraph(grades, ground_truth=truth))
-    if n_self:
-        log.info("excluded %d self-grades at ingestion", n_self)
+    graph = GradingGraph(grades, ground_truth=truth)
+    if graph.n_self_grades:
+        log.info("excluded %d self-grades at ingestion", graph.n_self_grades)
     return graph
 
 

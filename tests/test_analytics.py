@@ -178,4 +178,4 @@ class TestJointResidualHeatmap:
         graph = GradingGraph(grades)
         s_hat = {(1, u): 75.0 for u in graph.submissions(1)}
         hm = joint_residual_heatmap(graph, s_hat, n_bins=2, min_support=1)
-        assert hm.n_grades == len(graph.grades) - 1
+        assert hm.n_grades == len(grades) - 1

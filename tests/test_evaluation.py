@@ -9,13 +9,17 @@ from peergrade import (
     EvalConfig,
     FrozenPrediction,
     GibbsConfig,
+    GradingGraph,
     GroundTruth,
     Hyperparameters,
     Model,
+    PeerGrade,
+    SynthConfig,
     TruthSource,
     evaluate_baseline,
     evaluate_model,
     fit_frozen,
+    generate,
     median_baseline,
     simulate_frozen,
 )
@@ -179,6 +183,21 @@ class TestFitFrozen:
                         em_cfg=EmConfig(model=Model.PG1))
         assert fp.bias["z"] == 0.0
         assert fp.precision["z"] == pytest.approx(hp.alpha0 / hp.beta0)
+
+    def test_pg2_assume_normalized_freezes_priors_in_fit_units(self):
+        # the fit ran on raw grades with mu0/gamma0 as given, so the frozen
+        # prior and a pool grader's fallback reliability must not be mapped
+        # through a z-score normalization the fit never applied
+        graph, _ = generate(SynthConfig(n_students=120, n_assignments=2, super_grades=20,
+                                        model=Model.PG2, seed=1))
+        key = sorted(graph.ground_truth)[0]
+        graph = GradingGraph(list(graph.grades) + [PeerGrade(key[0], "pool-only", key[1], 70.0)],
+                             ground_truth=graph.ground_truth)
+        hp = Hyperparameters(mu0=75.0, gamma0=0.01)
+        cfg = GibbsConfig(model=Model.PG2, total_sweeps=20, burn_in=5, assume_normalized=True)
+        fp = fit_frozen(graph, hp, Model.PG2, key, gibbs_cfg=cfg)
+        assert (fp.mu0, fp.gamma0) == (75.0, 0.01)
+        assert fp.precision["pool-only"] == hp.alpha0 / hp.beta0
 
     def test_pool_is_original_graders(self, small_pg1):
         graph, _ = small_pg1

@@ -2,6 +2,7 @@ import filecmp
 import json
 import logging
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -200,6 +201,58 @@ class TestGradesCsv:
         with pytest.raises(ValueError, match="line 2"):
             read_grades_csv(path)
 
+    @pytest.mark.parametrize("row, message", [
+        ("1,v,w,high,", "line 3: score must be a number, got 'high'"),
+        ("one,v,w,70,", "line 3: assignment must be an integer, got 'one'"),
+        ("1,v,w,70,soon", "line 3: seconds must be a number, got 'soon'"),
+        ("0,v,w,70,", "line 3: assignment id must be >= 1, got 0"),
+        ("1,v,w,nan,", "line 3: grade score must be finite, got nan"),
+    ])
+    def test_cell_error_prefixed_once(self, tmp_path, row, message):
+        path = tmp_path / "g.csv"
+        path.write_text(f"assignment,grader,gradee,score,seconds\n1,v,u,70,\n{row}\n")
+        with pytest.raises(ValueError) as err:
+            read_grades_csv(path)
+        assert str(err.value) == message
+
+    def test_error_names_physical_line_after_multiline_cell(self, tmp_path):
+        path = tmp_path / "g.csv"
+        path.write_text('assignment,grader,gradee,score\n1,v,"u\nw",70\n1,v,x,high\n')
+        with pytest.raises(ValueError) as err:
+            read_grades_csv(path)
+        assert str(err.value) == "line 4: score must be a number, got 'high'"
+
+
+class TestCsvReaderErrors:
+    @pytest.mark.parametrize("reader, header", [
+        (read_grades_csv, "assignment,grader,gradee,score\n1,v,u,70\n"),
+        (read_truth_csv, "assignment,gradee,staff_score,consensus_score\n1,u,,70\n"),
+    ])
+    def test_oversized_cell_names_line(self, tmp_path, reader, header):
+        path = tmp_path / "f.csv"
+        path.write_text(header + "1," + "x" * 200_000 + ",70,70\n")
+        with pytest.raises(ValueError) as err:
+            reader(path)
+        assert str(err.value) == "line 3: field larger than field limit (131072)"
+
+    @pytest.mark.parametrize("reader, header", [
+        (read_grades_csv, b"assignment,grader,gradee,score\n"),
+        (read_truth_csv, b"assignment,gradee,staff_score,consensus_score\n"),
+    ])
+    def test_undecodable_bytes_name_file(self, tmp_path, reader, header):
+        path = tmp_path / "f.csv"
+        path.write_bytes(header + b"1,\xff,\xfe,70\n")
+        with pytest.raises(ValueError) as err:
+            reader(path)
+        assert str(err.value) == f"{path}: cannot decode as text (invalid start byte)"
+
+    def test_cli_oversized_cell_exits_1(self, tmp_path, capsys):
+        gpath = tmp_path / "g.csv"
+        gpath.write_text("assignment,grader,gradee,score\n1,v," + "u" * 200_000 + ",70\n")
+        code, _, err = run_cli(["infer", "--grades", str(gpath), "--out", str(tmp_path / "x")], capsys)
+        assert code == 1
+        assert err == "error: line 2: field larger than field limit (131072)\n"
+
 
 class TestTruthCsv:
     def test_roundtrip(self, tmp_path):
@@ -236,6 +289,34 @@ class TestIngest:
         assert len(graph.grades) == 2
         assert graph.submissions(1) == ("a", "b")
         assert any("self-grade" in r.message for r in caplog.records)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_fuzzed_files_load_or_raise_one_line_prefix(self, tmp_path_factory, data):
+        # cells drawn from a small alphabet that reaches the parse branches:
+        # numbers, ids, quotes, separators, line breaks and undecodable bytes
+        cell = st.one_of(
+            st.sampled_from(["1", "2", "0", "-3", "a", "b", "c", "70", "1e400", "nan", "", " ", "x"]),
+            st.text(alphabet='12ab,"\n\r.e-', max_size=6),
+        )
+        header = data.draw(st.sampled_from([
+            "assignment,grader,gradee,score", "assignment,grader,gradee,score,seconds",
+            "assignment,grader,score", "",
+        ]))
+        rows = data.draw(st.lists(st.lists(cell, min_size=0, max_size=6), max_size=8))
+        body = (header + "\n" + "\n".join(",".join(r) for r in rows)).encode()
+        if data.draw(st.booleans()):
+            at = data.draw(st.integers(0, len(body)))
+            body = body[:at] + data.draw(st.binary(min_size=1, max_size=3)) + body[at:]
+        path = tmp_path_factory.mktemp("fuzz") / "g.csv"
+        path.write_bytes(body)
+        try:
+            graph = ingest(path)
+        except ValueError as e:
+            assert type(e) is ValueError, repr(e)
+            assert not re.match(r"line \d+: line \d+:", str(e)), str(e)
+        else:
+            assert all(g.grader != g.gradee for g in graph.grades)
 
     def test_attaches_truth(self, tmp_path):
         gpath, tpath = tmp_path / "g.csv", tmp_path / "t.csv"
