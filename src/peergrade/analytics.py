@@ -209,6 +209,8 @@ def residual_vs_covariate(
 ) -> BinnedResidualTable:
     """Bin grade residuals (observed minus estimated true score) by a z-scored
     covariate. estimates must cover every submission's true score."""
+    if n_bins < 1:
+        raise ValueError(f"n_bins must be >= 1, got {n_bins}")
     resid, cov, assign = _collect(graph, estimates, covariate)
     z = _zscore_per_assignment(cov, assign)
     idx = _bin_index(z, n_bins)
@@ -258,6 +260,8 @@ def joint_residual_heatmap(
 ) -> ResidualHeatmap:
     """2-D version: how the z-scored residual depends jointly on the grader's
     and the gradee's estimated scores."""
+    if n_bins < 1:
+        raise ValueError(f"n_bins must be >= 1, got {n_bins}")
     s_hat = _score_map(estimates)
     resid, grader_s, gradee_s, assign = [], [], [], []
     for g in graph.grades:

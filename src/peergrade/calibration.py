@@ -185,6 +185,8 @@ def rounds_experiment(
     coverage instead of the Gaussian closed form."""
     if method not in ("closed_form", "empirical"):
         raise ValueError(f"unknown confidence method {method!r}")
+    if max_rounds is not None and max_rounds < 1:
+        raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
     cfg = gibbs_cfg or GibbsConfig(model=model)
     if cfg.model is not model:
         raise ValueError(f"gibbs config is for {cfg.model.value}, experiment asked for {model.value}")

@@ -153,14 +153,9 @@ class GradingGraph:
         self._grades: tuple[PeerGrade, ...] = tuple(g for g in rows if not g.is_self_grade)
         self._n_self_grades = len(rows) - len(self._grades)
 
-        # peer grades indexed by assignment, by receiving and by giving student
         by_assignment: dict[int, list[PeerGrade]] = {}
-        self._received: dict[tuple[int, str], list[PeerGrade]] = {}
-        self._given: dict[tuple[int, str], list[PeerGrade]] = {}
         for g in self._grades:
             by_assignment.setdefault(g.assignment, []).append(g)
-            self._received.setdefault((g.assignment, g.gradee), []).append(g)
-            self._given.setdefault((g.assignment, g.grader), []).append(g)
         self._by_assignment = {a: tuple(gs) for a, gs in by_assignment.items()}
 
         if submissions is not None:
@@ -226,11 +221,11 @@ class GradingGraph:
 
     def graders_of(self, assignment: int, gradee: str) -> tuple[PeerGrade, ...]:
         """Grades received by a submission, in input order."""
-        return tuple(self._received.get((assignment, gradee), ()))
+        return tuple(g for g in self.grades_in(assignment) if g.gradee == gradee)
 
     def gradees_of(self, assignment: int, grader: str) -> tuple[PeerGrade, ...]:
         """Grades given by a grader in an assignment, in input order."""
-        return tuple(self._given.get((assignment, grader), ()))
+        return tuple(g for g in self.grades_in(assignment) if g.grader == grader)
 
     def scores_in(self, assignment: int) -> np.ndarray:
         return np.array([g.score for g in self.grades_in(assignment)], dtype=float)

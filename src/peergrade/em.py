@@ -1,10 +1,12 @@
 """MAP point estimation by coordinate ascent.
 
 Supports the fixed-reliability and per-grader reliability models. It runs on
-the Gibbs engines, one per assignment, with each block set to its conditional
-mode instead of drawn from it: each iteration sets every score, then every
-bias, then every reliability (in sweep order) to the exact maximizer of the
-log joint density given the others, so the objective is non-decreasing.
+the Gibbs engine, whose rows (one per assignment) are independent for these
+models, with each block set to its conditional mode instead of drawn from it.
+Rows are fit one after another: each iteration sets every score of the row,
+then every bias, then every reliability (in sweep order) to the exact
+maximizer of the log joint density given the others, so the objective is
+non-decreasing.
 Scores and biases take their Gaussian conditional means; reliabilities take
 the Gamma conditional mode (shape - 1) / rate, clamped at the precision floor.
 """
@@ -18,7 +20,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .core import GradingGraph, Hyperparameters, LatentState, Model
-from .gibbs import _build_engines, _Engine
+from .gibbs import _build_engine, _Engine
 
 __all__ = ["EmConfig", "PointEstimates", "em_infer"]
 
@@ -72,18 +74,18 @@ class PointEstimates:
         return self.s[(assignment, student)]
 
 
-def _log_joint(engine: _Engine) -> float:
-    """Log joint density at the engine's current state (one assignment)."""
-    idx, hp = engine.idx[0], engine.hp[0]
-    s, b, tau = engine.s[0], engine.b[0], engine.tau[0]
+def _log_joint(engine: _Engine, k: int) -> float:
+    """Log joint density of row k (one assignment) at the engine's current state."""
+    idx, hp = engine.idx[k], engine.hp[k]
+    s, b, tau = engine.s[k], engine.b[k], engine.tau[k]
     resid = idx.z - s[idx.gradee] - b[idx.grader]
     w = tau[idx.grader]
     total = float(np.sum(0.5 * (np.log(w) - _LOG_2PI) - 0.5 * w * resid * resid))
     total += float(np.sum(0.5 * (math.log(hp.gamma0) - _LOG_2PI) - 0.5 * hp.gamma0 * (s - hp.mu0) ** 2))
-    bg = b[engine.biased]
+    bg = b[engine.biased[k]]
     total += float(np.sum(0.5 * (math.log(hp.eta0) - _LOG_2PI) - 0.5 * hp.eta0 * bg * bg))
     if engine.infer_tau:
-        tg = tau[engine.biased]
+        tg = tau[engine.biased[k]]
         total += float(
             np.sum(
                 hp.alpha0 * math.log(hp.beta0)
@@ -95,29 +97,28 @@ def _log_joint(engine: _Engine) -> float:
     return total
 
 
-def _ascend(engine: _Engine) -> None:
-    """One iteration: the engine's blocks, in sweep order, set to their
-    conditional modes (one assignment)."""
-    engine.s[0] = engine.score_conditional(0)[0]
-    engine.b[0] = engine.bias_conditional(0)[0]
+def _ascend(engine: _Engine, k: int) -> None:
+    """One iteration on row k: its blocks, in sweep order, set to their
+    conditional modes."""
+    engine.s[k] = engine.score_conditional(k)[0]
+    engine.b[k] = engine.bias_conditional(k)[0]
     if engine.infer_tau:
-        shape, rate = engine.reliability_conditional(0)
-        engine.tau[0] = np.maximum((shape - 1.0) / rate, engine.hp[0].precision_floor)
+        shape, rate = engine.reliability_conditional(k)
+        engine.tau[k] = np.maximum((shape - 1.0) / rate, engine.hp[k].precision_floor)
 
 
 def em_infer(graph: GradingGraph, hp: Hyperparameters, cfg: EmConfig) -> PointEstimates:
     """MAP estimates per assignment; deterministic (no randomness involved)."""
     out = PointEstimates(model=cfg.model)
-    state = LatentState(out.s, out.b, out.tau)  # export_state fills the estimates
-    for engine in _build_engines(graph, hp, cfg):
-        (a,) = engine.assignments
-        trace = [_log_joint(engine)]
+    engine = _build_engine(graph, hp, cfg)
+    rows = (engine.s, engine.b, engine.tau)
+    for k, a in enumerate(engine.assignments):
+        trace = [_log_joint(engine, k)]
         for iteration in range(1, cfg.max_iterations + 1):
-            before = (engine.s[0], engine.b.copy(), engine.tau.copy())
-            _ascend(engine)
-            delta = max(float(np.max(np.abs(new - old), initial=0.0))
-                        for new, old in zip((engine.s[0], engine.b, engine.tau), before))
-            trace.append(_log_joint(engine))
+            before = [row[k] for row in rows]
+            _ascend(engine, k)
+            delta = max(float(np.max(np.abs(row[k] - old), initial=0.0)) for row, old in zip(rows, before))
+            trace.append(_log_joint(engine, k))
             if delta < cfg.tol:
                 break
         out.n_iterations[a] = iteration
@@ -126,5 +127,5 @@ def em_infer(graph: GradingGraph, hp: Hyperparameters, cfg: EmConfig) -> PointEs
             log.warning("assignment %d: EM stopped after %d iterations (max_iterations) "
                         "without meeting tol=%g", a, iteration, cfg.tol)
         out.objective_trace[a] = trace
-        engine.export_state(state)
+    engine.export_state(LatentState(out.s, out.b, out.tau))  # fills the estimates
     return out

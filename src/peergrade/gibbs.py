@@ -2,11 +2,13 @@
 
 One systematic-scan sweep updates every true score, then every grader bias,
 then every reliability (where inferred), then the reliability-line
-coefficients (score-linked model). One engine, configured by model, serves
-PG1-bias, PG1 and PG2: biases form a chain across the engine's assignments,
-which with a single assignment is the independent bias block, and
-reliabilities are drawn or held fixed. The score-linked model (PG3) overrides
-only its score block, its bias arithmetic and its theta step. Blocks that are
+coefficients (score-linked model). Every fit runs one engine, configured by
+model, whose row k is the k-th assignment of the graph. For PG2 the rows
+share one grader list and the biases form a chain across them; for the
+other models each row is graded by its assignment's submissions and its
+biases are independent. Reliabilities are drawn or held fixed. The
+score-linked model (PG3) overrides only its score block, its bias arithmetic
+and its theta step, and holds one theta for all rows. Blocks that are
 conditionally independent given the rest are drawn as vectorized batches.
 The score-linked model's scores are not: each student's score enters the
 likelihood precisions of the grades they gave. Its score block therefore
@@ -20,8 +22,8 @@ Each block of the engine first computes its conditional's parameters (score
 mean and precision, bias-chain mean and precision, reliability shape and
 rate) and then draws from them; coordinate ascent (em.py) sets the same
 blocks to their conditional modes. Scalar reference implementations of each
-conditional sampler are exposed for distribution-level testing; the engines
-implement the same conditionals on arrays.
+conditional sampler are exposed for distribution-level testing; the engine
+implements the same conditionals on arrays.
 """
 from __future__ import annotations
 
@@ -233,31 +235,31 @@ def cond_sample_score_affine(
 
 
 # ---------------------------------------------------------------------------
-# array engines
+# array engine
 # ---------------------------------------------------------------------------
 
 
 class _AssignmentIndex:
     """Array view of one assignment: grade triples as index arrays plus
-    per-student grade counts."""
+    per-student grade counts. Graders are positions in the given grader
+    list, or in the assignment's own students when none is given."""
 
     def __init__(
         self,
         graph: GradingGraph,
         assignment: int,
-        grader_pos: dict[str, int] | None = None,
+        graders: tuple[list[str], dict[str, int]] | None = None,
     ) -> None:
         self.assignment = assignment
         self.students = list(graph.submissions(assignment))
         self.pos = {s: i for i, s in enumerate(self.students)}
         self.n_students = len(self.students)
+        self.graders, self.gpos = graders or (self.students, self.pos)
+        self.n_graders = len(self.graders)
         grades = graph.grades_in(assignment)
         self.z = np.array([g.score for g in grades], dtype=float)
         self.gradee = np.array([self.pos[g.gradee] for g in grades], dtype=np.intp)
-        if grader_pos is None:
-            grader_pos = self.pos
-        self.n_graders = len(grader_pos)
-        self.grader = np.array([grader_pos[g.grader] for g in grades], dtype=np.intp)
+        self.grader = np.array([self.gpos[g.grader] for g in grades], dtype=np.intp)
         self.n_given = np.bincount(self.grader, minlength=self.n_graders).astype(float)
         self.n_received = np.bincount(self.gradee, minlength=self.n_students).astype(float)
 
@@ -312,16 +314,16 @@ _IDENTITY = NormalizationParams(mean=0.0, std=1.0)
 
 
 class _Engine:
-    """Gibbs engine over an (assignment, grader) layout, configured by model.
+    """Gibbs engine over every assignment of a graph, configured by model.
 
-    Scores are one array per assignment; biases and reliabilities are K x G
-    arrays over the engine's K assignments and G graders. The bias block is a
-    chain across assignments: eta0 anchors the first, omega0 links
-    consecutive ones, so with K = 1 it is the independent bias block.
-    Reliabilities are drawn for PG1 and PG2 and held at the fixed value for
-    PG1-bias. PG2 runs one engine over all assignments with every grader of
-    the graph; the other models run one engine per assignment whose graders
-    are its submissions.
+    Row k is assignment k: its scores, and the biases and reliabilities of
+    its graders, are one array each. With a grader list given (PG2), every
+    row is graded by that list and the bias block is a chain across rows:
+    eta0 anchors the first, omega0 links consecutive ones. Otherwise each
+    row is graded by its assignment's submissions and each bias is anchored
+    at eta0 alone, so rows are independent. Reliabilities are drawn for PG1
+    and PG2 and held at the fixed value for PG1-bias. A sweep takes one
+    generator per row and row k draws from the k-th.
 
     Works in whatever units the graph carries (z-scores for PG2 unless
     assume_normalized); summaries and traces are mapped back to percentage
@@ -331,62 +333,64 @@ class _Engine:
     def __init__(
         self,
         graph: GradingGraph,
-        assignments: Sequence[int],
-        graders: Sequence[str],
+        graders: Sequence[str] | None,
         resolved: dict[int, Hyperparameters],
         norm: dict[int, NormalizationParams],
         cfg: GibbsConfig | EmConfig,
     ) -> None:
-        self.assignments = list(assignments)
+        self.assignments = list(graph.assignments)
         self.hp = [resolved[a] for a in self.assignments]
         base = self.hp[0]
         self.eta0, self.omega0 = base.eta0, base.omega0
         self.alpha0, self.beta0 = base.alpha0, base.beta0
         self.norm = [norm.get(a, _IDENTITY) for a in self.assignments]
-        self.graders = list(graders)
-        self.gpos = {v: j for j, v in enumerate(self.graders)}
-        self.idx = [_AssignmentIndex(graph, a, grader_pos=self.gpos) for a in self.assignments]
-        # a grader carries a bias (in every assignment of the engine) once it
-        # grades anywhere in the engine
-        self.biased = np.flatnonzero(np.sum([ix.n_given for ix in self.idx], axis=0) > 0)
+        self.chained = graders is not None
+        shared = (list(graders), {v: j for j, v in enumerate(graders)}) if self.chained else None
+        self.idx = [_AssignmentIndex(graph, a, shared) for a in self.assignments]
+        given = [ix.n_given for ix in self.idx]
+        if self.chained:  # a chained grader carries a bias in every row once it grades in any
+            given = [np.sum(given, axis=0)] * len(given)
+        self.biased = [np.flatnonzero(n > 0) for n in given]
         self.infer_tau = cfg.model in (Model.PG1, Model.PG2)
-        K, G = len(self.assignments), len(self.graders)
+        tau0 = self.alpha0 / self.beta0 if self.infer_tau else base.effective_tau_fixed
         self.s = [ix.mean_received(hp.mu0) for ix, hp in zip(self.idx, self.hp)]
-        self.b = np.zeros((K, G))
-        self.tau = np.full((K, G), self.alpha0 / self.beta0 if self.infer_tau else base.effective_tau_fixed)
+        self.b = [np.zeros(ix.n_graders) for ix in self.idx]
+        self.tau = [np.full(ix.n_graders, tau0) for ix in self.idx]
         self.theta: tuple[float, float] | None = None
         self.acc = _Accumulator()  # every latent of _draws(), in one array
         self.accept_s = self.total_s = 0
         self.accept_theta = self.total_theta = 0
 
-    def sweep(self, rng: np.random.Generator) -> None:
-        self._score_block(rng)
-        self._bias_block(rng)
-        self._reliability_block(rng)
+    def sweep(self, rngs: Sequence[np.random.Generator]) -> None:
+        """Every row's scores, then every row's biases, then reliabilities."""
+        self._score_block(rngs)
+        self._bias_block(rngs)
+        self._reliability_block(rngs)
 
     def score_conditional(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Mean and precision of assignment k's scores given the rest."""
+        """Mean and precision of row k's scores given the rest."""
         idx, hp = self.idx[k], self.hp[k]
         w = self.tau[k][idx.grader]
         prec = hp.gamma0 + idx.sum_by_gradee(w)
         num = hp.gamma0 * hp.mu0 + idx.sum_by_gradee(w * (idx.z - self.b[k][idx.grader]))
         return num / prec, prec
 
-    def _score_block(self, rng: np.random.Generator) -> None:
-        for k in range(len(self.assignments)):
+    def _score_block(self, rngs: Sequence[np.random.Generator]) -> None:
+        for k, rng in enumerate(rngs):
             self.s[k] = _normal(rng, *self.score_conditional(k))
 
     def _bias_likelihood(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Precision and precision-weighted residual sum that assignment k's
-        grades contribute to each grader's bias."""
+        """Precision and precision-weighted residual sum that row k's grades
+        contribute to each grader's bias."""
         idx = self.idx[k]
         return idx.n_given * self.tau[k], self.tau[k] * idx.sum_by_grader(idx.z - self.s[k][idx.gradee])
 
     def bias_conditional(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Mean and precision of row k of the bias chain given the rest."""
-        prec = self.eta0 if k == 0 else self.omega0
-        num = 0.0 if k == 0 else self.omega0 * self.b[k - 1]
-        if k + 1 < len(self.assignments):
+        """Mean and precision of row k's biases given the rest."""
+        anchored = k == 0 or not self.chained
+        prec = self.eta0 if anchored else self.omega0
+        num = 0.0 if anchored else self.omega0 * self.b[k - 1]
+        if self.chained and k + 1 < len(self.b):
             prec += self.omega0
             num = num + self.omega0 * self.b[k + 1]
         lik_prec, lik_num = self._bias_likelihood(k)
@@ -394,28 +398,28 @@ class _Engine:
         num = num + lik_num
         return num / prec, prec
 
-    def _bias_block(self, rng: np.random.Generator) -> None:
-        for k in range(len(self.assignments)):
+    def _bias_block(self, rngs: Sequence[np.random.Generator]) -> None:
+        for k, rng in enumerate(rngs):
             self.b[k] = _normal(rng, *self.bias_conditional(k))
 
     def reliability_conditional(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Gamma shape and rate of assignment k's reliabilities given the rest."""
+        """Gamma shape and rate of row k's reliabilities given the rest."""
         idx = self.idx[k]
         resid = idx.z - self.s[k][idx.gradee] - self.b[k][idx.grader]
         return self.alpha0 + 0.5 * idx.n_given, self.beta0 + 0.5 * idx.sum_by_grader(resid * resid)
 
-    def _reliability_block(self, rng: np.random.Generator) -> None:
+    def _reliability_block(self, rngs: Sequence[np.random.Generator]) -> None:
         if not self.infer_tau:
             return
-        for k in range(len(self.assignments)):
+        for k, rng in enumerate(rngs):
             shape, rate = self.reliability_conditional(k)
             self.tau[k] = (1.0 / rate) * rng.standard_gamma(shape)
 
     def _draws(self) -> list:
         """The arrays accumulate() records, in the order of the accumulator."""
-        draws = [*self.s, self.b.ravel()]
+        draws = [*self.s, *self.b]
         if self.infer_tau:
-            draws.append(self.tau.ravel())
+            draws.extend(self.tau)
         if self.theta is not None:
             draws.append(self.theta)
         return draws
@@ -424,7 +428,7 @@ class _Engine:
         self.acc.add(np.concatenate(self._draws()))
 
     def _moments(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Mean and variance of each array of _draws(), flattened."""
+        """Mean and variance of each array of _draws()."""
         mean, var = self.acc.moments()
         out, start = [], 0
         for d in self._draws():
@@ -434,54 +438,53 @@ class _Engine:
         return out
 
     def load_state(self, state: LatentState) -> None:
-        for k, a in enumerate(self.assignments):
-            for i, student in enumerate(self.idx[k].students):
+        for k, (a, ix) in enumerate(zip(self.assignments, self.idx)):
+            for i, student in enumerate(ix.students):
                 if (a, student) in state.s:
                     self.s[k][i] = state.s[(a, student)]
-            for j, grader in enumerate(self.graders):
+            for j, grader in enumerate(ix.graders):
                 if (a, grader) in state.b:
-                    self.b[k, j] = state.b[(a, grader)]
+                    self.b[k][j] = state.b[(a, grader)]
                 if (a, grader) in state.tau:
-                    self.tau[k, j] = state.tau[(a, grader)]
+                    self.tau[k][j] = state.tau[(a, grader)]
         if self.theta is not None and state.theta is not None:
             self.theta = tuple(state.theta)
 
     def export_state(self, state: LatentState) -> None:
-        for k, a in enumerate(self.assignments):
-            state.s.update(zip([(a, u) for u in self.idx[k].students], self.s[k].tolist()))
-            n_given = self.idx[k].n_given
-            for j in self.biased:
-                key = (a, self.graders[j])
-                state.b[key] = float(self.b[k, j])
-                if self.infer_tau and n_given[j] > 0:
-                    state.tau[key] = float(self.tau[k, j])
+        for k, (a, ix) in enumerate(zip(self.assignments, self.idx)):
+            state.s.update(zip([(a, u) for u in ix.students], self.s[k].tolist()))
+            for j in self.biased[k]:
+                key = (a, ix.graders[j])
+                state.b[key] = float(self.b[k][j])
+                if self.infer_tau and ix.n_given[j] > 0:
+                    state.tau[key] = float(self.tau[k][j])
         if self.theta is not None:
             state.theta = self.theta
 
     def summarize(self, blocks: dict[str, dict[int, StatColumn]]) -> tuple[np.ndarray, np.ndarray] | None:
-        """Add this engine's columns, in percentage points, to the s, b and tau
+        """Add every row's columns, in percentage points, to the s, b and tau
         blocks; return theta's mean and variance where the engine has theta."""
         n = self.acc.n
         moments = iter(self._moments())
         s_moments = [next(moments) for _ in self.s]
-        b_mean, b_var = (m.reshape(self.b.shape) for m in next(moments))
-        if self.infer_tau:
-            tau_mean, tau_var = (m.reshape(self.tau.shape) for m in next(moments))
-        biased = [self.graders[j] for j in self.biased.tolist()]
-        for k, a in enumerate(self.assignments):
+        b_moments = [next(moments) for _ in self.b]
+        tau_moments = [next(moments) for _ in self.tau] if self.infer_tau else []
+        for k, (a, ix) in enumerate(zip(self.assignments, self.idx)):
             p = self.norm[k]
             sd, var_scale = p.std, p.std * p.std
             s_mean, s_var = s_moments[k]
-            students = self.idx[k].students
-            blocks["s"][a] = StatColumn(students, p.mean + sd * s_mean, var_scale * s_var,
-                                        np.full(len(students), n))
-            blocks["b"][a] = StatColumn(biased, sd * b_mean[k, self.biased],
-                                        var_scale * b_var[k, self.biased], np.full(len(biased), n))
+            blocks["s"][a] = StatColumn(ix.students, p.mean + sd * s_mean, var_scale * s_var,
+                                        np.full(len(ix.students), n))
+            biased = self.biased[k]
+            b_mean, b_var = b_moments[k]
+            blocks["b"][a] = StatColumn([ix.graders[j] for j in biased.tolist()], sd * b_mean[biased],
+                                        var_scale * b_var[biased], np.full(biased.size, n))
             if self.infer_tau:
-                has = np.flatnonzero(self.idx[k].n_given > 0)
+                has = np.flatnonzero(ix.n_given > 0)
+                tau_mean, tau_var = tau_moments[k]
                 blocks["tau"][a] = StatColumn(
-                    [self.graders[j] for j in has.tolist()], tau_mean[k, has] / var_scale,
-                    tau_var[k, has] / (var_scale * var_scale), np.full(has.size, n))
+                    [ix.graders[j] for j in has.tolist()], tau_mean[has] / var_scale,
+                    tau_var[has] / (var_scale * var_scale), np.full(has.size, n))
         return next(moments, None)
 
     def trace_resolver(self, kind: str, a: int, student: str) -> Callable[[], float] | None:
@@ -490,22 +493,22 @@ class _Engine:
         if a not in self.assignments:
             return None
         k = self.assignments.index(a)
-        p = self.norm[k]
+        ix, p = self.idx[k], self.norm[k]
         if kind == "s":
-            i = self.idx[k].pos.get(student)
+            i = ix.pos.get(student)
             return None if i is None else (lambda: p.mean + p.std * float(self.s[k][i]))
-        j = self.gpos.get(student)
-        if j is None or j not in self.biased:
+        j = ix.gpos.get(student)
+        if j is None or j not in self.biased[k]:
             return None
         if kind == "b":
-            return lambda: p.std * float(self.b[k, j])
-        if kind == "tau" and self.infer_tau and self.idx[k].n_given[j] > 0:
-            return lambda: float(self.tau[k, j]) / (p.std * p.std)
+            return lambda: p.std * float(self.b[k][j])
+        if kind == "tau" and self.infer_tau and ix.n_given[j] > 0:
+            return lambda: float(self.tau[k][j]) / (p.std * p.std)
         return None
 
     def sample_spec(self):
-        return [(a, self.idx[k].students, lambda k=k: self.s[k], self.norm[k].std, self.norm[k].mean)
-                for k, a in enumerate(self.assignments)]
+        return [(a, ix.students, lambda k=k: self.s[k], self.norm[k].std, self.norm[k].mean)
+                for k, (a, ix) in enumerate(zip(self.assignments, self.idx))]
 
 
 class _ColourClass:
@@ -560,26 +563,28 @@ def _colour_classes(idx: _AssignmentIndex) -> list[_ColourClass]:
 
 
 class _Pg3Engine(_Engine):
-    """The engine for the score-linked reliability model, on one assignment.
+    """The engine for the score-linked reliability model.
 
     Overrides the score block, the bias arithmetic and the reliability block.
     Scores move by Metropolis-within-Gibbs on a chromatic schedule: the
     conditional of s_i involves only its graders (proposal precisions) and
     its gradees (acceptance residuals), so the students of one colour class
     are conditionally independent and take one vectorized Metropolis step
-    together, classes in turn. Each sweep draws its normals and exponentials
-    in one call each, laid out class by class. Biases stay conjugate, with
-    each grade weighted by the precision at its grader's score. Theta moves
-    by joint random-walk Metropolis once per sweep under a flat prior
-    restricted to the precision-floor feasible region over current scores.
+    together, classes in turn. Each row's sweep draws its normals and
+    exponentials in one call each, laid out class by class. Biases stay
+    conjugate, with each grade weighted by the precision at its grader's
+    score. One theta serves every row: it moves by joint random-walk
+    Metropolis once per sweep, drawing from row 0's generator, under a flat
+    prior restricted to the precision-floor feasible region over every
+    row's current scores, against the likelihood of every row's grades.
     """
 
-    def __init__(self, graph: GradingGraph, assignments: Sequence[int], graders: Sequence[str],
+    def __init__(self, graph: GradingGraph, graders: Sequence[str] | None,
                  resolved: dict[int, Hyperparameters], norm: dict[int, NormalizationParams],
                  cfg: GibbsConfig) -> None:
-        super().__init__(graph, assignments, graders, resolved, norm, cfg)
+        super().__init__(graph, graders, resolved, norm, cfg)
         hp = self.hp[0]
-        self.classes = _colour_classes(self.idx[0])
+        self.classes = [_colour_classes(ix) for ix in self.idx]
         self.sample_theta = cfg.sample_theta
         self.theta = (hp.effective_theta0, hp.theta1)
         ref = hp.alpha0 / hp.beta0
@@ -592,42 +597,41 @@ class _Pg3Engine(_Engine):
         return np.maximum(th1 * s_values + th0, self.hp[0].precision_floor)
 
     def _feasible(self, th0: float, th1: float) -> bool:
-        s = self.s[0]
-        if s.size == 0:
-            return th0 >= self.hp[0].precision_floor
-        lo = th1 * float(s.min()) + th0
-        hi = th1 * float(s.max()) + th0
-        return min(lo, hi) >= self.hp[0].precision_floor
+        ends = [float(end(s)) for s in self.s if s.size for end in (np.min, np.max)]
+        return min((th1 * v + th0 for v in ends), default=th0) >= self.hp[0].precision_floor
 
     def _log_likelihood(self, th0: float, th1: float) -> float:
-        idx, s = self.idx[0], self.s[0]
-        w = th1 * s[idx.grader] + th0  # feasibility guarantees w >= floor > 0
-        resid = idx.z - s[idx.gradee] - self.b[0][idx.grader]
-        return float(0.5 * np.sum(np.log(w)) - 0.5 * np.sum(w * resid * resid))
+        total = 0.0
+        for idx, s, b in zip(self.idx, self.s, self.b):
+            w = th1 * s[idx.grader] + th0  # feasibility guarantees w >= floor > 0
+            resid = idx.z - s[idx.gradee] - b[idx.grader]
+            total += float(0.5 * np.sum(np.log(w)) - 0.5 * np.sum(w * resid * resid))
+        return total
 
-    def _score_block(self, rng: np.random.Generator) -> None:
-        self._update_scores(rng, self.classes)
+    def _score_block(self, rngs: Sequence[np.random.Generator]) -> None:
+        for k, rng in enumerate(rngs):
+            self._update_scores(k, rng, self.classes[k])
 
-    def _update_scores(self, rng: np.random.Generator, classes: Sequence[_ColourClass]) -> None:
-        """One Metropolis step for every member of the given classes, class by
-        class."""
-        idx = self.idx[0]
+    def _update_scores(self, k: int, rng: np.random.Generator, classes: Sequence[_ColourClass]) -> None:
+        """One Metropolis step for every member of the given classes of row k,
+        class by class."""
+        idx = self.idx[k]
         eps = rng.standard_normal(idx.n_students)
         # e2 = -2 log u for uniform u, so accepting when -2 log(ratio) <= e2
         # accepts with probability min(1, ratio), and always when ratio == 1
         e2 = rng.exponential(2.0, idx.n_students)
-        zb = idx.z - self.b[0][idx.grader]
-        w = self._prec(self.s[0])
+        zb = idx.z - self.b[k][idx.grader]
+        w = self._prec(self.s[k])
         for c in classes:
-            self._class_step(c, zb, w, eps, e2)
+            self._class_step(k, c, zb, w, eps, e2)
             self.total_s += c.size
 
     def _class_step(
-        self, c: _ColourClass, zb: np.ndarray, w: np.ndarray, eps: np.ndarray, e2: np.ndarray
+        self, k: int, c: _ColourClass, zb: np.ndarray, w: np.ndarray, eps: np.ndarray, e2: np.ndarray
     ) -> None:
         """Same proposal and acceptance as cond_sample_score_affine, for all
-        members at once; w holds the precisions of the current scores."""
-        hp, s = self.hp[0], self.s[0]
+        members at once; w holds the precisions of row k's current scores."""
+        hp, s = self.hp[k], self.s[k]
         w_recv = w[c.recv_grader]
         prec = hp.gamma0 + np.bincount(c.recv_loc, w_recv, c.size)
         num = hp.gamma0 * hp.mu0 + np.bincount(c.recv_loc, w_recv * zb[c.recv], c.size)
@@ -649,9 +653,10 @@ class _Pg3Engine(_Engine):
         w = self._prec(s)[idx.grader]
         return idx.sum_by_grader(w), idx.sum_by_grader(w * (idx.z - s[idx.gradee]))
 
-    def _reliability_block(self, rng: np.random.Generator) -> None:
+    def _reliability_block(self, rngs: Sequence[np.random.Generator]) -> None:
         if not self.sample_theta:
             return
+        rng = rngs[0]
         self.total_theta += 1
         th0, th1 = self.theta
         prop0 = th0 + float(rng.normal(0.0, self.sig0))
@@ -689,23 +694,21 @@ class TraceRecorder:
                 raise ValueError(f"unknown trace variable kind {kind!r}")
 
 
-def _build_engines(graph: GradingGraph, hp: Hyperparameters, cfg: GibbsConfig | EmConfig) -> list[_Engine]:
-    """PG2 is one engine over all assignments and every grader of the graph;
-    the other models are one engine per assignment, graded by its
-    submissions. Engines draw from one generator each, in this order.
+def _build_engine(graph: GradingGraph, hp: Hyperparameters, cfg: GibbsConfig | EmConfig) -> _Engine:
+    """One engine over every assignment of the graph: PG2's rows are graded
+    by every grader of the graph, the other models' rows by their
+    assignment's submissions.
 
     Reads cfg.model; PG2 also reads assume_normalized and PG3 its theta-step
-    settings, so coordinate ascent builds its PG1-bias and PG1 engines from
+    settings, so coordinate ascent builds its PG1-bias and PG1 engine from
     its own config.
     """
     pg2 = cfg.model is Model.PG2
     work, norm = prepare_graph(graph, cfg.model, pg2 and cfg.assume_normalized)
     resolved = resolve_priors(work, hp, normalized=pg2 and not cfg.assume_normalized)
-    if pg2:
-        graders = sorted({g.grader for g in work.grades})
-        return [_Engine(work, work.assignments, graders, resolved, norm, cfg)]
+    graders = sorted({g.grader for g in work.grades}) if pg2 else None
     engine = _Pg3Engine if cfg.model is Model.PG3 else _Engine
-    return [engine(work, [a], work.submissions(a), resolved, norm, cfg) for a in work.assignments]
+    return engine(work, graders, resolved, norm, cfg)
 
 
 def initial_state(graph: GradingGraph, hp: Hyperparameters, cfg: GibbsConfig) -> LatentState:
@@ -716,8 +719,7 @@ def initial_state(graph: GradingGraph, hp: Hyperparameters, cfg: GibbsConfig) ->
     unless assume_normalized).
     """
     state = LatentState()
-    for engine in _build_engines(graph, hp, cfg):
-        engine.export_state(state)
+    _build_engine(graph, hp, cfg).export_state(state)
     return state
 
 
@@ -730,17 +732,16 @@ def sweep(
 ) -> LatentState:
     """One systematic scan over all latents; returns a new state.
 
-    Assignments are visited in ascending order, students in sorted order
-    within each block. Operates in the model's working units, like
-    initial_state.
+    Visits every assignment's scores, then every assignment's biases, then
+    every assignment's reliabilities (then theta), assignments in ascending
+    order and students in sorted order within each, all drawn from rng.
+    Operates in the model's working units, like initial_state.
     """
-    engines = _build_engines(graph, hp, cfg)
-    for engine in engines:
-        engine.load_state(state)
-        engine.sweep(rng)
+    engine = _build_engine(graph, hp, cfg)
+    engine.load_state(state)
+    engine.sweep([rng] * len(engine.assignments))
     out = LatentState(theta=state.theta)
-    for engine in engines:
-        engine.export_state(out)
+    engine.export_state(out)
     return out
 
 
@@ -753,37 +754,37 @@ def gibbs_infer(
 ) -> PosteriorSummary:
     """Run the Gibbs sampler and summarize retained sweeps.
 
-    Deterministic given (graph, hp, cfg.seed): per-assignment chains draw from
-    generators spawned off one seed sequence in assignment order. Posterior
+    Deterministic given (graph, hp, cfg.seed): each assignment draws from its
+    own generator, spawned off one seed sequence in assignment order, except
+    that the chain model's assignments all draw from the first. Posterior
     moments are streamed and reported in percentage points. collect_scores
     additionally stores every retained score draw (for sample-based coverage)
     at the cost of retained_sweeps x n_submissions floats.
     """
-    engines = _build_engines(graph, hp, cfg)
-    children = np.random.SeedSequence(cfg.seed).spawn(len(engines))
+    engine = _build_engine(graph, hp, cfg)
+    children = np.random.SeedSequence(cfg.seed).spawn(len(engine.assignments))
     rngs = [np.random.Generator(np.random.PCG64(c)) for c in children]
+    if engine.chained:
+        rngs = rngs[:1] * len(rngs)
 
     resolvers = []
     if trace is not None:
         for kind, a, student in trace.variables:
-            resolver = next(filter(None, (e.trace_resolver(kind, a, student) for e in engines)), None)
+            resolver = engine.trace_resolver(kind, a, student)
             if resolver is None:
                 raise ValueError(f"trace variable ({kind!r}, {a}, {student!r}) not tracked by the model")
             resolvers.append((kind, a, student, resolver))
 
     buffers = []
     if collect_scores:
-        for engine in engines:
-            for a, students, getter, scale, shift in engine.sample_spec():
-                buffers.append((a, students, getter, scale, shift,
-                                np.empty((cfg.retained_sweeps, len(students)))))
+        for a, students, getter, scale, shift in engine.sample_spec():
+            buffers.append((a, students, getter, scale, shift,
+                            np.empty((cfg.retained_sweeps, len(students)))))
 
     for sweep_no in range(1, cfg.total_sweeps + 1):
-        for engine, rng in zip(engines, rngs):
-            engine.sweep(rng)
+        engine.sweep(rngs)
         if sweep_no > cfg.burn_in:
-            for engine in engines:
-                engine.accumulate()
+            engine.accumulate()
             if trace is not None:
                 for kind, a, student, resolve in resolvers:
                     trace.rows.append((sweep_no, kind, a, student, resolve()))
@@ -798,11 +799,7 @@ def gibbs_infer(
             for i, student in enumerate(students):
                 score_samples[(a, student)] = converted[:, i]
     blocks: dict[str, dict[int, StatColumn]] = {"s": {}, "b": {}, "tau": {}}
-    theta = None
-    for engine in engines:
-        moments = engine.summarize(blocks)
-        if moments is not None:  # as in export_state, a later engine's theta wins
-            theta = moments
+    theta = engine.summarize(blocks)
     summary = PosteriorSummary(
         model=cfg.model,
         s=StatBlock(blocks["s"]),
@@ -815,10 +812,8 @@ def gibbs_infer(
         th_mean, th_var = theta
         summary.theta = {"theta0": VariableStat(float(th_mean[0]), float(th_var[0]), cfg.retained_sweeps),
                          "theta1": VariableStat(float(th_mean[1]), float(th_var[1]), cfg.retained_sweeps)}
-    total = sum(e.total_s for e in engines)
-    if total:
-        summary.mh_acceptance = sum(e.accept_s for e in engines) / total
-    total_t = sum(e.total_theta for e in engines)
-    if total_t:
-        summary.theta_acceptance = sum(e.accept_theta for e in engines) / total_t
+    if engine.total_s:
+        summary.mh_acceptance = engine.accept_s / engine.total_s
+    if engine.total_theta:
+        summary.theta_acceptance = engine.accept_theta / engine.total_theta
     return summary

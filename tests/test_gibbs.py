@@ -24,7 +24,7 @@ from peergrade import (
     initial_state,
     sweep,
 )
-from peergrade.gibbs import _build_engines
+from peergrade.gibbs import _build_engine
 from conftest import make_graph
 
 HP = Hyperparameters(mu0=75.0, gamma0=1 / 100, eta0=1 / 25, alpha0=2.0, beta0=18.0)
@@ -85,12 +85,14 @@ class TestDeterminism:
     @pytest.mark.parametrize("model", [Model.PG1_BIAS, Model.PG1, Model.PG3], ids=lambda m: m.value)
     def test_assignment_block_equals_fit_of_that_assignment(self, model):
         # these models fit each assignment on its own stream, spawned in
-        # assignment order, so later assignments cannot move the first
+        # assignment order, so later assignments cannot move the first. PG3's
+        # one theta joins every assignment; held fixed, the rows are
+        # independent again (the other models have no theta to hold)
         graph, _ = generate(SynthConfig(n_students=60, n_assignments=3, n_ground_truth=3,
                                         super_grades=20, seed=7))
         alone = GradingGraph([g for g in graph.grades if g.assignment == 1],
                              submissions={1: graph.submissions(1)})
-        cfg = GibbsConfig(model=model, total_sweeps=120, burn_in=20, seed=7)
+        cfg = GibbsConfig(model=model, total_sweeps=120, burn_in=20, seed=7, sample_theta=False)
         full_fit = gibbs_infer(graph, Hyperparameters(), cfg)
         alone_fit = gibbs_infer(alone, Hyperparameters(), cfg)
         assert len(full_fit.s) == 3 * len(alone_fit.s)
@@ -316,7 +318,7 @@ class TestChromaticPg3:
 
     @staticmethod
     def engine(graph, hp):
-        return _build_engines(graph, hp, GibbsConfig(model=Model.PG3, seed=0))[0]
+        return _build_engine(graph, hp, GibbsConfig(model=Model.PG3, seed=0))
 
     def test_class_update_matches_scalar_reference(self):
         # u receives two grades and gives two; at this slope and these
@@ -337,14 +339,14 @@ class TestChromaticPg3:
         engine = self.engine(graph, self.HP)
         engine.load_state(state)
         i = engine.idx[0].pos["u"]
-        cls = next(c for c in engine.classes if i in c.members)
+        cls = next(c for c in engine.classes[0] if i in c.members)
         s = engine.s[0]
         s0 = s.copy()
         rng = np.random.default_rng(31)
         got = np.empty(n)
         for k in range(n):
             s[:] = s0
-            engine._update_scores(rng, [cls])
+            engine._update_scores(0, rng, [cls])
             got[k] = s[i]
         got_accept = float(np.mean(got != s0[i]))
 
@@ -363,14 +365,14 @@ class TestChromaticPg3:
         engine = TestChromaticPg3.engine(graph, hp)
         idx = engine.idx[0]
         colour = np.full(idx.n_students, -1)
-        for k, c in enumerate(engine.classes):
+        for k, c in enumerate(engine.classes[0]):
             assert (colour[c.members] == -1).all(), "a student is in two classes"
             colour[c.members] = k
         assert (colour >= 0).all(), "a student is in no class"
         assert not np.any(colour[idx.grader] == colour[idx.gradee]), "a grade joins one class"
         again = TestChromaticPg3.engine(graph, hp)
-        assert [c.members.tolist() for c in again.classes] == [c.members.tolist() for c in engine.classes]
-        return engine.classes
+        assert [c.members.tolist() for c in again.classes[0]] == [c.members.tolist() for c in engine.classes[0]]
+        return engine.classes[0]
 
     def test_colouring_on_hci_shaped_network(self):
         cfg = SynthConfig(
@@ -385,3 +387,46 @@ class TestChromaticPg3:
         graph = make_graph([(1, "u", "v", 73.0), (1, "v", "u", 78.0)])
         classes = self.check_colouring(graph, self.HP)
         assert [c.members.tolist() for c in classes] == [[0], [1]]
+
+
+class TestSharedTheta:
+    """PG3 holds one theta for every assignment: one step per sweep, against
+    the likelihood of every assignment's grades and feasible over every
+    assignment's scores."""
+
+    CFG = GibbsConfig(model=Model.PG3, total_sweeps=60, burn_in=10, seed=7)
+
+    @pytest.fixture
+    def pg3(self):
+        graph, _ = generate(SynthConfig(n_students=60, n_assignments=3, super_grades=20,
+                                        model=Model.PG3, seed=7))
+        engine = _build_engine(graph, Hyperparameters(), self.CFG)
+        engine.sweep([np.random.default_rng(k) for k in range(3)])
+        return graph, engine
+
+    def test_fit_reports_one_theta(self, pg3):
+        graph, engine = pg3
+        summary = gibbs_infer(graph, Hyperparameters(), self.CFG)
+        assert set(summary.theta) == {"theta0", "theta1"}
+        assert summary.theta["theta0"].n == self.CFG.retained_sweeps
+        assert engine.total_theta == 1
+
+    def test_likelihood_sums_every_assignment(self, pg3):
+        graph, engine = pg3
+        state = LatentState()
+        engine.export_state(state)
+        th0, th1 = 0.05, 1e-4
+        want = 0.0
+        for g in graph.grades:
+            w = th1 * state.s[(g.assignment, g.grader)] + th0
+            r = g.score - state.s[(g.assignment, g.gradee)] - state.b[(g.assignment, g.grader)]
+            want += 0.5 * math.log(w) - 0.5 * w * r * r
+        assert {g.assignment for g in graph.grades} == {1, 2, 3}
+        assert engine._log_likelihood(th0, th1) == pytest.approx(want, rel=1e-9)
+
+    def test_feasibility_covers_every_assignment(self, pg3):
+        _, engine = pg3
+        floor = engine.hp[0].precision_floor
+        engine.s[2][0] = -50.0  # the lowest score of the graph, in the last assignment
+        assert not engine._feasible(floor + 49.0, 1.0)
+        assert engine._feasible(floor + 50.5, 1.0)

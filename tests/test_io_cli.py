@@ -447,6 +447,20 @@ class TestCliHappyPaths:
 
 
 class TestCliErrors:
+    @pytest.mark.parametrize("args, message", [
+        (["analyze", "--bins", "0"], "n_bins must be >= 1, got 0"),
+        (["analyze", "--bins", "-2"], "n_bins must be >= 1, got -2"),
+        (["rounds", "--max-rounds", "0"], "max_rounds must be >= 1, got 0"),
+        (["rounds", "--max-rounds", "-1"], "max_rounds must be >= 1, got -1"),
+    ], ids=["bins=0", "bins=-2", "max-rounds=0", "max-rounds=-1"])
+    def test_count_below_one(self, synth_dir, tmp_path, capsys, args, message):
+        code, _, err = run_cli([
+            *args, "--grades", str(synth_dir / "grades.csv"),
+            "--sweeps", "20", "--burnin", "5", "--out", str(tmp_path / "x"),
+        ], capsys)
+        assert code == 1
+        assert err == f"error: {message}\n"
+
     def test_bad_hp_key(self, synth_dir, tmp_path, capsys):
         code, _, err = run_cli([
             "infer", "--grades", str(synth_dir / "grades.csv"),
