@@ -141,14 +141,17 @@ def cmd_infer(args) -> int:
     print(f"seed: {args.seed}")
     model = Model.from_string(args.model)
     hp = _parse_hp(args.hp)
+    if args.engine == "em":
+        cfg = EmConfig(model=model)
+    else:
+        cfg = _gibbs_cfg(args, model)
+        trace = TraceRecorder([_parse_trace_var(t) for t in args.trace]) if args.trace else None
     graph = io.ingest(args.grades, args.truth)
     out = _outdir(args)
     if args.engine == "em":
-        points = em_infer(graph, hp, EmConfig(model=model))
-        io.write_points_json(points, out / "summary.json")
+        io.write_points_json(em_infer(graph, hp, cfg), out / "summary.json")
     else:
-        trace = TraceRecorder([_parse_trace_var(t) for t in args.trace]) if args.trace else None
-        summary = gibbs_infer(graph, hp, _gibbs_cfg(args, model), trace=trace)
+        summary = gibbs_infer(graph, hp, cfg, trace=trace)
         io.write_summary_json(summary, out / "summary.json")
         if trace is not None:
             io.write_trace_csv(trace, out / "trace.csv")
@@ -260,11 +263,11 @@ def cmd_analyze(args) -> int:
     print(f"seed: {args.seed}")
     model = Model.from_string(args.model)
     hp = _parse_hp(args.hp)
+    if args.bins < 1:
+        raise ValueError(f"n_bins must be >= 1, got {args.bins}")
+    cfg = EmConfig(model=model) if args.engine == "em" else _gibbs_cfg(args, model)
     graph = io.ingest(args.grades, args.truth)
-    if args.engine == "em":
-        estimates = em_infer(graph, hp, EmConfig(model=model))
-    else:
-        estimates = gibbs_infer(graph, hp, _gibbs_cfg(args, model))
+    estimates = em_infer(graph, hp, cfg) if args.engine == "em" else gibbs_infer(graph, hp, cfg)
     out = _outdir(args)
 
     if args.covariate:

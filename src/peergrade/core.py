@@ -27,6 +27,7 @@ __all__ = [
     "GroundTruth",
     "GradingGraph",
     "NormalizationParams",
+    "IDENTITY_NORMALIZATION",
     "Hyperparameters",
     "LatentState",
     "VariableStat",
@@ -117,6 +118,21 @@ class NormalizationParams:
             raise ValueError("normalization parameters must be finite")
         if self.std <= 0:
             raise ValueError(f"normalization std must be positive, got {self.std}")
+
+    def to_pp(self, kind: str, mean, var=0.0):
+        """Map the mean and variance of a score ("s"), a bias ("b") or a
+        precision ("tau") from z-units back to percentage points: scores
+        shift and scale, biases scale, precisions scale inversely. Takes
+        floats or arrays."""
+        sd2 = self.std * self.std
+        if kind == "s":
+            return self.mean + self.std * mean, sd2 * var
+        if kind == "b":
+            return self.std * mean, sd2 * var
+        return mean / sd2, var / (sd2 * sd2)
+
+
+IDENTITY_NORMALIZATION = NormalizationParams(mean=0.0, std=1.0)  # for graphs fit in percentage points
 
 
 class GradingGraph:
@@ -310,7 +326,7 @@ def normalize_all(graph: GradingGraph) -> tuple[GradingGraph, dict[int, Normaliz
 
 def denormalize(score: float, params: NormalizationParams) -> float:
     """Invert the z-score map: pp = mean + std * z."""
-    return params.mean + params.std * score
+    return params.to_pp("s", score)[0]
 
 
 @dataclass(frozen=True)
@@ -389,10 +405,13 @@ def prepare_graph(
 ) -> tuple[GradingGraph, dict[int, NormalizationParams]]:
     """Shared inference preprocessing: z-score for the chain model.
 
-    Returns the working graph and, for the random-walk model, the per-assignment
-    normalization parameters (identity when assume_normalized). Raises on a graph
-    with no submissions at all, and, when z-scoring, on an assignment without
-    grades: its scores could not be mapped back to percentage points.
+    The one place that decides whether a fit runs in z-units. Returns the
+    working graph and, for the random-walk model unless assume_normalized, the
+    per-assignment normalization parameters; the mapping is empty when the
+    fit runs in percentage points, so callers resolve priors with
+    normalized=bool(norm). Raises on a graph with no submissions at all, and,
+    when z-scoring, on an assignment without grades: its scores could not be
+    mapped back to percentage points.
     """
     if not graph.assignments:
         raise ValueError("empty graph: no submissions to infer over")

@@ -108,7 +108,13 @@ def _ascend(engine: _Engine, k: int) -> None:
 
 
 def em_infer(graph: GradingGraph, hp: Hyperparameters, cfg: EmConfig) -> PointEstimates:
-    """MAP estimates per assignment; deterministic (no randomness involved)."""
+    """MAP estimates per assignment; deterministic (no randomness involved).
+
+    For pg1bias the log joint is one concave quadratic and coordinate ascent
+    reaches its exact MAP. For pg1 it is not concave: coordinate ascent stops
+    at a local mode, and converged means tol was met, not that the global MAP
+    was found.
+    """
     out = PointEstimates(model=cfg.model)
     engine = _build_engine(graph, hp, cfg)
     rows = (engine.s, engine.b, engine.tau)

@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (
+    IDENTITY_NORMALIZATION,
     GradingGraph,
     Hyperparameters,
     Model,
@@ -236,17 +237,12 @@ def fit_frozen(
         raise ValueError(f"unknown engine {engine!r}; expected gibbs or em")
 
     # priors in pp for the reduced graph, mirroring what inference resolves
-    normalized = model is Model.PG2 and not assume_normalized
     work, norm = prepare_graph(reduced, model, assume_normalized)
-    resolved = resolve_priors(work, hp, normalized=normalized)[a]
-    if normalized:
-        p = norm[a]
-        mu0 = p.mean + p.std * resolved.mu0
-        gamma0 = resolved.gamma0 / (p.std * p.std)
-        prior_prec = (resolved.alpha0 / resolved.beta0) / (p.std * p.std)
-    else:
-        mu0, gamma0 = resolved.mu0, resolved.gamma0
-        prior_prec = resolved.alpha0 / resolved.beta0
+    resolved = resolve_priors(work, hp, normalized=bool(norm))[a]
+    p = norm.get(a, IDENTITY_NORMALIZATION)
+    mu0 = p.to_pp("s", resolved.mu0)[0]
+    gamma0 = p.to_pp("tau", resolved.gamma0)[0]
+    prior_prec = p.to_pp("tau", resolved.alpha0 / resolved.beta0)[0]
 
     if engine == "em":
         points = em_infer(reduced, hp, cfg)

@@ -24,16 +24,24 @@ rate) and then draws from them; coordinate ascent (em.py) sets the same
 blocks to their conditional modes. Scalar reference implementations of each
 conditional sampler are exposed for distribution-level testing; the engine
 implements the same conditionals on arrays.
+
+The engine's layout is the one table of what a fit reports: one entry per
+(block, row), listing the reported students or graders and their positions in
+the row's array. Posterior moments are accumulated over the rows the entries
+name, and the summary, exported states, traces and score samples read the
+same entries. Each row carries its normalization, and
+NormalizationParams.to_pp maps its values back to percentage points.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .core import (
+    IDENTITY_NORMALIZATION,
     GradingGraph,
     Hyperparameters,
     LatentState,
@@ -310,7 +318,15 @@ def _normal(rng: np.random.Generator, mean: np.ndarray, prec: np.ndarray) -> np.
     return mean + np.sqrt(1.0 / prec) * rng.standard_normal(mean.shape)
 
 
-_IDENTITY = NormalizationParams(mean=0.0, std=1.0)
+class _Reported(NamedTuple):
+    """The latents of one block ("s", "b" or "tau") in row k that a fit
+    reports: their students or graders, and their positions in the row's
+    array."""
+
+    kind: str
+    k: int
+    keys: list[str]
+    pos: np.ndarray
 
 
 class _Engine:
@@ -325,9 +341,12 @@ class _Engine:
     and PG2 and held at the fixed value for PG1-bias. A sweep takes one
     generator per row and row k draws from the k-th.
 
-    Works in whatever units the graph carries (z-scores for PG2 unless
-    assume_normalized); summaries and traces are mapped back to percentage
-    points with the per-assignment normalization (identity where absent).
+    The layout holds the reported latents in accumulator order: every score,
+    the bias of every grader with a grade in any row (PG2) or in its row, and,
+    where drawn, the reliability of every grader with a grade in its row. The
+    engine works in the graph's units (z-scores for PG2 unless
+    assume_normalized), and row k maps back to percentage points through
+    norm[k], the identity where the graph was not z-scored.
     """
 
     def __init__(
@@ -343,7 +362,7 @@ class _Engine:
         base = self.hp[0]
         self.eta0, self.omega0 = base.eta0, base.omega0
         self.alpha0, self.beta0 = base.alpha0, base.beta0
-        self.norm = [norm.get(a, _IDENTITY) for a in self.assignments]
+        self.norm = [norm.get(a, IDENTITY_NORMALIZATION) for a in self.assignments]
         self.chained = graders is not None
         shared = (list(graders), {v: j for j, v in enumerate(graders)}) if self.chained else None
         self.idx = [_AssignmentIndex(graph, a, shared) for a in self.assignments]
@@ -356,8 +375,15 @@ class _Engine:
         self.s = [ix.mean_received(hp.mu0) for ix, hp in zip(self.idx, self.hp)]
         self.b = [np.zeros(ix.n_graders) for ix in self.idx]
         self.tau = [np.full(ix.n_graders, tau0) for ix in self.idx]
+        reported = {"s": [np.arange(ix.n_students) for ix in self.idx], "b": self.biased}
+        if self.infer_tau:
+            reported["tau"] = [np.flatnonzero(ix.n_given > 0) for ix in self.idx]
+        self.layout = [
+            _Reported(kind, k, [(ix.students if kind == "s" else ix.graders)[j] for j in pos.tolist()], pos)
+            for kind, rows in reported.items() for k, (ix, pos) in enumerate(zip(self.idx, rows))
+        ]
         self.theta: tuple[float, float] | None = None
-        self.acc = _Accumulator()  # every latent of _draws(), in one array
+        self.acc = _Accumulator()  # the row of every layout entry, then theta, in one array
         self.accept_s = self.total_s = 0
         self.accept_theta = self.total_theta = 0
 
@@ -415,27 +441,15 @@ class _Engine:
             shape, rate = self.reliability_conditional(k)
             self.tau[k] = (1.0 / rate) * rng.standard_gamma(shape)
 
-    def _draws(self) -> list:
-        """The arrays accumulate() records, in the order of the accumulator."""
-        draws = [*self.s, *self.b]
-        if self.infer_tau:
-            draws.extend(self.tau)
-        if self.theta is not None:
-            draws.append(self.theta)
-        return draws
+    def row(self, e: _Reported) -> np.ndarray:
+        """The current array, in working units, that a layout entry reports from."""
+        return getattr(self, e.kind)[e.k]
 
     def accumulate(self) -> None:
-        self.acc.add(np.concatenate(self._draws()))
-
-    def _moments(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Mean and variance of each array of _draws()."""
-        mean, var = self.acc.moments()
-        out, start = [], 0
-        for d in self._draws():
-            stop = start + len(d)
-            out.append((mean[start:stop], var[start:stop]))
-            start = stop
-        return out
+        draws = [self.row(e) for e in self.layout]
+        if self.theta is not None:
+            draws.append(self.theta)
+        self.acc.add(np.concatenate(draws))
 
     def load_state(self, state: LatentState) -> None:
         for k, (a, ix) in enumerate(zip(self.assignments, self.idx)):
@@ -451,64 +465,33 @@ class _Engine:
             self.theta = tuple(state.theta)
 
     def export_state(self, state: LatentState) -> None:
-        for k, (a, ix) in enumerate(zip(self.assignments, self.idx)):
-            state.s.update(zip([(a, u) for u in ix.students], self.s[k].tolist()))
-            for j in self.biased[k]:
-                key = (a, ix.graders[j])
-                state.b[key] = float(self.b[k][j])
-                if self.infer_tau and ix.n_given[j] > 0:
-                    state.tau[key] = float(self.tau[k][j])
+        for e in self.layout:
+            a = self.assignments[e.k]
+            getattr(state, e.kind).update(zip([(a, u) for u in e.keys], self.row(e)[e.pos].tolist()))
         if self.theta is not None:
             state.theta = self.theta
 
     def summarize(self, blocks: dict[str, dict[int, StatColumn]]) -> tuple[np.ndarray, np.ndarray] | None:
-        """Add every row's columns, in percentage points, to the s, b and tau
-        blocks; return theta's mean and variance where the engine has theta."""
+        """Add every layout entry's column, in percentage points, to its block;
+        return theta's mean and variance where the engine has theta."""
         n = self.acc.n
-        moments = iter(self._moments())
-        s_moments = [next(moments) for _ in self.s]
-        b_moments = [next(moments) for _ in self.b]
-        tau_moments = [next(moments) for _ in self.tau] if self.infer_tau else []
-        for k, (a, ix) in enumerate(zip(self.assignments, self.idx)):
-            p = self.norm[k]
-            sd, var_scale = p.std, p.std * p.std
-            s_mean, s_var = s_moments[k]
-            blocks["s"][a] = StatColumn(ix.students, p.mean + sd * s_mean, var_scale * s_var,
-                                        np.full(len(ix.students), n))
-            biased = self.biased[k]
-            b_mean, b_var = b_moments[k]
-            blocks["b"][a] = StatColumn([ix.graders[j] for j in biased.tolist()], sd * b_mean[biased],
-                                        var_scale * b_var[biased], np.full(biased.size, n))
-            if self.infer_tau:
-                has = np.flatnonzero(ix.n_given > 0)
-                tau_mean, tau_var = tau_moments[k]
-                blocks["tau"][a] = StatColumn(
-                    [ix.graders[j] for j in has.tolist()], tau_mean[has] / var_scale,
-                    tau_var[has] / (var_scale * var_scale), np.full(has.size, n))
-        return next(moments, None)
+        mean, var = self.acc.moments()
+        start = 0
+        for e in self.layout:
+            at = start + e.pos
+            m, v = self.norm[e.k].to_pp(e.kind, mean[at], var[at])
+            blocks[e.kind][self.assignments[e.k]] = StatColumn(e.keys, m, v, np.full(e.pos.size, n))
+            start += self.row(e).size
+        return (mean[start:], var[start:]) if self.theta is not None else None
 
     def trace_resolver(self, kind: str, a: int, student: str) -> Callable[[], float] | None:
         """A getter for a latent in percentage points, for exactly the latents
         summarize reports; None for any other."""
-        if a not in self.assignments:
-            return None
-        k = self.assignments.index(a)
-        ix, p = self.idx[k], self.norm[k]
-        if kind == "s":
-            i = ix.pos.get(student)
-            return None if i is None else (lambda: p.mean + p.std * float(self.s[k][i]))
-        j = ix.gpos.get(student)
-        if j is None or j not in self.biased[k]:
-            return None
-        if kind == "b":
-            return lambda: p.std * float(self.b[k][j])
-        if kind == "tau" and self.infer_tau and ix.n_given[j] > 0:
-            return lambda: float(self.tau[k][j]) / (p.std * p.std)
+        for e in self.layout:
+            if e.kind == kind and self.assignments[e.k] == a and student in e.keys:
+                j, p = e.pos[e.keys.index(student)], self.norm[e.k]
+                return lambda: p.to_pp(kind, float(self.row(e)[j]))[0]
         return None
-
-    def sample_spec(self):
-        return [(a, ix.students, lambda k=k: self.s[k], self.norm[k].std, self.norm[k].mean)
-                for k, (a, ix) in enumerate(zip(self.assignments, self.idx))]
 
 
 class _ColourClass:
@@ -705,7 +688,7 @@ def _build_engine(graph: GradingGraph, hp: Hyperparameters, cfg: GibbsConfig | E
     """
     pg2 = cfg.model is Model.PG2
     work, norm = prepare_graph(graph, cfg.model, pg2 and cfg.assume_normalized)
-    resolved = resolve_priors(work, hp, normalized=pg2 and not cfg.assume_normalized)
+    resolved = resolve_priors(work, hp, normalized=bool(norm))
     graders = sorted({g.grader for g in work.grades}) if pg2 else None
     engine = _Pg3Engine if cfg.model is Model.PG3 else _Engine
     return engine(work, graders, resolved, norm, cfg)
@@ -775,11 +758,8 @@ def gibbs_infer(
                 raise ValueError(f"trace variable ({kind!r}, {a}, {student!r}) not tracked by the model")
             resolvers.append((kind, a, student, resolver))
 
-    buffers = []
-    if collect_scores:
-        for a, students, getter, scale, shift in engine.sample_spec():
-            buffers.append((a, students, getter, scale, shift,
-                            np.empty((cfg.retained_sweeps, len(students)))))
+    buffers = [(e, np.empty((cfg.retained_sweeps, engine.row(e).size)))
+               for e in engine.layout if collect_scores and e.kind == "s"]
 
     for sweep_no in range(1, cfg.total_sweeps + 1):
         engine.sweep(rngs)
@@ -788,16 +768,16 @@ def gibbs_infer(
             if trace is not None:
                 for kind, a, student, resolve in resolvers:
                     trace.rows.append((sweep_no, kind, a, student, resolve()))
-            for a, students, getter, scale, shift, buf in buffers:
-                buf[sweep_no - cfg.burn_in - 1] = getter()
+            for e, buf in buffers:
+                buf[sweep_no - cfg.burn_in - 1] = engine.row(e)
 
     score_samples = None
     if collect_scores:
         score_samples = {}
-        for a, students, getter, scale, shift, buf in buffers:
-            converted = shift + scale * buf
-            for i, student in enumerate(students):
-                score_samples[(a, student)] = converted[:, i]
+        for e, buf in buffers:
+            converted = engine.norm[e.k].to_pp("s", buf)[0]
+            for j, student in zip(e.pos.tolist(), e.keys):
+                score_samples[(engine.assignments[e.k], student)] = converted[:, j]
     blocks: dict[str, dict[int, StatColumn]] = {"s": {}, "b": {}, "tau": {}}
     theta = engine.summarize(blocks)
     summary = PosteriorSummary(

@@ -28,10 +28,10 @@ import numpy as np
 from scipy.stats import gamma as gamma_dist
 
 from .core import (
+    IDENTITY_NORMALIZATION,
     GradingGraph,
     Hyperparameters,
     Model,
-    NormalizationParams,
     PosteriorSummary,
     VariableStat,
     prepare_graph,
@@ -186,8 +186,7 @@ def oracle_posterior(
     """
     spec = grid or GridSpec()
     work, norm = prepare_graph(graph, model, assume_normalized)
-    normalized = model is Model.PG2 and not assume_normalized
-    resolved = resolve_priors(work, hp, normalized=normalized)
+    resolved = resolve_priors(work, hp, normalized=bool(norm))
     gvars, prior_only = _enumerate_latents(work, model, resolved, spec)
     if len(gvars) > spec.max_latents:
         raise ValueError(
@@ -195,19 +194,9 @@ def oracle_posterior(
             f"this network needs {len(gvars)}"
         )
 
-    def to_pp(a: int, kind: str, mean: float, var: float) -> tuple[float, float]:
-        p = norm.get(a)
-        if p is None:
-            return mean, var
-        if kind == "s":
-            return p.mean + p.std * mean, p.std * p.std * var
-        if kind == "b":
-            return p.std * mean, p.std * p.std * var
-        return mean / (p.std * p.std), var / (p.std ** 4)
-
     stats: dict[str, dict[tuple[int, str], VariableStat]] = {"s": {}, "b": {}, "tau": {}}
     for a, u, mean, var in prior_only:
-        m, v = to_pp(a, "s", mean, var)
+        m, v = norm.get(a, IDENTITY_NORMALIZATION).to_pp("s", mean, var)
         stats["s"][(a, u)] = VariableStat(mean=m, var=v, n=0)
     if not gvars:
         return PosteriorSummary(model=model, **stats)
@@ -329,6 +318,7 @@ def oracle_posterior(
         w = marginals[j] / mass
         mean = float(np.dot(w, var.grid))
         centered = var.grid - mean
-        mean_pp, var_pp = to_pp(var.assignment, var.kind, mean, float(np.dot(w, centered * centered)))
+        p = norm.get(var.assignment, IDENTITY_NORMALIZATION)
+        mean_pp, var_pp = p.to_pp(var.kind, mean, float(np.dot(w, centered * centered)))
         stats[var.kind][(var.assignment, var.student)] = VariableStat(mean=mean_pp, var=var_pp, n=n_total)
     return PosteriorSummary(model=model, n_samples=n_total, **stats)

@@ -24,6 +24,7 @@ from peergrade import (
     initial_state,
     sweep,
 )
+from peergrade.evaluation import fit_frozen
 from peergrade.gibbs import _build_engine
 from conftest import make_graph
 
@@ -250,6 +251,44 @@ class TestCollectScores:
         g = make_graph([(1, "v", "u", 80.0)])
         summ = gibbs_infer(g, HP, GibbsConfig(model=Model.PG1, total_sweeps=30, burn_in=5, seed=7))
         assert summ.score_samples is None
+
+
+class TestZScoredPg2Readers:
+    """PG2 with default priors fits each assignment in z-units; the summary,
+    traces, score samples and frozen priors all map back to percentage points
+    through that assignment's normalization."""
+
+    CFG = GibbsConfig(model=Model.PG2, total_sweeps=60, burn_in=10, seed=7)
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        graph, _ = generate(SynthConfig(n_students=60, n_assignments=3, super_grades=20,
+                                        model=Model.PG2, seed=7))
+        return graph
+
+    def test_traces_and_score_samples_match_summary(self, graph):
+        variables = []
+        for a in graph.assignments:
+            g = graph.grades_in(a)[0]
+            variables += [("s", a, g.gradee), ("b", a, g.grader), ("tau", a, g.grader)]
+        trace = TraceRecorder(variables)
+        summary = gibbs_infer(graph, Hyperparameters(), self.CFG, trace=trace, collect_scores=True)
+        for kind, a, student in variables:
+            values = np.array([r[4] for r in trace.rows if r[1:4] == (kind, a, student)])
+            assert values.size == self.CFG.retained_sweeps
+            stat = getattr(summary, kind)[(a, student)]
+            assert values.mean() == pytest.approx(stat.mean, rel=1e-9)
+            assert values.var() == pytest.approx(stat.var, rel=1e-9)
+            if kind == "s":
+                assert np.array_equal(summary.score_samples[(a, student)], values)
+                assert abs(stat.mean - graph.scores_in(a).mean()) < 20.0  # pp, not z-units
+
+    def test_fit_frozen_priors_are_the_reduced_grades_moments(self, graph):
+        key = sorted(graph.ground_truth)[-1]
+        fp = fit_frozen(graph, Hyperparameters(), Model.PG2, key, gibbs_cfg=self.CFG)
+        scores = graph.without_received(*key).scores_in(key[0])
+        assert fp.mu0 == pytest.approx(scores.mean(), rel=1e-12)
+        assert fp.gamma0 == pytest.approx(1.0 / scores.var(), rel=1e-12)
 
 
 class TestScalarSamplers:

@@ -461,6 +461,19 @@ class TestCliErrors:
         assert code == 1
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("args, message", [
+        (["infer", "--sweeps", "0"], "total_sweeps must be >= 1, got 0"),
+        (["infer", "--burnin", "900"], "burn_in must lie in [0, total_sweeps), got 900 of 800"),
+        (["infer", "--trace", "s:x:u"], "bad --trace 's:x:u': assignment must be an integer"),
+        (["analyze", "--bins", "0"], "n_bins must be >= 1, got 0"),
+    ], ids=["sweeps=0", "burnin=900", "trace=s:x:u", "bins=0"])
+    def test_bad_flag_rejected_before_any_output(self, synth_dir, tmp_path, capsys, args, message):
+        out = tmp_path / "x"
+        code, _, err = run_cli([*args, "--grades", str(synth_dir / "grades.csv"), "--out", str(out)], capsys)
+        assert code == 1
+        assert err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_bad_hp_key(self, synth_dir, tmp_path, capsys):
         code, _, err = run_cli([
             "infer", "--grades", str(synth_dir / "grades.csv"),
