@@ -41,25 +41,17 @@ class Covariate(Enum):
     TIME_SPENT = "time_spent"  # requires the optional seconds column
 
 
-def _as_float(value) -> float:
-    # stat objects carry a plain-float .mean; on numpy scalars .mean is a
-    # bound method, so fall through to the value itself
-    mean = getattr(value, "mean", None)
-    if mean is not None and not callable(mean):
-        return float(mean)
-    return float(value)
-
-
 def _mean_map(block) -> dict[tuple[int, str], float]:
     """(assignment, student) -> estimate; a StatBlock is read from its mean
-    columns without building a VariableStat per latent."""
+    columns without building a VariableStat per latent, and point estimates
+    and plain mappings already hold floats."""
     if isinstance(block, StatBlock):
         return {
             (a, student): m
             for a, col in block.columns.items()
             for student, m in zip(col.students, col.mean.tolist())
         }
-    return {key: _as_float(value) for key, value in block.items()}
+    return {key: float(value) for key, value in block.items()}
 
 
 def _bias_map(estimates) -> dict[tuple[int, str], float]:

@@ -187,6 +187,10 @@ def rounds_experiment(
         raise ValueError(f"unknown confidence method {method!r}")
     if max_rounds is not None and max_rounds < 1:
         raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
+    if not (math.isfinite(delta) and delta >= 0):
+        raise ValueError(f"delta must be finite and >= 0, got {delta}")
+    if not 0 <= threshold <= 1:
+        raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
     cfg = gibbs_cfg or GibbsConfig(model=model)
     if cfg.model is not model:
         raise ValueError(f"gibbs config is for {cfg.model.value}, experiment asked for {model.value}")

@@ -119,6 +119,23 @@ def _gibbs_cfg(args, model: Model) -> GibbsConfig:
     )
 
 
+def _settings(args) -> tuple[Model, Hyperparameters, GibbsConfig | EmConfig]:
+    """Echo the seed, then parse the model, --hp and the engine's config, so
+    that a bad flag stops a command before it reads any input."""
+    print(f"seed: {args.seed}")
+    model = Model.from_string(args.model)
+    hp = _parse_hp(args.hp)
+    if getattr(args, "engine", "gibbs") == "em":
+        return model, hp, EmConfig(model=model)
+    return model, hp, _gibbs_cfg(args, model)
+
+
+def _engine_kwargs(args, cfg: GibbsConfig | EmConfig) -> dict[str, object]:
+    em = args.engine == "em"
+    return dict(engine=args.engine, gibbs_cfg=None if em else cfg, em_cfg=cfg if em else None,
+                max_workers=args.threads)
+
+
 def _eval_cfg(args) -> EvalConfig:
     return EvalConfig(
         n_simulations=args.sims,
@@ -138,14 +155,10 @@ def _wrote(path) -> None:
 
 
 def cmd_infer(args) -> int:
-    print(f"seed: {args.seed}")
-    model = Model.from_string(args.model)
-    hp = _parse_hp(args.hp)
-    if args.engine == "em":
-        cfg = EmConfig(model=model)
-    else:
-        cfg = _gibbs_cfg(args, model)
-        trace = TraceRecorder([_parse_trace_var(t) for t in args.trace]) if args.trace else None
+    model, hp, cfg = _settings(args)
+    if args.trace and args.engine == "em":
+        raise ValueError("--trace records Gibbs draws; it needs --engine gibbs")
+    trace = TraceRecorder([_parse_trace_var(t) for t in args.trace]) if args.trace else None
     graph = io.ingest(args.grades, args.truth)
     out = _outdir(args)
     if args.engine == "em":
@@ -161,23 +174,13 @@ def cmd_infer(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    print(f"seed: {args.seed}")
-    model = Model.from_string(args.model)
-    hp = _parse_hp(args.hp)
-    graph = io.ingest(args.grades, args.truth)
+    model, hp, cfg = _settings(args)
     eval_cfg = _eval_cfg(args)
-    gibbs_cfg = _gibbs_cfg(args, model) if args.engine == "gibbs" else None
-    em_cfg = EmConfig(model=model) if args.engine == "em" else None
+    graph = io.ingest(args.grades, args.truth)
     reports = []
     if not args.skip_baseline:
         reports.append(evaluate_baseline(graph, eval_cfg, max_workers=args.threads))
-    reports.append(
-        evaluate_model(
-            graph, hp, model, eval_cfg,
-            engine=args.engine, gibbs_cfg=gibbs_cfg, em_cfg=em_cfg,
-            max_workers=args.threads,
-        )
-    )
+    reports.append(evaluate_model(graph, hp, model, eval_cfg, **_engine_kwargs(args, cfg)))
     out = _outdir(args)
     io.write_report(reports, out)
     _wrote(out / "report.json")
@@ -191,17 +194,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    print(f"seed: {args.seed}")
-    model = Model.from_string(args.model)
-    hp = _parse_hp(args.hp)
+    model, hp, cfg = _settings(args)
+    eval_cfg = _eval_cfg(args)
     graph = io.ingest(args.grades, args.truth)
-    report = calibration_experiment(
-        graph, hp, model, _eval_cfg(args),
-        engine=args.engine,
-        gibbs_cfg=_gibbs_cfg(args, model) if args.engine == "gibbs" else None,
-        em_cfg=EmConfig(model=model) if args.engine == "em" else None,
-        max_workers=args.threads,
-    )
+    report = calibration_experiment(graph, hp, model, eval_cfg, **_engine_kwargs(args, cfg))
     out = _outdir(args)
     io.write_calibration_csv(report, out / "calibration.csv")
     _wrote(out / "calibration.csv")
@@ -213,13 +209,11 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_rounds(args) -> int:
-    print(f"seed: {args.seed}")
-    model = Model.from_string(args.model)
-    hp = _parse_hp(args.hp)
+    model, hp, cfg = _settings(args)
     graph = io.ingest(args.grades, args.truth)
     report = rounds_experiment(
         graph, hp, model,
-        gibbs_cfg=_gibbs_cfg(args, model),
+        gibbs_cfg=cfg,
         delta=args.delta,
         threshold=args.threshold,
         max_rounds=args.max_rounds,
@@ -260,12 +254,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    print(f"seed: {args.seed}")
-    model = Model.from_string(args.model)
-    hp = _parse_hp(args.hp)
+    model, hp, cfg = _settings(args)
     if args.bins < 1:
         raise ValueError(f"n_bins must be >= 1, got {args.bins}")
-    cfg = EmConfig(model=model) if args.engine == "em" else _gibbs_cfg(args, model)
     graph = io.ingest(args.grades, args.truth)
     estimates = em_infer(graph, hp, cfg) if args.engine == "em" else gibbs_infer(graph, hp, cfg)
     out = _outdir(args)

@@ -332,6 +332,8 @@ def simulate_frozen(fp: FrozenPrediction, cfg: EvalConfig) -> SubmissionEval:
 
 def _run_indexed(tasks, max_workers: int):
     """Run callables preserving order; thread count never changes results."""
+    if max_workers < 1:
+        raise ValueError(f"max_workers must be >= 1, got {max_workers}")
     if max_workers <= 1:
         return [t() for t in tasks]
     with ThreadPoolExecutor(max_workers=max_workers) as pool:

@@ -133,44 +133,41 @@ def generate(cfg: SynthConfig) -> tuple[GradingGraph, TrueLatents]:
 
     grades: list[PeerGrade] = []
     truth: dict[tuple[int, str], GroundTruth] = {}
-    all_idx = np.arange(n)
+    q = cfg.grades_per_grader
     for k, a in enumerate(assignments):
         gt = np.sort(rng.choice(n, size=cfg.n_ground_truth, replace=False)) if cfg.n_ground_truth else np.array([], dtype=int)
-        gt_set = set(int(i) for i in gt)
+        is_gt = np.zeros(n, dtype=bool)
+        is_gt[gt] = True
+        non_gt = np.flatnonzero(~is_gt)
+        own_pos = np.cumsum(~is_gt) - 1  # a candidate grader's own position in non_gt
 
-        non_gt = np.array([u for u in range(n) if u not in gt_set], dtype=int)
-        pos_in_non_gt = {int(u): i for i, u in enumerate(non_gt)}
-        edges_grader: list[int] = []
-        edges_gradee: list[int] = []
+        # a candidate grader draws among the others by stepping over its own
+        # position, so the draw sizes, and the stream, match drawing from a copy
+        # of non_gt without it
+        chosen = np.empty((n, q), dtype=int)
         for v in range(n):
-            if v in pos_in_non_gt:
-                eligible = np.delete(non_gt, pos_in_non_gt[v])
+            if is_gt[v]:
+                chosen[v] = rng.choice(non_gt.size, size=q, replace=False)
             else:
-                eligible = non_gt
-            chosen = rng.choice(eligible.size, size=cfg.grades_per_grader, replace=False)
-            for u in eligible[chosen]:
-                edges_grader.append(v)
-                edges_gradee.append(int(u))
+                c = rng.choice(non_gt.size - 1, size=q, replace=False)
+                chosen[v] = c + (c >= own_pos[v])
+        super_graders = []
         for u in gt:
-            others = np.concatenate([all_idx[:u], all_idx[u + 1 :]])
-            chosen = rng.choice(others.size, size=cfg.super_grades, replace=False)
-            for v in others[np.sort(chosen)]:
-                edges_grader.append(int(v))
-                edges_gradee.append(int(u))
+            c = np.sort(rng.choice(n - 1, size=cfg.super_grades, replace=False))
+            super_graders.append(c + (c >= u))
 
-        eg = np.array(edges_grader, dtype=int)
-        eu = np.array(edges_gradee, dtype=int)
+        eg = np.concatenate([np.repeat(np.arange(n), q), *super_graders])
+        eu = np.concatenate([non_gt[chosen].ravel(), np.repeat(gt, cfg.super_grades)])
         noise_sd = 1.0 / np.sqrt(tau[k][eg])
         z = s[k][eu] + b[k][eg] + rng.normal(0.0, 1.0, size=eg.size) * noise_sd
-        for v, u, score in zip(eg, eu, z):
-            grades.append(PeerGrade(assignment=a, grader=students[v], gradee=students[u], score=float(score)))
+        grades.extend(
+            PeerGrade(assignment=a, grader=students[v], gradee=students[u], score=score)
+            for v, u, score in zip(eg.tolist(), eu.tolist(), z.tolist())
+        )
 
-        received: dict[int, list[float]] = {}
-        for u, score in zip(eu, z):
-            received.setdefault(int(u), []).append(float(score))
         for u in gt:
-            pool = received.get(int(u), [])
-            if not pool:
+            pool = z[eu == u]
+            if not pool.size:
                 raise ValueError("ground-truth submission generated without grades; raise super_grades")
             truth[(a, students[u])] = GroundTruth(
                 consensus_score=float(np.mean(pool)),

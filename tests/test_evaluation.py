@@ -20,6 +20,7 @@ from peergrade import (
     evaluate_model,
     fit_frozen,
     generate,
+    gibbs_infer,
     median_baseline,
     simulate_frozen,
 )
@@ -198,6 +199,18 @@ class TestFitFrozen:
         fp = fit_frozen(graph, hp, Model.PG2, key, gibbs_cfg=cfg)
         assert (fp.mu0, fp.gamma0) == (75.0, 0.01)
         assert fp.precision["pool-only"] == hp.alpha0 / hp.beta0
+
+    def test_pg3_precision_is_the_theta_line_at_the_reduced_fit_means(self):
+        graph, _ = generate(SynthConfig(n_students=60, super_grades=20, model=Model.PG3, seed=7))
+        key = sorted(graph.ground_truth)[0]
+        hp = Hyperparameters()
+        cfg = GibbsConfig(model=Model.PG3, total_sweeps=60, burn_in=10, seed=3)
+        fp = fit_frozen(graph, hp, Model.PG3, key, gibbs_cfg=cfg)
+        summary = gibbs_infer(graph.without_received(*key), hp, cfg)
+        th0, th1 = summary.theta["theta0"].mean, summary.theta["theta1"].mean
+        for g in fp.pool:
+            expected = max(th1 * summary.s[(key[0], g.grader)].mean + th0, hp.precision_floor)
+            assert fp.precision[g.grader] == pytest.approx(expected, rel=1e-12)
 
     def test_pool_is_original_graders(self, small_pg1):
         graph, _ = small_pg1

@@ -432,6 +432,28 @@ class TestCliHappyPaths:
         assert lines[0] == "round,confident_count,total"
         assert len(lines) == 3
 
+    def test_calibrate(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "cal"
+        code, _, _ = run_cli([
+            "calibrate", "--grades", str(synth_dir / "grades.csv"),
+            "--truth", str(synth_dir / "truth.csv"),
+            "--model", "pg1", "--engine", "em", "--sims", "40", "--out", str(out),
+        ], capsys)
+        assert code == 0
+        assert len((out / "calibration.csv").read_text().splitlines()) == 61
+        assert (out / "report.json").exists()
+        assert (out / "report.csv").exists()
+
+    def test_identifiability(self, tmp_path, capsys):
+        out = tmp_path / "id"
+        code, _, _ = run_cli([
+            "identifiability", "--students", "30", "--gt", "2", "--super-grades", "10",
+            "--counts", "4,6", "--sims", "20", "--sweeps", "40", "--burnin", "10", "--out", str(out),
+        ], capsys)
+        assert code == 0
+        lines = (out / "identifiability.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["4", "6"]
+
     def test_analyze(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "an"
         code, _, _ = run_cli([
@@ -465,11 +487,25 @@ class TestCliErrors:
         (["infer", "--sweeps", "0"], "total_sweeps must be >= 1, got 0"),
         (["infer", "--burnin", "900"], "burn_in must lie in [0, total_sweeps), got 900 of 800"),
         (["infer", "--trace", "s:x:u"], "bad --trace 's:x:u': assignment must be an integer"),
+        (["infer", "--engine", "em", "--trace", "s:1:s00001"],
+         "--trace records Gibbs draws; it needs --engine gibbs"),
         (["analyze", "--bins", "0"], "n_bins must be >= 1, got 0"),
-    ], ids=["sweeps=0", "burnin=900", "trace=s:x:u", "bins=0"])
+        (["evaluate", "--grades", "no-such-dir/grades.csv", "--sweeps", "0"], "total_sweeps must be >= 1, got 0"),
+        (["calibrate", "--sims", "0"], "n_simulations must be >= 1, got 0"),
+        (["rounds", "--burnin", "900"], "burn_in must lie in [0, total_sweeps), got 900 of 800"),
+        (["rounds", "--delta", "-1"], "delta must be finite and >= 0, got -1.0"),
+        (["rounds", "--threshold", "1.5"], "threshold must lie in [0, 1], got 1.5"),
+        (["evaluate", "--threads", "-3"], "max_workers must be >= 1, got -3"),
+    ], ids=["sweeps=0", "burnin=900", "trace=s:x:u", "em-trace", "bins=0", "evaluate-missing-grades",
+            "sims=0", "rounds-burnin=900", "delta=-1", "threshold=1.5", "threads=-3"])
     def test_bad_flag_rejected_before_any_output(self, synth_dir, tmp_path, capsys, args, message):
+        # flags after the grades and truth files win, so a case can point at a missing file
+        command, *flags = args
         out = tmp_path / "x"
-        code, _, err = run_cli([*args, "--grades", str(synth_dir / "grades.csv"), "--out", str(out)], capsys)
+        code, _, err = run_cli([
+            command, "--grades", str(synth_dir / "grades.csv"), "--truth", str(synth_dir / "truth.csv"),
+            *flags, "--out", str(out),
+        ], capsys)
         assert code == 1
         assert err == f"error: {message}\n"
         assert not out.exists()

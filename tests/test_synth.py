@@ -176,3 +176,75 @@ class TestIdentifiabilityExperiment:
             assert isinstance(r, IdentifiabilityRow)
             assert r.rmse_baseline > 0 and r.rmse_pg1 > 0 and r.rmse_pg1_bias > 0
             assert -1.0 <= r.tau_recovery_pearson <= 1.0
+
+
+def reference_generate(cfg: SynthConfig):
+    """generate() written out with a copy of the candidate list per grader
+    (the np.delete form), as a check on the array draw: rows of (assignment,
+    grader, gradee, score.hex()), truth as hex pairs, latents as (K, n) arrays."""
+    hp, n, K = cfg.hp, cfg.n_students, cfg.n_assignments
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
+    s = rng.normal(hp.mu0, 1.0 / math.sqrt(hp.gamma0), size=(K, n))
+    if cfg.model is Model.PG2:
+        b = np.empty((K, n))
+        b[0] = rng.normal(0.0, 1.0 / math.sqrt(hp.eta0), size=n)
+        for k in range(1, K):
+            b[k] = b[k - 1] + rng.normal(0.0, 1.0 / math.sqrt(hp.omega0), size=n)
+    else:
+        b = rng.normal(0.0, 1.0 / math.sqrt(hp.eta0), size=(K, n))
+    if cfg.model in (Model.PG1, Model.PG2):
+        tau = rng.gamma(hp.alpha0, 1.0 / hp.beta0, size=(K, n))
+    elif cfg.model is Model.PG1_BIAS:
+        tau = np.full((K, n), hp.effective_tau_fixed)
+    else:
+        tau = np.maximum(hp.theta1 * s + hp.effective_theta0, hp.precision_floor)
+
+    rows, truth = [], {}
+    for k in range(K):
+        gt = (np.sort(rng.choice(n, size=cfg.n_ground_truth, replace=False))
+              if cfg.n_ground_truth else np.array([], dtype=int))
+        non_gt = np.array([u for u in range(n) if u not in set(gt.tolist())], dtype=int)
+        edges = []
+        for v in range(n):
+            eligible = np.delete(non_gt, np.flatnonzero(non_gt == v))
+            chosen = rng.choice(eligible.size, size=cfg.grades_per_grader, replace=False)
+            edges += [(v, int(u)) for u in eligible[chosen]]
+        for u in gt:
+            others = np.delete(np.arange(n), u)
+            chosen = rng.choice(others.size, size=cfg.super_grades, replace=False)
+            edges += [(int(v), int(u)) for v in others[np.sort(chosen)]]
+        eg, eu = np.array(edges, dtype=int).T
+        z = s[k][eu] + b[k][eg] + rng.normal(0.0, 1.0, size=eg.size) * (1.0 / np.sqrt(tau[k][eg]))
+        rows += [(k + 1, v, u, float(x).hex()) for v, u, x in zip(eg.tolist(), eu.tolist(), z)]
+        for u in gt.tolist():
+            truth[(k + 1, u)] = (float(np.mean([x for x, w in zip(z, eu) if w == u])).hex(), float(s[k][u]).hex())
+    return rows, truth, (s, b, tau)
+
+
+class TestStreamPinned:
+    SHAPES = {
+        "basic": dict(n_students=40, grades_per_grader=4, n_ground_truth=3, super_grades=20),
+        "no-ground-truth": dict(n_students=40, grades_per_grader=4, n_ground_truth=0),
+        "quota-equals-eligible": dict(n_students=4, grades_per_grader=2, n_ground_truth=1, super_grades=2),
+        "every-other-student-super-grades": dict(n_students=25, grades_per_grader=3, n_ground_truth=2,
+                                                 super_grades=24),
+        "three-assignments": dict(n_students=30, grades_per_grader=4, n_ground_truth=2, super_grades=10,
+                                  n_assignments=3),
+    }
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    def test_generate_matches_reference_bitwise(self, shape, model, seed):
+        cfg = SynthConfig(model=model, seed=seed, **self.SHAPES[shape])
+        graph, latents = generate(cfg)
+        rows, truth, (s, b, tau) = reference_generate(cfg)
+        ids = graph.submissions(1)
+        index = {u: i for i, u in enumerate(ids)}
+        assert [(g.assignment, index[g.grader], index[g.gradee], g.score.hex()) for g in graph.grades] == rows
+        assert {(a, index[u]): (t.consensus_score.hex(), t.staff_score.hex())
+                for (a, u), t in graph.ground_truth.items()} == truth
+        for got, want in ((latents.s, s), (latents.b, b), (latents.tau, tau)):
+            assert {key: x.hex() for key, x in got.items()} == {
+                (k + 1, u): float(want[k][i]).hex() for k in range(cfg.n_assignments) for i, u in enumerate(ids)
+            }
