@@ -168,28 +168,16 @@ def _bin_edges(n_bins: int) -> np.ndarray:
     return np.linspace(_Z_RANGE[0], _Z_RANGE[1], n_bins + 1)
 
 
-def _collect(graph: GradingGraph, estimates, covariate: Covariate):
-    """Per analyzed grade: residual (pp), raw covariate value, assignment id."""
+def _residuals(graph: GradingGraph, estimates) -> tuple[np.ndarray, ...]:
+    """Per grade: residual (pp), the grader's and the gradee's estimated
+    scores, seconds spent (NaN where absent) and the assignment id."""
     s_hat = _score_map(estimates)
-    resid, cov, assign = [], [], []
-    for g in graph.grades:
-        if covariate is Covariate.TIME_SPENT:
-            if g.seconds is None:
-                continue
-            value = g.seconds
-        elif covariate is Covariate.GRADER_SCORE:
-            value = s_hat[(g.assignment, g.grader)]
-        else:
-            value = s_hat[(g.assignment, g.gradee)]
-        resid.append(g.score - s_hat[(g.assignment, g.gradee)])
-        cov.append(value)
-        assign.append(g.assignment)
-    if not resid:
-        raise ValueError(
-            f"no grades with covariate {covariate.value} available"
-            + (" (missing seconds column?)" if covariate is Covariate.TIME_SPENT else "")
-        )
-    return np.array(resid), np.array(cov), np.array(assign)
+    grades = graph.grades
+    gradee_s = np.array([s_hat[g.assignment, g.gradee] for g in grades], dtype=float)
+    grader_s = np.array([s_hat[g.assignment, g.grader] for g in grades], dtype=float)
+    resid = np.array([g.score for g in grades], dtype=float) - gradee_s
+    seconds = np.array([np.nan if g.seconds is None else g.seconds for g in grades], dtype=float)
+    return resid, grader_s, gradee_s, seconds, np.array([g.assignment for g in grades], dtype=int)
 
 
 def residual_vs_covariate(
@@ -203,7 +191,17 @@ def residual_vs_covariate(
     covariate. estimates must cover every submission's true score."""
     if n_bins < 1:
         raise ValueError(f"n_bins must be >= 1, got {n_bins}")
-    resid, cov, assign = _collect(graph, estimates, covariate)
+    resid, grader_s, gradee_s, seconds, assign = _residuals(graph, estimates)
+    if covariate is Covariate.TIME_SPENT:
+        timed = ~np.isnan(seconds)
+        resid, cov, assign = resid[timed], seconds[timed], assign[timed]
+    else:
+        cov = grader_s if covariate is Covariate.GRADER_SCORE else gradee_s
+    if not resid.size:
+        raise ValueError(
+            f"no grades with covariate {covariate.value} available"
+            + (" (missing seconds column?)" if covariate is Covariate.TIME_SPENT else "")
+        )
     z = _zscore_per_assignment(cov, assign)
     idx = _bin_index(z, n_bins)
     edges = _bin_edges(n_bins)
@@ -254,20 +252,12 @@ def joint_residual_heatmap(
     and the gradee's estimated scores."""
     if n_bins < 1:
         raise ValueError(f"n_bins must be >= 1, got {n_bins}")
-    s_hat = _score_map(estimates)
-    resid, grader_s, gradee_s, assign = [], [], [], []
-    for g in graph.grades:
-        resid.append(g.score - s_hat[(g.assignment, g.gradee)])
-        grader_s.append(s_hat[(g.assignment, g.grader)])
-        gradee_s.append(s_hat[(g.assignment, g.gradee)])
-        assign.append(g.assignment)
-    if not resid:
+    resid, grader_s, gradee_s, _, assign = _residuals(graph, estimates)
+    if not resid.size:
         raise ValueError("no grades to analyze")
-    resid = np.array(resid)
-    assign = np.array(assign)
     rz = _zscore_per_assignment(resid, assign)
-    gi = _bin_index(_zscore_per_assignment(np.array(grader_s), assign), n_bins)
-    ui = _bin_index(_zscore_per_assignment(np.array(gradee_s), assign), n_bins)
+    gi = _bin_index(_zscore_per_assignment(grader_s, assign), n_bins)
+    ui = _bin_index(_zscore_per_assignment(gradee_s, assign), n_bins)
 
     counts = np.zeros((n_bins, n_bins), dtype=int)
     sums = np.zeros((n_bins, n_bins))

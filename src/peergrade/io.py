@@ -1,7 +1,9 @@
 """File formats: grade/ground-truth CSV ingestion and result emission.
 
 All emitted floats go through a 6-significant-digit format so outputs are
-byte-stable across runs and platforms. Every JSON file is written by one
+byte-stable across runs and platforms. Every CSV table is written by one
+function: a header row, then one record per \n-terminated line. Every JSON
+file is written by one
 encoder: two-space indents, keys sorted as strings, ASCII-escaped strings,
 floats rounded to 6 significant digits and then written as Python's repr,
 NaN and Infinity as the json module writes them. A posterior or point
@@ -211,10 +213,6 @@ def write_json(obj, path) -> None:
         fh.write("".join(out))
 
 
-def _writer(fh):
-    return csv.writer(fh, lineterminator="\n")
-
-
 # ---------------------------------------------------------------------------
 # ingestion
 # ---------------------------------------------------------------------------
@@ -341,36 +339,37 @@ def describe(graph: GradingGraph) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _write_table(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write one CSV table: the header row, then one \n-terminated record per row."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def write_grades_csv(grades: Iterable[PeerGrade], path) -> None:
     grades = list(grades)
-    with_seconds = any(g.seconds is not None for g in grades)
-    with open(path, "w", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(GRADE_HEADER_SECONDS if with_seconds else GRADE_HEADER)
-        for g in grades:
-            row = [g.assignment, g.grader, g.gradee, f6(g.score)]
-            if with_seconds:
-                row.append("" if g.seconds is None else f6(g.seconds))
-            w.writerow(row)
+    if not any(g.seconds is not None for g in grades):
+        _write_table(path, GRADE_HEADER, ((g.assignment, g.grader, g.gradee, f6(g.score)) for g in grades))
+        return
+    _write_table(path, GRADE_HEADER_SECONDS, (
+        (g.assignment, g.grader, g.gradee, f6(g.score), "" if g.seconds is None else f6(g.seconds))
+        for g in grades
+    ))
 
 
 def write_truth_csv(truth: Mapping[tuple[int, str], GroundTruth], path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(TRUTH_HEADER)
-        for (a, gradee), gt in sorted(truth.items()):
-            staff = "" if gt.staff_score is None else f6(gt.staff_score)
-            w.writerow([a, gradee, staff, f6(gt.consensus_score)])
+    _write_table(path, TRUTH_HEADER, (
+        (a, gradee, "" if gt.staff_score is None else f6(gt.staff_score), f6(gt.consensus_score))
+        for (a, gradee), gt in sorted(truth.items())
+    ))
 
 
 def write_latents_csv(latents: TrueLatents, path) -> None:
-    keys = sorted(latents.s)
-    with open(path, "w", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["assignment", "student", "s_true", "b_true", "tau_true"])
-        for key in keys:
-            a, student = key
-            w.writerow([a, student, f6(latents.s[key]), f6(latents.b[key]), f6(latents.tau[key])])
+    _write_table(path, ["assignment", "student", "s_true", "b_true", "tau_true"], (
+        (a, student, f6(latents.s[a, student]), f6(latents.b[a, student]), f6(latents.tau[a, student]))
+        for a, student in sorted(latents.s)
+    ))
 
 
 def _stat_rows(block: StatBlock) -> _Rows:
@@ -409,11 +408,9 @@ def write_points_json(points: PointEstimates, path) -> None:
 
 
 def write_trace_csv(trace: TraceRecorder, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["sweep", "var_kind", "assignment", "student", "value"])
-        for sweep_no, kind, a, student, value in trace.rows:
-            w.writerow([sweep_no, kind, a, student, f6(value)])
+    _write_table(path, ["sweep", "var_kind", "assignment", "student", "value"], (
+        (sweep_no, kind, a, student, f6(value)) for sweep_no, kind, a, student, value in trace.rows
+    ))
 
 
 def write_report(reports: Sequence[EvaluationReport], outdir) -> None:
@@ -438,82 +435,57 @@ def write_report(reports: Sequence[EvaluationReport], outdir) -> None:
             },
         }
     write_json(doc, outdir / "report.json")
-    with open(outdir / "report.csv", "w", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["metric"] + [rep.label for rep in reports])
-        for metric in METRIC_ROWS:
-            w.writerow([metric] + [f6(rep.metrics[metric]) for rep in reports])
+    _write_table(outdir / "report.csv", ["metric"] + [rep.label for rep in reports],
+                 ([metric] + [f6(rep.metrics[metric]) for rep in reports] for metric in METRIC_ROWS))
 
 
 def write_residuals_csv(reports: Sequence[EvaluationReport], path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["label", "assignment", "gradee", "sim", "estimate", "residual"])
-        for rep in reports:
-            for sub in rep.submissions:
-                for i, (est, res) in enumerate(zip(sub.estimates, sub.residuals)):
-                    w.writerow([rep.label, sub.assignment, sub.gradee, i, f6(est), f6(res)])
+    _write_table(path, ["label", "assignment", "gradee", "sim", "estimate", "residual"], (
+        (rep.label, sub.assignment, sub.gradee, i, f6(est), f6(res))
+        for rep in reports
+        for sub in rep.submissions
+        for i, (est, res) in enumerate(zip(sub.estimates, sub.residuals))
+    ))
 
 
 def write_calibration_csv(report: CalibrationReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["bin_lo", "bin_hi", "delta", "count", "pass_rate"])
-        for b in report.bins:
-            w.writerow([f6(b.bin_lo), f6(b.bin_hi), f6(b.delta), b.count, f6(b.pass_rate)])
+    _write_table(path, ["bin_lo", "bin_hi", "delta", "count", "pass_rate"], (
+        (f6(b.bin_lo), f6(b.bin_hi), f6(b.delta), b.count, f6(b.pass_rate)) for b in report.bins
+    ))
 
 
 def write_rounds_csv(report: RoundsReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["round", "confident_count", "total"])
-        for r in report.rows:
-            w.writerow([r.round, r.confident_count, r.total])
+    _write_table(path, ["round", "confident_count", "total"],
+                 ((r.round, r.confident_count, r.total) for r in report.rows))
 
 
 def write_binned_table_csv(table: BinnedResidualTable, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["bin_lo", "bin_hi", "count", "mean_residual", "std_residual", "flagged"])
-        for b in table.bins:
-            w.writerow([f6(b.lo), f6(b.hi), b.count, f6(b.mean_residual), f6(b.std_residual), int(b.flagged)])
+    _write_table(path, ["bin_lo", "bin_hi", "count", "mean_residual", "std_residual", "flagged"], (
+        (f6(b.lo), f6(b.hi), b.count, f6(b.mean_residual), f6(b.std_residual), int(b.flagged))
+        for b in table.bins
+    ))
 
 
 def write_heatmap_csv(hm: ResidualHeatmap, path) -> None:
-    n = hm.counts.shape[0]
-    with open(path, "w", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["grader_bin_lo", "grader_bin_hi", "gradee_bin_lo", "gradee_bin_hi", "count", "mean_residual_z"])
-        for i in range(n):
-            for j in range(n):
-                w.writerow(
-                    [
-                        f6(hm.edges[i]), f6(hm.edges[i + 1]),
-                        f6(hm.edges[j]), f6(hm.edges[j + 1]),
-                        int(hm.counts[i, j]), f6(float(hm.mean_residual_z[i, j])),
-                    ]
-                )
+    edges, n = hm.edges, hm.counts.shape[0]
+    _write_table(path, ["grader_bin_lo", "grader_bin_hi", "gradee_bin_lo", "gradee_bin_hi", "count",
+                        "mean_residual_z"], (
+        (f6(edges[i]), f6(edges[i + 1]), f6(edges[j]), f6(edges[j + 1]),
+         int(hm.counts[i, j]), f6(float(hm.mean_residual_z[i, j])))
+        for i in range(n)
+        for j in range(n)
+    ))
 
 
 def write_temporal_csv(report: TemporalCorrelationReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["assignment_prev", "assignment_next", "n_common", "pearson"])
-        for p in report.pairs:
-            w.writerow([p.assignment_prev, p.assignment_next, p.n_common, f6(p.pearson)])
+    _write_table(path, ["assignment_prev", "assignment_next", "n_common", "pearson"],
+                 ((p.assignment_prev, p.assignment_next, p.n_common, f6(p.pearson)) for p in report.pairs))
 
 
 def write_identifiability_csv(rows: Sequence[IdentifiabilityRow], path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["grades_per_grader", "rmse_baseline", "rmse_pg1_bias", "rmse_pg1", "tau_recovery_pearson"])
-        for r in rows:
-            w.writerow(
-                [
-                    r.grades_per_grader,
-                    f6(r.rmse_baseline),
-                    f6(r.rmse_pg1_bias),
-                    f6(r.rmse_pg1),
-                    f6(r.tau_recovery_pearson),
-                ]
-            )
+    _write_table(path, ["grades_per_grader", "rmse_baseline", "rmse_pg1_bias", "rmse_pg1",
+                        "tau_recovery_pearson"], (
+        (r.grades_per_grader, f6(r.rmse_baseline), f6(r.rmse_pg1_bias), f6(r.rmse_pg1),
+         f6(r.tau_recovery_pearson))
+        for r in rows
+    ))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.stats import gamma as gamma_dist
+from scipy.special import gammaincinv
 
 from .core import (
     IDENTITY_NORMALIZATION,
@@ -95,8 +95,10 @@ def _gaussian_grid(center: float, sd: float, spec: GridSpec) -> np.ndarray:
 def _tau_grid(hp: Hyperparameters, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """Log-spaced points with midpoint-in-log quadrature weights."""
     lo, hi = spec.tau_quantile_range
-    t_lo = float(gamma_dist.ppf(lo, hp.alpha0, scale=1.0 / hp.beta0))
-    t_hi = float(gamma_dist.ppf(hi, hp.alpha0, scale=1.0 / hp.beta0))
+    # Gamma(alpha0, rate beta0) quantiles by gamma.ppf's own expression (times
+    # the scale, not over the rate), so importing the oracle skips scipy.stats
+    t_lo = float(gammaincinv(hp.alpha0, lo) * (1.0 / hp.beta0))
+    t_hi = float(gammaincinv(hp.alpha0, hi) * (1.0 / hp.beta0))
     logt = np.linspace(math.log(t_lo), math.log(t_hi), spec.tau_points)
     step = logt[1] - logt[0]
     grid = np.exp(logt)

@@ -211,6 +211,8 @@ def identifiability_experiment(
     baseline/fixed-reliability/full-model evaluation RMSE and the Pearson
     correlation between inferred and generating reliabilities (full-graph
     fit). More grades per grader should make reliability identifiable."""
+    if max_workers < 1:
+        raise ValueError(f"max_workers must be >= 1, got {max_workers}")
     if base_cfg.model is not Model.PG1:
         raise ValueError("the identifiability experiment generates from pg1")
     eval_cfg = eval_cfg or EvalConfig()

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from peergrade import cli
+from peergrade import cli, synth
 from peergrade.core import GradingGraph, GroundTruth, Model, PeerGrade, PosteriorSummary, VariableStat
 from peergrade.em import PointEstimates
 from peergrade.io import (
@@ -496,16 +496,22 @@ class TestCliErrors:
         (["rounds", "--delta", "-1"], "delta must be finite and >= 0, got -1.0"),
         (["rounds", "--threshold", "1.5"], "threshold must lie in [0, 1], got 1.5"),
         (["evaluate", "--threads", "-3"], "max_workers must be >= 1, got -3"),
+        (["identifiability", "--students", "200", "--threads", "-3"], "max_workers must be >= 1, got -3"),
     ], ids=["sweeps=0", "burnin=900", "trace=s:x:u", "em-trace", "bins=0", "evaluate-missing-grades",
-            "sims=0", "rounds-burnin=900", "delta=-1", "threshold=1.5", "threads=-3"])
-    def test_bad_flag_rejected_before_any_output(self, synth_dir, tmp_path, capsys, args, message):
-        # flags after the grades and truth files win, so a case can point at a missing file
+            "sims=0", "rounds-burnin=900", "delta=-1", "threshold=1.5", "threads=-3",
+            "identifiability-threads=-3"])
+    def test_bad_flag_rejected_before_any_output(self, synth_dir, tmp_path, capsys, monkeypatch, args, message):
+        # flags after the grades and truth files win, so a case can point at a missing file;
+        # identifiability reads no files, and must stop before it generates a network
+        def no_generate(cfg):
+            raise AssertionError("generate ran before the flags were checked")
+
+        monkeypatch.setattr(synth, "generate", no_generate)
         command, *flags = args
+        inputs = [] if command == "identifiability" else [
+            "--grades", str(synth_dir / "grades.csv"), "--truth", str(synth_dir / "truth.csv")]
         out = tmp_path / "x"
-        code, _, err = run_cli([
-            command, "--grades", str(synth_dir / "grades.csv"), "--truth", str(synth_dir / "truth.csv"),
-            *flags, "--out", str(out),
-        ], capsys)
+        code, _, err = run_cli([command, *inputs, *flags, "--out", str(out)], capsys)
         assert code == 1
         assert err == f"error: {message}\n"
         assert not out.exists()
@@ -680,3 +686,55 @@ def test_golden_em_pg1bias_bytes(tmp_path, capsys):
                    capsys)[0] == 0
     assert sorted(p.name for p in out.iterdir()) == ["summary.json"]
     assert (out / "summary.json").read_bytes() == GOLDEN_EM_PG1BIAS.read_bytes()
+
+
+GOLDEN_TABLES = Path(__file__).parent / "golden_tables"
+
+
+def _with_seconds(src: Path, dst: Path) -> None:
+    """A copy of a grades file with a seconds column; every ninth cell is
+    empty, so the column has missing values too."""
+    lines = src.read_text().splitlines()
+    rows = [lines[0] + ",seconds"]
+    for i, line in enumerate(lines[1:]):
+        rows.append(f"{line}," + ("" if i % 9 == 8 else str(30 + (i * 37) % 600)))
+    dst.write_text("\n".join(rows) + "\n")
+
+
+def _table_commands(grades: str, truth: str, timed: str, out: Path) -> list[list[str]]:
+    fit = ["--sweeps", "120", "--burnin", "20", "--seed", "7"]
+    sims = ["--sims", "60"]
+    return [
+        ["infer", "--grades", grades, *fit, "--trace", "s:1:s00012", "--trace", "b:2:s00000",
+         "--trace", "tau:1:s00003", "--out", str(out / "infer-trace")],
+        ["evaluate", "--grades", grades, "--truth", truth, *fit, *sims, "--dump-residuals",
+         "--out", str(out / "evaluate")],
+        ["calibrate", "--grades", grades, "--truth", truth, *fit, *sims, "--out", str(out / "calibrate")],
+        ["rounds", "--grades", grades, *fit, "--max-rounds", "3", "--out", str(out / "rounds")],
+        ["analyze", "--grades", grades, *fit, "--out", str(out / "analyze")],
+        ["analyze", "--grades", timed, *fit, "--min-support", "5", "--out", str(out / "analyze-seconds")],
+        ["identifiability", "--students", "60", "--super-grades", "20", "--counts", "4,6", *fit, *sims,
+         "--out", str(out / "identifiability")],
+    ]
+
+
+def test_golden_table_bytes(tmp_path, capsys):
+    """Every CSV table the CLI writes matches the committed bytes under
+    tests/golden_tables, on the synth set of test_golden_bytes (PG2, 60
+    students x 2 assignments, seed 7): infer --trace for s, b and tau,
+    evaluate --dump-residuals, calibrate, rounds, analyze with and without a
+    seconds column, and identifiability. PG3 is left out, as it is there."""
+    timed = tmp_path / "timed-grades.csv"
+    _with_seconds(GOLDEN / "synth" / "grades.csv", timed)
+    out = tmp_path / "out"
+    for args in _table_commands(str(GOLDEN / "synth" / "grades.csv"), str(GOLDEN / "synth" / "truth.csv"),
+                                str(timed), out):
+        assert run_cli(args, capsys)[0] == 0, args[0]
+    expected = sorted(p.relative_to(GOLDEN_TABLES) for p in GOLDEN_TABLES.rglob("*") if p.is_file())
+    written = sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+    assert written == expected
+    for rel in expected:
+        assert (out / rel).read_bytes() == (GOLDEN_TABLES / rel).read_bytes(), rel
+    # the seconds branch of write_grades_csv writes back the bytes it read
+    write_grades_csv(read_grades_csv(timed), tmp_path / "timed-again.csv")
+    assert (tmp_path / "timed-again.csv").read_bytes() == timed.read_bytes()

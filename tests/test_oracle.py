@@ -1,4 +1,7 @@
 import dataclasses
+import math
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -8,6 +11,7 @@ from scipy.stats import gamma as gamma_dist
 from scipy.stats import multivariate_normal
 
 from peergrade import GridSpec, Hyperparameters, Model, oracle_posterior
+from peergrade.oracle import _tau_grid
 from peergrade.io import write_summary_json
 from conftest import make_graph
 from test_acceptance import _oracle_net
@@ -193,3 +197,23 @@ def test_golden_oracle_bytes(model, tmp_path):
     out = tmp_path / f"{model.value}.json"
     write_summary_json(golden_oracle_summary(model), out)
     assert out.read_bytes() == (GOLDEN_ORACLE / f"{model.value}.json").read_bytes()
+
+
+@pytest.mark.parametrize("alpha0, beta0", [(2.0, 18.0), (3.0, 3.0), (3.0, 8.0)])
+@pytest.mark.parametrize("quantiles", [(5e-4, 1 - 5e-4), (1e-6, 1 - 1e-6)])
+def test_tau_grid_spans_the_gamma_quantiles(alpha0, beta0, quantiles):
+    """The reliability grid's ends are exactly scipy.stats.gamma.ppf's quantiles."""
+    spec = GridSpec(tau_quantile_range=quantiles)
+    lo, hi = (float(gamma_dist.ppf(q, alpha0, scale=1.0 / beta0)) for q in quantiles)
+    grid, _ = _tau_grid(Hyperparameters(alpha0=alpha0, beta0=beta0), spec)
+    assert np.array_equal(grid, np.exp(np.linspace(math.log(lo), math.log(hi), spec.tau_points)))
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    """Importing the package loads scipy.special only: scipy.stats is most of
+    the import time. A fresh interpreter, because this module imports
+    scipy.stats itself."""
+    code = "import sys, peergrade, peergrade.io; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
