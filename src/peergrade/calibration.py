@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf as _erf
 
-from .core import GradingGraph, Hyperparameters, Model
+from .core import GradingGraph, Hyperparameters, Model, _gaussian_within
 from .em import EmConfig
-from .evaluation import EvalConfig, EvaluationReport, _run_indexed, evaluate_model
+from .evaluation import EvalConfig, EvaluationReport, _config_for, _run_indexed, evaluate_model
 from .gibbs import GibbsConfig, gibbs_infer
 
 __all__ = [
@@ -46,9 +46,7 @@ def confidence(posterior_mean: float, posterior_var: float, delta: float) -> flo
         raise ValueError(f"posterior variance must be positive, got {posterior_var}")
     if delta < 0:
         raise ValueError(f"delta must be >= 0, got {delta}")
-    if delta == 0:
-        return 0.0
-    return math.erf(delta / math.sqrt(2.0 * posterior_var))
+    return _gaussian_within(delta, posterior_var)
 
 
 def empirical_confidence(samples: np.ndarray, delta: float) -> float:
@@ -101,6 +99,10 @@ def calibration_experiment(
     Gaussian, from the frozen-parameter posterior std) picks the bin, and it
     passes when the realized |residual| <= delta.
     """
+    if n_bins < 1:
+        raise ValueError(f"n_bins must be >= 1, got {n_bins}")
+    if not all(math.isfinite(d) and d >= 0 for d in deltas):
+        raise ValueError(f"every delta must be finite and >= 0, got {deltas}")
     report = evaluate_model(
         graph, hp, model, eval_cfg,
         engine=engine, gibbs_cfg=gibbs_cfg, em_cfg=em_cfg, max_workers=max_workers,
@@ -191,9 +193,7 @@ def rounds_experiment(
         raise ValueError(f"delta must be finite and >= 0, got {delta}")
     if not 0 <= threshold <= 1:
         raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
-    cfg = gibbs_cfg or GibbsConfig(model=model)
-    if cfg.model is not model:
-        raise ValueError(f"gibbs config is for {cfg.model.value}, experiment asked for {model.value}")
+    cfg = _config_for(model, gibbs_cfg, GibbsConfig)
     per_grader: dict[tuple[int, str], int] = {}
     for g in graph.grades:
         per_grader[(g.assignment, g.grader)] = per_grader.get((g.assignment, g.grader), 0) + 1

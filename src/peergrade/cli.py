@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields as dc_fields
+from dataclasses import fields as dc_fields, replace
 from pathlib import Path
 
 from . import io
@@ -24,7 +24,7 @@ from .core import Hyperparameters, Model
 from .em import EmConfig, em_infer
 from .evaluation import EvalConfig, TruthSource, evaluate_baseline, evaluate_model
 from .gibbs import GibbsConfig, TraceRecorder, gibbs_infer
-from .synth import SynthConfig, generate, identifiability_experiment
+from .synth import SynthConfig, _default_hp, generate, identifiability_experiment
 
 __all__ = ["main", "build_parser"]
 
@@ -32,7 +32,8 @@ _HP_FIELDS = {f.name for f in dc_fields(Hyperparameters)}
 _MODEL_CHOICES = [m.value for m in Model]
 
 
-def _parse_hp(pairs: list[str]) -> Hyperparameters:
+def _parse_hp(pairs: list[str], base: Hyperparameters = Hyperparameters()) -> Hyperparameters:
+    """base with the --hp key=value overrides applied."""
     vals: dict[str, float] = {}
     for pair in pairs:
         key, sep, raw = pair.partition("=")
@@ -45,7 +46,7 @@ def _parse_hp(pairs: list[str]) -> Hyperparameters:
             vals[key] = float(raw)
         except ValueError:
             raise ValueError(f"bad --hp {pair!r}: value must be a number") from None
-    return Hyperparameters(**vals)
+    return replace(base, **vals)
 
 
 def _parse_trace_var(text: str) -> tuple[str, int, str]:
@@ -229,9 +230,6 @@ def cmd_rounds(args) -> int:
 
 def cmd_synth(args) -> int:
     print(f"seed: {args.seed}")
-    kwargs = {}
-    if args.hp:
-        kwargs["hp"] = _parse_hp(args.hp)
     cfg = SynthConfig(
         n_students=args.students,
         n_assignments=args.assignments,
@@ -240,7 +238,7 @@ def cmd_synth(args) -> int:
         super_grades=args.super_grades,
         model=Model.from_string(args.model),
         seed=args.seed,
-        **kwargs,
+        hp=_parse_hp(args.hp, _default_hp()),
     )
     graph, latents = generate(cfg)
     out = _outdir(args)
@@ -294,9 +292,6 @@ def cmd_analyze(args) -> int:
 
 def cmd_identifiability(args) -> int:
     print(f"seed: {args.seed}")
-    kwargs = {}
-    if args.hp:
-        kwargs["hp"] = _parse_hp(args.hp)
     base_cfg = SynthConfig(
         n_students=args.students,
         n_assignments=1,
@@ -305,7 +300,7 @@ def cmd_identifiability(args) -> int:
         super_grades=args.super_grades,
         model=Model.PG1,
         seed=args.seed,
-        **kwargs,
+        hp=_parse_hp(args.hp, _default_hp()),
     )
     try:
         counts = tuple(int(c) for c in args.counts.split(","))

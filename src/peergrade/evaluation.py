@@ -199,11 +199,13 @@ def _gt_keys(graph: GradingGraph) -> list[tuple[int, str]]:
     return keys
 
 
-def _default_gibbs_cfg(model: Model, cfg: GibbsConfig | None) -> GibbsConfig:
+def _config_for(model: Model, cfg: GibbsConfig | EmConfig | None, kind: type) -> GibbsConfig | EmConfig:
+    """cfg, or a default config of the given kind when cfg is None; a config
+    for another model than the one asked for is a ValueError."""
     if cfg is None:
-        return GibbsConfig(model=model)
+        return kind(model=model)
     if cfg.model is not model:
-        raise ValueError(f"gibbs config is for {cfg.model.value}, evaluation asked for {model.value}")
+        raise ValueError(f"{kind.__name__} is for {cfg.model.value}, but {model.value} was asked for")
     return cfg
 
 
@@ -226,12 +228,10 @@ def fit_frozen(
     pool = graph.graders_of(a, gradee)
     reduced = graph.without_received(a, gradee)
     if engine == "em":
-        cfg = em_cfg or EmConfig(model=model)
-        if cfg.model is not model:
-            raise ValueError(f"em config is for {cfg.model.value}, evaluation asked for {model.value}")
+        cfg = _config_for(model, em_cfg, EmConfig)
         assume_normalized = False
     elif engine == "gibbs":
-        cfg = _default_gibbs_cfg(model, gibbs_cfg)
+        cfg = _config_for(model, gibbs_cfg, GibbsConfig)
         assume_normalized = cfg.assume_normalized
     else:
         raise ValueError(f"unknown engine {engine!r}; expected gibbs or em")

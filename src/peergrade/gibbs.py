@@ -26,17 +26,17 @@ conditional sampler are exposed for distribution-level testing; the engine
 implements the same conditionals on arrays.
 
 The engine's layout is the one table of what a fit reports: one entry per
-(block, row), listing the reported students or graders and their positions in
-the row's array. Posterior moments are accumulated over the rows the entries
-name, and the summary, exported states, traces and score samples read the
-same entries. Each row carries its normalization, and
+(block, row), listing the reported students or graders, their positions in
+the row's array and where the row starts in the draw vector. Each retained
+sweep's draw vector feeds the posterior moments, and traces and score
+samples are its columns. Each row carries its normalization, and
 NormalizationParams.to_pp maps its values back to percentage points.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -320,13 +320,14 @@ def _normal(rng: np.random.Generator, mean: np.ndarray, prec: np.ndarray) -> np.
 
 class _Reported(NamedTuple):
     """The latents of one block ("s", "b" or "tau") in row k that a fit
-    reports: their students or graders, and their positions in the row's
-    array."""
+    reports: their students or graders, their positions in the row's array,
+    and where the row starts in the draw vector."""
 
     kind: str
     k: int
     keys: list[str]
     pos: np.ndarray
+    start: int
 
 
 class _Engine:
@@ -341,7 +342,7 @@ class _Engine:
     and PG2 and held at the fixed value for PG1-bias. A sweep takes one
     generator per row and row k draws from the k-th.
 
-    The layout holds the reported latents in accumulator order: every score,
+    The layout holds the reported latents in draw-vector order: every score,
     the bias of every grader with a grade in any row (PG2) or in its row, and,
     where drawn, the reliability of every grader with a grade in its row. The
     engine works in the graph's units (z-scores for PG2 unless
@@ -378,10 +379,12 @@ class _Engine:
         reported = {"s": [np.arange(ix.n_students) for ix in self.idx], "b": self.biased}
         if self.infer_tau:
             reported["tau"] = [np.flatnonzero(ix.n_given > 0) for ix in self.idx]
-        self.layout = [
-            _Reported(kind, k, [(ix.students if kind == "s" else ix.graders)[j] for j in pos.tolist()], pos)
-            for kind, rows in reported.items() for k, (ix, pos) in enumerate(zip(self.idx, rows))
-        ]
+        self.layout, start = [], 0
+        for kind, rows in reported.items():
+            for k, (ix, pos) in enumerate(zip(self.idx, rows)):
+                names = ix.students if kind == "s" else ix.graders
+                self.layout.append(_Reported(kind, k, [names[j] for j in pos.tolist()], pos, start))
+                start += len(names)
         self.theta: tuple[float, float] | None = None
         self.acc = _Accumulator()  # the row of every layout entry, then theta, in one array
         self.accept_s = self.total_s = 0
@@ -445,11 +448,14 @@ class _Engine:
         """The current array, in working units, that a layout entry reports from."""
         return getattr(self, e.kind)[e.k]
 
-    def accumulate(self) -> None:
+    def accumulate(self) -> np.ndarray:
+        """Add this sweep's draw vector to the moments and return it."""
         draws = [self.row(e) for e in self.layout]
         if self.theta is not None:
             draws.append(self.theta)
-        self.acc.add(np.concatenate(draws))
+        values = np.concatenate(draws)
+        self.acc.add(values)
+        return values
 
     def load_state(self, state: LatentState) -> None:
         for k, (a, ix) in enumerate(zip(self.assignments, self.idx)):
@@ -476,21 +482,18 @@ class _Engine:
         return theta's mean and variance where the engine has theta."""
         n = self.acc.n
         mean, var = self.acc.moments()
-        start = 0
         for e in self.layout:
-            at = start + e.pos
+            at = e.start + e.pos
             m, v = self.norm[e.k].to_pp(e.kind, mean[at], var[at])
             blocks[e.kind][self.assignments[e.k]] = StatColumn(e.keys, m, v, np.full(e.pos.size, n))
-            start += self.row(e).size
-        return (mean[start:], var[start:]) if self.theta is not None else None
+        return (mean[-2:], var[-2:]) if self.theta is not None else None  # theta closes the vector
 
-    def trace_resolver(self, kind: str, a: int, student: str) -> Callable[[], float] | None:
-        """A getter for a latent in percentage points, for exactly the latents
-        summarize reports; None for any other."""
+    def locate(self, kind: str, a: int, student: str) -> tuple[_Reported, int] | None:
+        """The layout entry that reports a latent and the latent's position in
+        the draw vector; None for a latent that summarize does not report."""
         for e in self.layout:
             if e.kind == kind and self.assignments[e.k] == a and student in e.keys:
-                j, p = e.pos[e.keys.index(student)], self.norm[e.k]
-                return lambda: p.to_pp(kind, float(self.row(e)[j]))[0]
+                return e, e.start + int(e.pos[e.keys.index(student)])
         return None
 
 
@@ -663,9 +666,9 @@ class _Pg3Engine(_Engine):
 class TraceRecorder:
     """Captures per-sweep values of selected latents during inference.
 
-    variables holds (kind, assignment, student) with kind in {s, b, tau};
-    rows accumulate (sweep, var_kind, assignment, student, value) for every
-    retained sweep, in percentage points.
+    variables holds (kind, assignment, student) with kind in {s, b, tau}.
+    After the chain, rows gets (sweep, var_kind, assignment, student, value)
+    in percentage points for every retained sweep, one append per value.
     """
 
     variables: Sequence[tuple[str, int, str]]
@@ -740,9 +743,10 @@ def gibbs_infer(
     Deterministic given (graph, hp, cfg.seed): each assignment draws from its
     own generator, spawned off one seed sequence in assignment order, except
     that the chain model's assignments all draw from the first. Posterior
-    moments are streamed and reported in percentage points. collect_scores
-    additionally stores every retained score draw (for sample-based coverage)
-    at the cost of retained_sweeps x n_submissions floats.
+    moments are streamed and reported in percentage points. The traced
+    latents, then every score if collect_scores (for sample-based coverage),
+    are columns picked from each retained sweep's draw vector; after the
+    chain they go to trace.rows and score_samples, in percentage points.
     """
     engine = _build_engine(graph, hp, cfg)
     children = np.random.SeedSequence(cfg.seed).spawn(len(engine.assignments))
@@ -750,34 +754,30 @@ def gibbs_infer(
     if engine.chained:
         rngs = rngs[:1] * len(rngs)
 
-    resolvers = []
-    if trace is not None:
-        for kind, a, student in trace.variables:
-            resolver = engine.trace_resolver(kind, a, student)
-            if resolver is None:
-                raise ValueError(f"trace variable ({kind!r}, {a}, {student!r}) not tracked by the model")
-            resolvers.append((kind, a, student, resolver))
-
-    buffers = [(e, np.empty((cfg.retained_sweeps, engine.row(e).size)))
-               for e in engine.layout if collect_scores and e.kind == "s"]
+    variables = trace.variables if trace is not None else []
+    columns = [engine.locate(*v) for v in variables]  # (layout entry, draw-vector position) each
+    for (kind, a, student), found in zip(variables, columns):
+        if found is None:
+            raise ValueError(f"trace variable ({kind!r}, {a}, {student!r}) not tracked by the model")
+    scored = [e for e in engine.layout if collect_scores and e.kind == "s"]
+    columns += [(e, e.start + j) for e in scored for j in e.pos.tolist()]
+    picked = np.array([at for _, at in columns], dtype=np.intp)
+    record = np.empty((cfg.retained_sweeps, picked.size))
 
     for sweep_no in range(1, cfg.total_sweeps + 1):
         engine.sweep(rngs)
         if sweep_no > cfg.burn_in:
-            engine.accumulate()
-            if trace is not None:
-                for kind, a, student, resolve in resolvers:
-                    trace.rows.append((sweep_no, kind, a, student, resolve()))
-            for e, buf in buffers:
-                buf[sweep_no - cfg.burn_in - 1] = engine.row(e)
+            record[sweep_no - cfg.burn_in - 1] = engine.accumulate()[picked]
 
+    for j, (e, _) in enumerate(columns):
+        record[:, j] = engine.norm[e.k].to_pp(e.kind, record[:, j])[0]
+    for sweep_no, values in enumerate(record[:, :len(variables)], start=cfg.burn_in + 1):
+        for (kind, a, student), value in zip(variables, values.tolist()):
+            trace.rows.append((sweep_no, kind, a, student, value))
     score_samples = None
     if collect_scores:
-        score_samples = {}
-        for e, buf in buffers:
-            converted = engine.norm[e.k].to_pp("s", buf)[0]
-            for j, student in zip(e.pos.tolist(), e.keys):
-                score_samples[(engine.assignments[e.k], student)] = converted[:, j]
+        keys = [(engine.assignments[e.k], student) for e in scored for student in e.keys]
+        score_samples = dict(zip(keys, record[:, len(variables):].T))
     blocks: dict[str, dict[int, StatColumn]] = {"s": {}, "b": {}, "tau": {}}
     theta = engine.summarize(blocks)
     summary = PosteriorSummary(

@@ -16,6 +16,7 @@ from peergrade import (
     restrict_to_first_grades,
     rounds_experiment,
 )
+from peergrade import calibration
 from conftest import make_graph
 
 HP = Hyperparameters(mu0=75.0, gamma0=1 / 100)
@@ -84,6 +85,21 @@ class TestCalibrationExperiment:
         assert report.n_predictions == n
         for delta in DELTAS:
             assert sum(b.count for b in report.bins_for(delta)) == n
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n_bins": 0}, "n_bins must be >= 1, got 0"),
+        ({"deltas": (5.0, -1.0)}, "every delta must be finite and >= 0"),
+        ({"deltas": (float("nan"),)}, "every delta must be finite and >= 0"),
+        ({"deltas": (float("inf"),)}, "every delta must be finite and >= 0"),
+    ], ids=["n_bins=0", "delta=-1", "delta=nan", "delta=inf"])
+    def test_bad_arguments_rejected_before_any_fit(self, small_pg1, monkeypatch, kwargs, message):
+        def no_evaluation(*args, **kw):
+            raise AssertionError("the evaluation ran before the arguments were checked")
+
+        monkeypatch.setattr(calibration, "evaluate_model", no_evaluation)
+        with pytest.raises(ValueError, match=message):
+            calibration_experiment(small_pg1[0], Hyperparameters(), Model.PG1, EvalConfig(n_simulations=10),
+                                   engine="em", **kwargs)
 
     def test_pass_rate_nan_only_when_empty(self, report):
         for b in report.bins:
@@ -162,6 +178,6 @@ class TestRoundsExperiment:
             rounds_experiment(rounds_graph, Hyperparameters(), Model.PG1, method="exact")
 
     def test_mismatched_config_model(self, rounds_graph):
-        with pytest.raises(ValueError, match="pg2"):
+        with pytest.raises(ValueError, match="GibbsConfig is for pg2, but pg1 was asked for"):
             rounds_experiment(rounds_graph, Hyperparameters(), Model.PG1,
                               gibbs_cfg=GibbsConfig(model=Model.PG2))

@@ -133,6 +133,17 @@ def reports(small_pg1):
     return base, gibbs, em
 
 
+class TestConfigForTheWrongModel:
+    @pytest.mark.parametrize("engine, cfg, message", [
+        ("gibbs", GibbsConfig(model=Model.PG2), "GibbsConfig is for pg2, but pg1 was asked for"),
+        ("em", EmConfig(model=Model.PG1_BIAS), "EmConfig is for pg1bias, but pg1 was asked for"),
+    ], ids=["gibbs", "em"])
+    def test_evaluate_model_rejects_it(self, small_pg1, engine, cfg, message):
+        with pytest.raises(ValueError, match=message):
+            evaluate_model(small_pg1[0], Hyperparameters(), Model.PG1, EvalConfig(n_simulations=10),
+                           engine=engine, **{f"{engine}_cfg": cfg})
+
+
 class TestEndToEnd:
     def test_shapes(self, reports, small_pg1):
         graph, _ = small_pg1

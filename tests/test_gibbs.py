@@ -237,6 +237,77 @@ class TestTrace:
                 assert np.mean(values) == pytest.approx(reported[(1, student)].mean, rel=1e-9)
 
 
+class TestRecord:
+    """Traces and score samples are columns of the engine's draw vector."""
+
+    @pytest.fixture(scope="class")
+    def pg3_graph(self):
+        graph, _ = generate(SynthConfig(n_students=30, n_assignments=3, super_grades=8,
+                                        model=Model.PG3, seed=4))
+        return graph
+
+    def test_rows_are_sweep_major_in_variable_order(self):
+        # x grades nobody, so the bias and reliability rows report fewer graders than they hold
+        g = make_graph([(1, "v", "u", 80.0), (1, "w", "u", 72.0), (1, "u", "v", 77.0), (1, "v", "x", 70.0)])
+        variables = [("s", 1, "u"), ("b", 1, "v"), ("tau", 1, "w"), ("s", 1, "u"), ("tau", 1, "v")]
+        trace = TraceRecorder(variables)
+        summary = gibbs_infer(g, HP, GibbsConfig(model=Model.PG1, total_sweeps=30, burn_in=10, seed=2),
+                              trace=trace)
+        assert [r[0] for r in trace.rows] == [n for n in range(11, 31) for _ in variables]
+        assert [r[1:4] for r in trace.rows] == variables * 20
+        assert all(type(r[4]) is float for r in trace.rows)
+        values = np.array([r[4] for r in trace.rows]).reshape(20, len(variables))
+        assert np.array_equal(values[:, 0], values[:, 3])
+        assert len(set(values[:, 0].tolist())) > 1
+        for column, (kind, a, u) in zip(values.T, variables):
+            assert column.mean() == pytest.approx(getattr(summary, kind)[(a, u)].mean, rel=1e-9)
+
+    @pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
+    def test_layout_starts_address_the_draw_vector(self, model):
+        # x grades nobody, so its row holds a bias and a reliability the layout does not report
+        g = make_graph([(1, "v", "u", 80.0), (1, "u", "v", 77.0), (1, "v", "x", 70.0), (2, "x", "u", 75.0)])
+        engine = _build_engine(g, HP, GibbsConfig(model=model, assume_normalized=True))
+        engine.sweep([np.random.default_rng(1)] * 2)
+        vector = engine.accumulate()
+        for e in engine.layout:
+            assert np.array_equal(vector[e.start + e.pos], engine.row(e)[e.pos])
+        assert vector.size == e.start + engine.row(e).size + (2 if model is Model.PG3 else 0)
+
+    def test_pg3_traces_match_score_samples_and_summary(self, pg3_graph):
+        cfg = GibbsConfig(model=Model.PG3, total_sweeps=60, burn_in=10, seed=3)
+        plain = gibbs_infer(pg3_graph, Hyperparameters(), cfg)
+        variables = [(kind, a, u) for kind in ("s", "b") for (a, u) in sorted(getattr(plain, kind))]
+        trace = TraceRecorder(variables)
+        summary = gibbs_infer(pg3_graph, Hyperparameters(), cfg, trace=trace, collect_scores=True)
+        values = np.array([r[4] for r in trace.rows]).reshape(cfg.retained_sweeps, len(variables))
+        for column, (kind, a, u) in zip(values.T, variables):
+            assert column.mean() == pytest.approx(getattr(summary, kind)[(a, u)].mean, rel=1e-9, abs=1e-9)
+            if kind == "s":
+                assert np.array_equal(summary.score_samples[(a, u)], column)
+        assert summary.theta is not None
+
+    def test_chained_bias_in_an_empty_assignment(self):
+        graph = GradingGraph([PeerGrade(1, "v", "u1", 0.4)], submissions={1: ("u1", "v"), 2: ()})
+        hp = Hyperparameters(mu0=0.0, gamma0=1.0, eta0=1.0, omega0=2.0, alpha0=3.0, beta0=3.0)
+        cfg = GibbsConfig(model=Model.PG2, total_sweeps=120, burn_in=20, seed=5, assume_normalized=True)
+        variables = [("b", 2, "v"), ("s", 1, "u1"), ("b", 1, "v")]
+        trace = TraceRecorder(variables)
+        summary = gibbs_infer(graph, hp, cfg, trace=trace)
+        for kind, a, u in variables:
+            values = [r[4] for r in trace.rows if r[1:4] == (kind, a, u)]
+            assert len(values) == 100
+            assert np.mean(values) == pytest.approx(getattr(summary, kind)[(a, u)].mean, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
+    def test_recording_leaves_the_summary_unchanged(self, pg3_graph, model):
+        cfg = GibbsConfig(model=model, total_sweeps=40, burn_in=10, seed=6)
+        plain = gibbs_infer(pg3_graph, Hyperparameters(), cfg)
+        trace = TraceRecorder([("s", a, sorted(pg3_graph.submissions(a))[0]) for a in pg3_graph.assignments])
+        recorded = gibbs_infer(pg3_graph, Hyperparameters(), cfg, trace=trace, collect_scores=True)
+        assert len(trace.rows) == 3 * cfg.retained_sweeps
+        assert replace(recorded, score_samples=None) == plain
+
+
 class TestCollectScores:
     def test_samples_match_summary_moments(self):
         g = make_graph([(1, "v", "u", 80.0), (1, "w", "u", 72.0)])

@@ -3,6 +3,7 @@ import json
 import logging
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -393,6 +394,23 @@ class TestCliHappyPaths:
         data = json.loads((out / "summary.json").read_text())
         assert data["converged"] == {"1": True}
         assert "wrote" in stdout
+
+    def test_synth_hp_applies_on_top_of_the_defaults(self, tmp_path, capsys):
+        # eta0=0.04 is the default, so setting it must not change a byte
+        flags = ["synth", "--students", "40", "--super-grades", "10", "--seed", "3"]
+        for name, hp in [("plain", []), ("same", ["--hp", "eta0=0.04"]), ("eta", ["--hp", "eta0=0.1"])]:
+            assert run_cli([*flags, *hp, "--out", str(tmp_path / name)], capsys)[0] == 0
+        for name in ("grades.csv", "truth.csv", "latents.csv"):
+            assert (tmp_path / "same" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+        assert (tmp_path / "eta" / "latents.csv").read_bytes() != (tmp_path / "plain" / "latents.csv").read_bytes()
+
+    def test_identifiability_hp_applies_on_top_of_the_defaults(self, tmp_path, capsys, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "identifiability_experiment", lambda base_cfg, **kw: seen.append(base_cfg.hp) or [])
+        code, _, _ = run_cli(["identifiability", "--students", "40", "--super-grades", "10",
+                              "--hp", "theta1=0.002", "--out", str(tmp_path)], capsys)
+        assert code == 0
+        assert seen == [replace(synth.SynthConfig(n_students=200).hp, theta1=0.002)]
 
     def test_infer_trace(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "fit"
