@@ -192,10 +192,17 @@ def median_baseline(scores: Sequence[float]) -> float:
     return 0.5 * (ordered[mid - 1] + ordered[mid])
 
 
-def _gt_keys(graph: GradingGraph) -> list[tuple[int, str]]:
+def _gt_keys(graph: GradingGraph, cfg: EvalConfig) -> list[tuple[int, str]]:
+    """The ground-truth submissions in sorted order, each checked before any
+    fit: it has a staff score where that is the truth, and a pool of at
+    least cfg.grades_per_simulation grades."""
     keys = sorted(graph.ground_truth)
     if not keys:
         raise ValueError("graph has no ground-truth submissions to evaluate")
+    for key in keys:
+        gt = graph.ground_truth[key]
+        _truth(key, gt.consensus_score, gt.staff_score, cfg.truth_source)
+        _require_pool(key, len(graph.graders_of(*key)), cfg.grades_per_simulation)
     return keys
 
 
@@ -286,6 +293,14 @@ def fit_frozen(
     )
 
 
+def _require_pool(key: tuple[int, str], pool_size: int, k: int) -> None:
+    if pool_size < k:
+        raise ValueError(
+            f"submission ({key[0]}, {key[1]!r}) has a pool of {pool_size} grades, "
+            f"cannot draw {k} without replacement"
+        )
+
+
 def _pool_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,))))
 
@@ -306,11 +321,7 @@ def _simulate(
     posterior."""
     a, gradee = key
     k = cfg.grades_per_simulation
-    if pool_size < k:
-        raise ValueError(
-            f"submission ({a}, {gradee!r}) has a pool of {pool_size} grades, "
-            f"cannot draw {k} without replacement"
-        )
+    _require_pool(key, pool_size, k)
     rng = _pool_rng(cfg.seed, index)
     estimates, sigmas = zip(*(estimate(rng.choice(pool_size, size=k, replace=False))
                               for _ in range(cfg.n_simulations)))
@@ -352,7 +363,7 @@ def evaluate_model(
     max_workers: int = 1,
 ) -> EvaluationReport:
     """Full protocol over every ground-truth submission."""
-    keys = _gt_keys(graph)
+    keys = _gt_keys(graph, eval_cfg)
     tasks = [
         (lambda key=key, i=i: simulate_frozen(
             fit_frozen(graph, hp, model, key, index=i, engine=engine,
@@ -378,7 +389,7 @@ def evaluate_baseline(
 ) -> EvaluationReport:
     """Median-of-sampled-grades baseline on draws identical to the models'
     (same seed, same per-submission streams)."""
-    keys = _gt_keys(graph)
+    keys = _gt_keys(graph, eval_cfg)
     truth_map = graph.ground_truth
 
     def run_one(key: tuple[int, str], index: int) -> SubmissionEval:

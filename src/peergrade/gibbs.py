@@ -28,9 +28,9 @@ implements the same conditionals on arrays.
 The engine's layout is the one table of what a fit reports: one entry per
 (block, row), listing the reported students or graders, their positions in
 the row's array and where the row starts in the draw vector. Each retained
-sweep's draw vector feeds the posterior moments, and traces and score
-samples are its columns. Each row carries its normalization, and
-NormalizationParams.to_pp maps its values back to percentage points.
+sweep's draw vector feeds the posterior moments; traces and score samples
+are views of one array of its columns. Each row carries its normalization,
+and NormalizationParams.to_pp maps its values back to percentage points.
 """
 from __future__ import annotations
 
@@ -488,13 +488,13 @@ class _Engine:
             blocks[e.kind][self.assignments[e.k]] = StatColumn(e.keys, m, v, np.full(e.pos.size, n))
         return (mean[-2:], var[-2:]) if self.theta is not None else None  # theta closes the vector
 
-    def locate(self, kind: str, a: int, student: str) -> tuple[_Reported, int] | None:
+    def locate(self, kind: str, a: int, student: str) -> tuple[_Reported, int]:
         """The layout entry that reports a latent and the latent's position in
-        the draw vector; None for a latent that summarize does not report."""
+        the draw vector; a ValueError for a latent that summarize does not report."""
         for e in self.layout:
             if e.kind == kind and self.assignments[e.k] == a and student in e.keys:
                 return e, e.start + int(e.pos[e.keys.index(student)])
-        return None
+        raise ValueError(f"trace variable ({kind!r}, {a}, {student!r}) not tracked by the model")
 
 
 class _ColourClass:
@@ -664,20 +664,29 @@ class _Pg3Engine(_Engine):
 
 @dataclass
 class TraceRecorder:
-    """Captures per-sweep values of selected latents during inference.
+    """The per-sweep values of selected latents in a fit.
 
-    variables holds (kind, assignment, student) with kind in {s, b, tau}.
-    After the chain, rows gets (sweep, var_kind, assignment, student, value)
-    in percentage points for every retained sweep, one append per value.
+    variables holds (kind, assignment, student) with kind in {s, b, tau}. A fit
+    sets values to a view of its retained draws of them in percentage points,
+    one row per sweep from first_sweep on, one column per variable.
     """
 
     variables: Sequence[tuple[str, int, str]]
-    rows: list[tuple[int, str, int, str, float]] = field(default_factory=list)
+    values: np.ndarray = field(init=False, compare=False)
+    first_sweep: int = field(init=False, default=1)
 
     def __post_init__(self) -> None:
         for kind, _, _ in self.variables:
             if kind not in ("s", "b", "tau"):
                 raise ValueError(f"unknown trace variable kind {kind!r}")
+        self.values = np.empty((0, len(self.variables)))
+
+    @property
+    def rows(self) -> list[tuple[int, str, int, str, float]]:
+        """(sweep, var_kind, assignment, student, value) per value, sweep-major."""
+        return [(sweep_no, kind, a, student, value)
+                for sweep_no, row in enumerate(self.values.tolist(), start=self.first_sweep)
+                for (kind, a, student), value in zip(self.variables, row)]
 
 
 def _build_engine(graph: GradingGraph, hp: Hyperparameters, cfg: GibbsConfig | EmConfig) -> _Engine:
@@ -745,8 +754,8 @@ def gibbs_infer(
     that the chain model's assignments all draw from the first. Posterior
     moments are streamed and reported in percentage points. The traced
     latents, then every score if collect_scores (for sample-based coverage),
-    are columns picked from each retained sweep's draw vector; after the
-    chain they go to trace.rows and score_samples, in percentage points.
+    are columns picked from each retained sweep's draw vector into one array;
+    trace.values and score_samples are views of it, in percentage points.
     """
     engine = _build_engine(graph, hp, cfg)
     children = np.random.SeedSequence(cfg.seed).spawn(len(engine.assignments))
@@ -756,9 +765,6 @@ def gibbs_infer(
 
     variables = trace.variables if trace is not None else []
     columns = [engine.locate(*v) for v in variables]  # (layout entry, draw-vector position) each
-    for (kind, a, student), found in zip(variables, columns):
-        if found is None:
-            raise ValueError(f"trace variable ({kind!r}, {a}, {student!r}) not tracked by the model")
     scored = [e for e in engine.layout if collect_scores and e.kind == "s"]
     columns += [(e, e.start + j) for e in scored for j in e.pos.tolist()]
     picked = np.array([at for _, at in columns], dtype=np.intp)
@@ -771,9 +777,8 @@ def gibbs_infer(
 
     for j, (e, _) in enumerate(columns):
         record[:, j] = engine.norm[e.k].to_pp(e.kind, record[:, j])[0]
-    for sweep_no, values in enumerate(record[:, :len(variables)], start=cfg.burn_in + 1):
-        for (kind, a, student), value in zip(variables, values.tolist()):
-            trace.rows.append((sweep_no, kind, a, student, value))
+    if trace is not None:
+        trace.values, trace.first_sweep = record[:, :len(variables)], cfg.burn_in + 1
     score_samples = None
     if collect_scores:
         keys = [(engine.assignments[e.k], student) for e in scored for student in e.keys]

@@ -221,9 +221,9 @@ def identifiability_experiment(
         raise ValueError("gibbs_cfg must target pg1")
     cfg_bias = replace(cfg_pg1, model=Model.PG1_BIAS)
 
+    configs = [replace(base_cfg, grades_per_grader=count) for count in grade_counts]
     rows = []
-    for count in grade_counts:
-        cfg = replace(base_cfg, grades_per_grader=count)
+    for cfg in configs:
         graph, latents = generate(cfg)
 
         summary = gibbs_infer(graph, base_cfg.hp, cfg_pg1)
@@ -241,7 +241,7 @@ def identifiability_experiment(
         rmse_base = evaluate_baseline(graph, eval_cfg, max_workers=max_workers).rmse
         rows.append(
             IdentifiabilityRow(
-                grades_per_grader=count,
+                grades_per_grader=cfg.grades_per_grader,
                 rmse_baseline=rmse_base,
                 rmse_pg1_bias=rmse_bias,
                 rmse_pg1=rmse_pg1,

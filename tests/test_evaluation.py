@@ -16,6 +16,7 @@ from peergrade import (
     PeerGrade,
     SynthConfig,
     TruthSource,
+    calibration_experiment,
     evaluate_baseline,
     evaluate_model,
     fit_frozen,
@@ -24,6 +25,7 @@ from peergrade import (
     median_baseline,
     simulate_frozen,
 )
+from peergrade import evaluation
 from conftest import make_graph
 
 
@@ -142,6 +144,32 @@ class TestConfigForTheWrongModel:
         with pytest.raises(ValueError, match=message):
             evaluate_model(small_pg1[0], Hyperparameters(), Model.PG1, EvalConfig(n_simulations=10),
                            engine=engine, **{f"{engine}_cfg": cfg})
+
+
+class TestInputErrorsBeforeAnyFit:
+    """A missing staff score and a pool smaller than a simulation's draw stop
+    leave-one-out evaluation before its first reduced-graph fit."""
+
+    GRAPH = make_graph(
+        [(1, "a", "u", 78.0), (1, "b", "u", 74.0), (1, "z", "u", 90.0),
+         (1, "a", "w", 70.0), (1, "b", "w", 80.0), (1, "u", "w", 75.0)],
+        ground_truth={(1, "u"): GroundTruth(consensus_score=80.0)},
+    )
+
+    @pytest.mark.parametrize("experiment", [evaluate_model, calibration_experiment],
+                             ids=["evaluate", "calibrate"])
+    @pytest.mark.parametrize("eval_cfg, message", [
+        (EvalConfig(n_simulations=10, truth_source=TruthSource.STAFF), r"submission \(1, 'u'\) has no staff score"),
+        (EvalConfig(n_simulations=10, grades_per_simulation=4),
+         r"submission \(1, 'u'\) has a pool of 3 grades, cannot draw 4 without replacement"),
+    ], ids=["staff", "pool"])
+    def test_rejected_before_the_fit(self, monkeypatch, experiment, eval_cfg, message):
+        def no_fit(*_, **__):
+            raise AssertionError("a reduced graph was fitted before the inputs were checked")
+
+        monkeypatch.setattr(evaluation, "fit_frozen", no_fit)
+        with pytest.raises(ValueError, match=message):
+            experiment(self.GRAPH, Hyperparameters(), Model.PG1, eval_cfg)
 
 
 class TestEndToEnd:

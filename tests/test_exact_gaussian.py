@@ -71,39 +71,26 @@ def test_em_reaches_the_exact_mean(seed, offset):
     assert worst < 1e-8
 
 
-class _Draws:
-    """Stands in for TraceRecorder.rows: keeps the traced values of each
-    retained sweep as one row of an array instead of one tuple per value."""
-
-    def __init__(self, n_sweeps: int, n_vars: int):
-        self.values = np.empty((n_sweeps, n_vars))
-        self._flat = self.values.reshape(-1)
-        self._i = 0
-
-    def append(self, row) -> None:
-        self._flat[self._i] = row[4]
-        self._i += 1
-
-
 def _batch_se(draws: np.ndarray, n_batches: int = 50) -> np.ndarray:
     """Batch-means standard error of the mean of each column."""
     batches = draws[: draws.shape[0] // n_batches * n_batches].reshape(n_batches, -1, draws.shape[1])
     return batches.mean(axis=1).std(axis=0, ddof=1) / np.sqrt(n_batches)
 
 
-def test_gibbs_matches_the_exact_moments():
+@pytest.mark.parametrize("offset", [0.0, 1e4])
+def test_gibbs_matches_the_exact_moments(offset):
     """20,000 retained sweeps on seed 1: every posterior mean is within 5
     batch-means standard errors of the exact mean, and every variance within
-    6% of the exact variance."""
-    graph, hp = _network(1), Hyperparameters()
+    6% of the exact variance, also with every grade shifted far from zero."""
+    graph, hp = _network(1, offset), Hyperparameters()
     exact = exact_pg1bias_posterior(graph, hp)
     cfg = GibbsConfig(model=Model.PG1_BIAS, total_sweeps=20_500, burn_in=500, seed=1)
     biases = [(kind, a, v) for (kind, a, v) in exact if kind == "b"]
-    trace = TraceRecorder(biases, rows=_Draws(cfg.retained_sweeps, len(biases)))
+    trace = TraceRecorder(biases)
     summary = gibbs_infer(graph, hp, cfg, trace=trace, collect_scores=True)
     scores = [(kind, a, u) for (kind, a, u) in exact if kind == "s"]
     keys = scores + biases
-    draws = np.column_stack([summary.score_samples[a, u] for _, a, u in scores] + [trace.rows.values])
+    draws = np.column_stack([summary.score_samples[a, u] for _, a, u in scores] + [trace.values])
     reported = {"s": summary.s, "b": summary.b}
     got_mean = np.array([reported[kind][a, v].mean for kind, a, v in keys])
     got_var = np.array([reported[kind][a, v].var for kind, a, v in keys])

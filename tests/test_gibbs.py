@@ -306,6 +306,33 @@ class TestRecord:
         recorded = gibbs_infer(pg3_graph, Hyperparameters(), cfg, trace=trace, collect_scores=True)
         assert len(trace.rows) == 3 * cfg.retained_sweeps
         assert replace(recorded, score_samples=None) == plain
+        # rows are read from values: sweep-major, one column per variable
+        assert trace.first_sweep == cfg.burn_in + 1
+        assert trace.values.shape == (cfg.retained_sweeps, 3)
+        rows = np.array([r[4] for r in trace.rows]).reshape(trace.values.shape)
+        assert trace.values.tobytes() == rows.tobytes()
+
+    def test_recorders_compare_before_and_after_a_fit(self):
+        g = make_graph([(1, "v", "u", 80.0), (1, "w", "u", 72.0)])
+        cfg = GibbsConfig(model=Model.PG1, total_sweeps=30, burn_in=10, seed=2)
+        one, two = TraceRecorder([("s", 1, "u")]), TraceRecorder([("s", 1, "u")])
+        assert one.rows == [] and one.values.shape == (0, 1)
+        assert one == two
+        gibbs_infer(g, HP, cfg, trace=one)
+        gibbs_infer(g, HP, cfg, trace=two)
+        assert one == two and one.rows == two.rows
+        assert one != TraceRecorder([("b", 1, "v")])
+
+    def test_a_second_fit_replaces_the_draws(self):
+        g = make_graph([(1, "v", "u", 80.0), (1, "w", "u", 72.0)])
+        first = GibbsConfig(model=Model.PG1, total_sweeps=30, burn_in=10, seed=2)
+        second = GibbsConfig(model=Model.PG1, total_sweeps=45, burn_in=5, seed=3)
+        reused, fresh = TraceRecorder([("s", 1, "u")]), TraceRecorder([("s", 1, "u")])
+        gibbs_infer(g, HP, first, trace=reused)
+        gibbs_infer(g, HP, second, trace=reused)
+        gibbs_infer(g, HP, second, trace=fresh)
+        assert reused.first_sweep == 6 and len(reused.rows) == 40
+        assert reused.rows == fresh.rows
 
 
 class TestCollectScores:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from peergrade import cli, synth
+from peergrade import cli, evaluation, synth
 from peergrade.core import GradingGraph, GroundTruth, Model, PeerGrade, PosteriorSummary, VariableStat
 from peergrade.em import PointEstimates
 from peergrade.io import (
@@ -361,6 +361,8 @@ def synth_dir(tmp_path_factory):
         "--super-grades", "20", "--seed", "11", "--out", str(out),
     ])
     assert code == 0
+    truth = read_truth_csv(out / "truth.csv")
+    write_truth_csv({k: replace(gt, staff_score=None) for k, gt in truth.items()}, out / "truth-consensus.csv")
     return out
 
 
@@ -515,17 +517,30 @@ class TestCliErrors:
         (["rounds", "--threshold", "1.5"], "threshold must lie in [0, 1], got 1.5"),
         (["evaluate", "--threads", "-3"], "max_workers must be >= 1, got -3"),
         (["identifiability", "--students", "200", "--threads", "-3"], "max_workers must be >= 1, got -3"),
+        (["identifiability", "--students", "200", "--counts", "4,0"], "grades_per_grader must be >= 1, got 0"),
+        (["evaluate", "--skip-baseline", "--truth", "{synth}/truth-consensus.csv", "--truth-source", "staff"],
+         "submission (1, 's00035') has no staff score"),
+        (["evaluate", "--skip-baseline", "--grades-per-sim", "200"],
+         "submission (1, 's00035') has a pool of 20 grades, cannot draw 200 without replacement"),
+        (["calibrate", "--truth", "{synth}/truth-consensus.csv", "--truth-source", "staff"],
+         "submission (1, 's00035') has no staff score"),
     ], ids=["sweeps=0", "burnin=900", "trace=s:x:u", "em-trace", "bins=0", "evaluate-missing-grades",
             "sims=0", "rounds-burnin=900", "delta=-1", "threshold=1.5", "threads=-3",
-            "identifiability-threads=-3"])
+            "identifiability-threads=-3", "identifiability-counts=4,0", "evaluate-no-staff",
+            "evaluate-grades-per-sim=200", "calibrate-no-staff"])
     def test_bad_flag_rejected_before_any_output(self, synth_dir, tmp_path, capsys, monkeypatch, args, message):
-        # flags after the grades and truth files win, so a case can point at a missing file;
-        # identifiability reads no files, and must stop before it generates a network
+        # flags after the grades and truth files win, so a case can point at a missing file or
+        # at the synth directory's staff-less truth; identifiability reads no files, and must
+        # stop before it generates a network; evaluation must stop before its first fit
         def no_generate(cfg):
             raise AssertionError("generate ran before the flags were checked")
 
+        def no_fit(*_, **__):
+            raise AssertionError("a reduced graph was fitted before the inputs were checked")
+
         monkeypatch.setattr(synth, "generate", no_generate)
-        command, *flags = args
+        monkeypatch.setattr(evaluation, "fit_frozen", no_fit)
+        command, *flags = [arg.format(synth=synth_dir) for arg in args]
         inputs = [] if command == "identifiability" else [
             "--grades", str(synth_dir / "grades.csv"), "--truth", str(synth_dir / "truth.csv")]
         out = tmp_path / "x"

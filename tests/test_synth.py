@@ -14,6 +14,7 @@ from peergrade import (
     generate,
     identifiability_experiment,
 )
+from peergrade import synth
 
 HP = Hyperparameters(mu0=75.0, gamma0=1 / 100, eta0=1 / 25, alpha0=4.0, beta0=16.0)
 
@@ -163,6 +164,18 @@ class TestIdentifiabilityExperiment:
         with pytest.raises(ValueError, match="pg1"):
             identifiability_experiment(
                 base_cfg(), gibbs_cfg=GibbsConfig(model=Model.PG2))
+
+    @pytest.mark.parametrize("counts, message", [
+        ((4, 0), "grades_per_grader must be >= 1, got 0"),
+        ((4, 57), "infeasible: quota 57 exceeds the 56 gradeable submissions"),
+    ], ids=["zero", "above-quota"])
+    def test_bad_count_rejected_before_generating(self, monkeypatch, counts, message):
+        def no_generate(cfg):
+            raise AssertionError("generate ran before every count was checked")
+
+        monkeypatch.setattr(synth, "generate", no_generate)
+        with pytest.raises(ValueError, match=message):
+            identifiability_experiment(base_cfg(), grade_counts=counts)
 
     def test_row_per_count(self):
         rows = identifiability_experiment(
