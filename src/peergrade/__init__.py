@@ -5,151 +5,24 @@ grades, via Gibbs sampling or MAP coordinate ascent, with a brute-force
 grid oracle, accuracy/calibration experiments, synthetic network generation
 and residual diagnostics. See the CLI (`peergrade --help`) for the file
 formats.
+
+The package exports each library module's `__all__`; file readers and
+writers live in `peergrade.io`.
 """
-from .analytics import (
-    BinnedResidualTable,
-    Covariate,
-    PairCorrelation,
-    ResidualBin,
-    ResidualHeatmap,
-    TemporalCorrelationReport,
-    bias_temporal_correlation,
-    joint_residual_heatmap,
-    residual_vs_covariate,
-)
-from .calibration import (
-    DELTAS,
-    CalibrationBin,
-    CalibrationReport,
-    RoundsReport,
-    RoundStat,
-    calibration_experiment,
-    confidence,
-    empirical_confidence,
-    restrict_to_first_grades,
-    rounds_experiment,
-)
-from .core import (
-    GradingGraph,
-    GroundTruth,
-    Hyperparameters,
-    LatentState,
-    Model,
-    NormalizationParams,
-    PeerGrade,
-    PosteriorSummary,
-    StatBlock,
-    StatColumn,
-    VariableStat,
-    denormalize,
-    exclude_self_grades,
-    normalize_all,
-    resolve_priors,
-    zscore_normalize,
-)
-from .em import EmConfig, PointEstimates, em_infer
-from .evaluation import (
-    METRIC_ROWS,
-    EvalConfig,
-    EvaluationReport,
-    FrozenPrediction,
-    SubmissionEval,
-    TruthSource,
-    evaluate_baseline,
-    evaluate_model,
-    fit_frozen,
-    median_baseline,
-    simulate_frozen,
-)
-from .gibbs import (
-    GibbsConfig,
-    TraceRecorder,
-    cond_sample_bias,
-    cond_sample_bias_chain,
-    cond_sample_reliability,
-    cond_sample_score,
-    cond_sample_score_affine,
-    gibbs_infer,
-    initial_state,
-    sweep,
-)
-from .oracle import GridSpec, oracle_posterior
-from .synth import (
-    IdentifiabilityRow,
-    SynthConfig,
-    TrueLatents,
-    generate,
-    identifiability_experiment,
-)
+from . import analytics, calibration, core, em, evaluation, gibbs, oracle, synth
+from .analytics import *  # noqa: F401,F403
+from .calibration import *  # noqa: F401,F403
+from .core import *  # noqa: F401,F403
+from .em import *  # noqa: F401,F403
+from .evaluation import *  # noqa: F401,F403
+from .gibbs import *  # noqa: F401,F403
+from .oracle import *  # noqa: F401,F403
+from .synth import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinnedResidualTable",
-    "Covariate",
-    "PairCorrelation",
-    "ResidualBin",
-    "ResidualHeatmap",
-    "TemporalCorrelationReport",
-    "bias_temporal_correlation",
-    "joint_residual_heatmap",
-    "residual_vs_covariate",
-    "DELTAS",
-    "CalibrationBin",
-    "CalibrationReport",
-    "RoundsReport",
-    "RoundStat",
-    "calibration_experiment",
-    "confidence",
-    "empirical_confidence",
-    "restrict_to_first_grades",
-    "rounds_experiment",
-    "GradingGraph",
-    "GroundTruth",
-    "Hyperparameters",
-    "LatentState",
-    "Model",
-    "NormalizationParams",
-    "PeerGrade",
-    "PosteriorSummary",
-    "StatBlock",
-    "StatColumn",
-    "VariableStat",
-    "denormalize",
-    "exclude_self_grades",
-    "normalize_all",
-    "resolve_priors",
-    "zscore_normalize",
-    "EmConfig",
-    "PointEstimates",
-    "em_infer",
-    "METRIC_ROWS",
-    "EvalConfig",
-    "EvaluationReport",
-    "FrozenPrediction",
-    "SubmissionEval",
-    "TruthSource",
-    "evaluate_baseline",
-    "evaluate_model",
-    "fit_frozen",
-    "median_baseline",
-    "simulate_frozen",
-    "GibbsConfig",
-    "TraceRecorder",
-    "cond_sample_bias",
-    "cond_sample_bias_chain",
-    "cond_sample_reliability",
-    "cond_sample_score",
-    "cond_sample_score_affine",
-    "gibbs_infer",
-    "initial_state",
-    "sweep",
-    "GridSpec",
-    "oracle_posterior",
-    "IdentifiabilityRow",
-    "SynthConfig",
-    "TrueLatents",
-    "generate",
-    "identifiability_experiment",
-    "__version__",
-]
+    name
+    for module in (analytics, calibration, core, em, evaluation, gibbs, oracle, synth)
+    for name in module.__all__
+] + ["__version__"]

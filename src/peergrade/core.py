@@ -27,7 +27,6 @@ __all__ = [
     "GroundTruth",
     "GradingGraph",
     "NormalizationParams",
-    "IDENTITY_NORMALIZATION",
     "Hyperparameters",
     "LatentState",
     "VariableStat",
@@ -38,7 +37,6 @@ __all__ = [
     "zscore_normalize",
     "normalize_all",
     "denormalize",
-    "prepare_graph",
     "resolve_priors",
 ]
 
@@ -343,7 +341,7 @@ class Hyperparameters:
     eta0: float = 1.0 / 25.0  # prior precision of grader bias
     alpha0: float = 2.0  # reliability Gamma shape
     beta0: float = 18.0  # reliability Gamma rate
-    omega0: float = 1.0  # bias random-walk precision (z-score units)
+    omega0: float = 1.0  # bias random-walk precision in the fit's working units (pp unless z-scored)
     tau_fixed: float | None = None  # shared reliability when not inferred
     theta0: float | None = None  # reliability intercept (score-linked model)
     theta1: float = 0.0  # reliability slope on the grader's own score

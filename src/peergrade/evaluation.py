@@ -32,6 +32,7 @@ from .em import EmConfig, em_infer
 from .gibbs import GibbsConfig, gibbs_infer
 
 __all__ = [
+    "METRIC_ROWS",
     "TruthSource",
     "EvalConfig",
     "FrozenPrediction",
@@ -254,7 +255,6 @@ def fit_frozen(
     if engine == "em":
         points = em_infer(reduced, hp, cfg)
         b_hat, tau_hat, s_hat = points.b, points.tau, points.s
-        theta = None
     else:
         summary = gibbs_infer(reduced, hp, cfg)
         # only the pool graders' latents are needed
@@ -273,8 +273,7 @@ def fit_frozen(
         if model is Model.PG1_BIAS:
             precision[v] = resolved.effective_tau_fixed
         elif model is Model.PG3:
-            th0 = theta["theta0"].mean if theta else resolved.effective_theta0
-            th1 = theta["theta1"].mean if theta else resolved.theta1
+            th0, th1 = theta["theta0"].mean, theta["theta1"].mean
             precision[v] = max(th1 * s_hat[(a, v)] + th0, resolved.precision_floor)
         else:
             precision[v] = tau_hat.get((a, v), prior_prec)

@@ -371,7 +371,7 @@ class _Engine:
         if self.chained:  # a chained grader carries a bias in every row once it grades in any
             given = [np.sum(given, axis=0)] * len(given)
         self.biased = [np.flatnonzero(n > 0) for n in given]
-        self.infer_tau = cfg.model in (Model.PG1, Model.PG2)
+        self.infer_tau = cfg.model.has_reliability
         tau0 = self.alpha0 / self.beta0 if self.infer_tau else base.effective_tau_fixed
         self.s = [ix.mean_received(hp.mu0) for ix, hp in zip(self.idx, self.hp)]
         self.b = [np.zeros(ix.n_graders) for ix in self.idx]

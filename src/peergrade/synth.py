@@ -124,7 +124,7 @@ def generate(cfg: SynthConfig) -> tuple[GradingGraph, TrueLatents]:
             b[k] = b[k - 1] + rng.normal(0.0, 1.0 / math.sqrt(hp.omega0), size=n)
     else:
         b = rng.normal(0.0, 1.0 / math.sqrt(hp.eta0), size=(K, n))
-    if cfg.model in (Model.PG1, Model.PG2):
+    if cfg.model.has_reliability:
         tau = rng.gamma(hp.alpha0, 1.0 / hp.beta0, size=(K, n))
     elif cfg.model is Model.PG1_BIAS:
         tau = np.full((K, n), hp.effective_tau_fixed)
@@ -216,6 +216,14 @@ def identifiability_experiment(
     if base_cfg.model is not Model.PG1:
         raise ValueError("the identifiability experiment generates from pg1")
     eval_cfg = eval_cfg or EvalConfig()
+    # generate gives every ground-truth submission exactly super_grades grades
+    if not base_cfg.n_ground_truth:
+        raise ValueError("graph has no ground-truth submissions to evaluate")
+    if base_cfg.super_grades < eval_cfg.grades_per_simulation:
+        raise ValueError(
+            f"each ground-truth submission has a pool of {base_cfg.super_grades} grades, "
+            f"cannot draw {eval_cfg.grades_per_simulation} without replacement"
+        )
     cfg_pg1 = gibbs_cfg or GibbsConfig(model=Model.PG1, seed=base_cfg.seed)
     if cfg_pg1.model is not Model.PG1:
         raise ValueError("gibbs_cfg must target pg1")

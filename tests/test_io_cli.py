@@ -518,6 +518,10 @@ class TestCliErrors:
         (["evaluate", "--threads", "-3"], "max_workers must be >= 1, got -3"),
         (["identifiability", "--students", "200", "--threads", "-3"], "max_workers must be >= 1, got -3"),
         (["identifiability", "--students", "200", "--counts", "4,0"], "grades_per_grader must be >= 1, got 0"),
+        (["identifiability", "--students", "200", "--counts", "4", "--grades-per-sim", "500"],
+         "each ground-truth submission has a pool of 160 grades, cannot draw 500 without replacement"),
+        (["identifiability", "--students", "200", "--counts", "4", "--gt", "0"],
+         "graph has no ground-truth submissions to evaluate"),
         (["evaluate", "--skip-baseline", "--truth", "{synth}/truth-consensus.csv", "--truth-source", "staff"],
          "submission (1, 's00035') has no staff score"),
         (["evaluate", "--skip-baseline", "--grades-per-sim", "200"],
@@ -526,7 +530,8 @@ class TestCliErrors:
          "submission (1, 's00035') has no staff score"),
     ], ids=["sweeps=0", "burnin=900", "trace=s:x:u", "em-trace", "bins=0", "evaluate-missing-grades",
             "sims=0", "rounds-burnin=900", "delta=-1", "threshold=1.5", "threads=-3",
-            "identifiability-threads=-3", "identifiability-counts=4,0", "evaluate-no-staff",
+            "identifiability-threads=-3", "identifiability-counts=4,0",
+            "identifiability-grades-per-sim=500", "identifiability-gt=0", "evaluate-no-staff",
             "evaluate-grades-per-sim=200", "calibrate-no-staff"])
     def test_bad_flag_rejected_before_any_output(self, synth_dir, tmp_path, capsys, monkeypatch, args, message):
         # flags after the grades and truth files win, so a case can point at a missing file or

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -176,6 +177,20 @@ class TestIdentifiabilityExperiment:
         monkeypatch.setattr(synth, "generate", no_generate)
         with pytest.raises(ValueError, match=message):
             identifiability_experiment(base_cfg(), grade_counts=counts)
+
+    @pytest.mark.parametrize("cfg_kw, grades_per_sim, message", [
+        ({"n_ground_truth": 0}, 4, "graph has no ground-truth submissions to evaluate"),
+        ({}, 21, "each ground-truth submission has a pool of 20 grades, cannot draw 21 without replacement"),
+        ({"super_grades": 0}, 1, "has a pool of 0 grades, cannot draw 1 without replacement"),
+    ], ids=["no-ground-truth", "pool-below-draw", "empty-pool"])
+    def test_ground_truth_pools_checked_before_generating(self, monkeypatch, cfg_kw, grades_per_sim, message):
+        def no_generate(cfg):
+            raise AssertionError("generate ran before the ground-truth pools were checked")
+
+        monkeypatch.setattr(synth, "generate", no_generate)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            identifiability_experiment(
+                base_cfg(**cfg_kw), eval_cfg=EvalConfig(grades_per_simulation=grades_per_sim))
 
     def test_row_per_count(self):
         rows = identifiability_experiment(
