@@ -18,7 +18,7 @@ from scipy.special import erf as _erf
 from .core import GradingGraph, Hyperparameters, Model, _gaussian_within
 from .em import EmConfig
 from .evaluation import EvalConfig, EvaluationReport, _config_for, _run_indexed, evaluate_model
-from .gibbs import GibbsConfig, gibbs_infer
+from .gibbs import GibbsConfig, TraceRecorder, gibbs_infer
 
 __all__ = [
     "DELTAS",
@@ -194,6 +194,9 @@ def rounds_experiment(
     if not 0 <= threshold <= 1:
         raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
     cfg = _config_for(model, gibbs_cfg, GibbsConfig)
+    if cfg.retained_sweeps < 2:
+        raise ValueError(f"rounds needs at least 2 retained sweeps to measure confidence, "
+                         f"got {cfg.retained_sweeps} ({cfg.total_sweeps} sweeps, burn-in {cfg.burn_in})")
     per_grader: dict[tuple[int, str], int] = {}
     for g in graph.grades:
         per_grader[(g.assignment, g.grader)] = per_grader.get((g.assignment, g.grader), 0) + 1
@@ -206,16 +209,17 @@ def rounds_experiment(
 
     def run_round(k: int) -> RoundStat:
         restricted = restrict_to_first_grades(graph, k)
-        summary = gibbs_infer(restricted, hp, cfg, collect_scores=(method == "empirical"))
+        keys = [(a, u) for a in restricted.assignments for u in restricted.submissions(a)]
+        trace = TraceRecorder([("s", a, u) for a, u in keys]) if method == "empirical" else None
+        summary = gibbs_infer(restricted, hp, cfg, trace=trace)
         confident = 0
-        for a in restricted.assignments:
-            for u in restricted.submissions(a):
-                if method == "empirical":
-                    c = empirical_confidence(summary.score_samples[(a, u)], delta)
-                else:
-                    c = summary.confidence(a, u, delta)
-                if c >= threshold:
-                    confident += 1
+        for j, (a, u) in enumerate(keys):
+            if trace is not None:
+                c = empirical_confidence(trace.values[:, j], delta)
+            else:
+                c = summary.confidence(a, u, delta)
+            if c >= threshold:
+                confident += 1
         return RoundStat(round=k, confident_count=confident, total=total)
 
     rows = _run_indexed([lambda k=k: run_round(k) for k in range(1, k_max + 1)], max_workers)

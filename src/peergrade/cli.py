@@ -121,11 +121,13 @@ def _gibbs_cfg(args, model: Model) -> GibbsConfig:
 
 
 def _settings(args) -> tuple[Model, Hyperparameters, GibbsConfig | EmConfig]:
-    """Echo the seed, then parse the model, --hp and the engine's config, so
-    that a bad flag stops a command before it reads any input."""
+    """Echo the seed, then parse the model, --hp, --threads and the engine's
+    config, so that a bad flag stops a command before it reads any input."""
     print(f"seed: {args.seed}")
     model = Model.from_string(args.model)
     hp = _parse_hp(args.hp)
+    if getattr(args, "threads", 1) < 1:
+        raise ValueError(f"max_workers must be >= 1, got {args.threads}")
     if getattr(args, "engine", "gibbs") == "em":
         return model, hp, EmConfig(model=model)
     return model, hp, _gibbs_cfg(args, model)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import ItemsView
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
@@ -612,24 +612,12 @@ class PosteriorSummary:
     n_samples: int = 0
     mh_acceptance: float | None = None
     theta_acceptance: float | None = None
-    score_samples: dict[tuple[int, str], np.ndarray] | None = None  # retained draws, pp
 
     def __post_init__(self) -> None:
         for name in ("s", "b", "tau"):
             block = getattr(self, name)
             if not isinstance(block, StatBlock):
                 setattr(self, name, StatBlock.from_stats(block))
-
-    def __eq__(self, other: object) -> bool:
-        """Field by field, with score_samples compared array by array."""
-        if not isinstance(other, PosteriorSummary):
-            return NotImplemented
-        if any(getattr(self, f.name) != getattr(other, f.name) for f in fields(self) if f.name != "score_samples"):
-            return False
-        mine, theirs = self.score_samples, other.score_samples
-        if mine is None or theirs is None:
-            return mine is theirs
-        return mine.keys() == theirs.keys() and all(np.array_equal(v, theirs[k]) for k, v in mine.items())
 
     def estimate(self, assignment: int, student: str) -> float:
         """Posterior-mean score of one submission."""

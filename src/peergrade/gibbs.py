@@ -28,9 +28,9 @@ implements the same conditionals on arrays.
 The engine's layout is the one table of what a fit reports: one entry per
 (block, row), listing the reported students or graders, their positions in
 the row's array and where the row starts in the draw vector. Each retained
-sweep's draw vector feeds the posterior moments; traces and score samples
-are views of one array of its columns. Each row carries its normalization,
-and NormalizationParams.to_pp maps its values back to percentage points.
+sweep's draw vector feeds the posterior moments; a trace is one array of its
+columns. Each row carries its normalization, and NormalizationParams.to_pp
+maps its values back to percentage points.
 """
 from __future__ import annotations
 
@@ -488,13 +488,19 @@ class _Engine:
             blocks[e.kind][self.assignments[e.k]] = StatColumn(e.keys, m, v, np.full(e.pos.size, n))
         return (mean[-2:], var[-2:]) if self.theta is not None else None  # theta closes the vector
 
-    def locate(self, kind: str, a: int, student: str) -> tuple[_Reported, int]:
-        """The layout entry that reports a latent and the latent's position in
-        the draw vector; a ValueError for a latent that summarize does not report."""
-        for e in self.layout:
-            if e.kind == kind and self.assignments[e.k] == a and student in e.keys:
-                return e, e.start + int(e.pos[e.keys.index(student)])
-        raise ValueError(f"trace variable ({kind!r}, {a}, {student!r}) not tracked by the model")
+    def locate(self, variables: Sequence[tuple[str, int, str]]) -> list[tuple[_Reported, int]]:
+        """The layout entry that reports each (kind, assignment, student) and
+        its position in the draw vector, read from one table of the layout; a
+        ValueError for a latent that summarize does not report."""
+        table = {(e.kind, self.assignments[e.k], u): (e, e.start + j)
+                 for e in self.layout for u, j in zip(e.keys, e.pos.tolist())}
+        columns = []
+        for kind, a, student in variables:
+            column = table.get((kind, a, student))
+            if column is None:
+                raise ValueError(f"trace variable ({kind!r}, {a}, {student!r}) not tracked by the model")
+            columns.append(column)
+        return columns
 
 
 class _ColourClass:
@@ -667,8 +673,8 @@ class TraceRecorder:
     """The per-sweep values of selected latents in a fit.
 
     variables holds (kind, assignment, student) with kind in {s, b, tau}. A fit
-    sets values to a view of its retained draws of them in percentage points,
-    one row per sweep from first_sweep on, one column per variable.
+    sets values to its retained draws of them in percentage points, one row
+    per sweep from first_sweep on, one column per variable.
     """
 
     variables: Sequence[tuple[str, int, str]]
@@ -745,7 +751,6 @@ def gibbs_infer(
     hp: Hyperparameters,
     cfg: GibbsConfig,
     trace: TraceRecorder | None = None,
-    collect_scores: bool = False,
 ) -> PosteriorSummary:
     """Run the Gibbs sampler and summarize retained sweeps.
 
@@ -753,9 +758,8 @@ def gibbs_infer(
     own generator, spawned off one seed sequence in assignment order, except
     that the chain model's assignments all draw from the first. Posterior
     moments are streamed and reported in percentage points. The traced
-    latents, then every score if collect_scores (for sample-based coverage),
-    are columns picked from each retained sweep's draw vector into one array;
-    trace.values and score_samples are views of it, in percentage points.
+    latents are columns picked from each retained sweep's draw vector into
+    one array, trace.values, in percentage points.
     """
     engine = _build_engine(graph, hp, cfg)
     children = np.random.SeedSequence(cfg.seed).spawn(len(engine.assignments))
@@ -763,10 +767,7 @@ def gibbs_infer(
     if engine.chained:
         rngs = rngs[:1] * len(rngs)
 
-    variables = trace.variables if trace is not None else []
-    columns = [engine.locate(*v) for v in variables]  # (layout entry, draw-vector position) each
-    scored = [e for e in engine.layout if collect_scores and e.kind == "s"]
-    columns += [(e, e.start + j) for e in scored for j in e.pos.tolist()]
+    columns = engine.locate(trace.variables) if trace is not None else []  # (entry, draw-vector position)
     picked = np.array([at for _, at in columns], dtype=np.intp)
     record = np.empty((cfg.retained_sweeps, picked.size))
 
@@ -778,11 +779,7 @@ def gibbs_infer(
     for j, (e, _) in enumerate(columns):
         record[:, j] = engine.norm[e.k].to_pp(e.kind, record[:, j])[0]
     if trace is not None:
-        trace.values, trace.first_sweep = record[:, :len(variables)], cfg.burn_in + 1
-    score_samples = None
-    if collect_scores:
-        keys = [(engine.assignments[e.k], student) for e in scored for student in e.keys]
-        score_samples = dict(zip(keys, record[:, len(variables):].T))
+        trace.values, trace.first_sweep = record, cfg.burn_in + 1
     blocks: dict[str, dict[int, StatColumn]] = {"s": {}, "b": {}, "tau": {}}
     theta = engine.summarize(blocks)
     summary = PosteriorSummary(
@@ -791,7 +788,6 @@ def gibbs_infer(
         b=StatBlock(blocks["b"]),
         tau=StatBlock(blocks["tau"]),
         n_samples=cfg.retained_sweeps,
-        score_samples=score_samples,
     )
     if theta is not None:
         th_mean, th_var = theta

@@ -70,6 +70,11 @@ class SynthConfig:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if not self.hp.is_resolved:
             raise ValueError("generation needs explicit mu0 and gamma0 (no data to resolve them from)")
+        if self.n_ground_truth and self.super_grades == 0:
+            raise ValueError(
+                f"infeasible: {self.n_ground_truth} ground-truth submissions per assignment are graded "
+                "only by super graders, and super_grades is 0"
+            )
         if self.n_ground_truth and self.super_grades > self.n_students - 1:
             raise ValueError(
                 f"infeasible: {self.super_grades} super grades need {self.super_grades} distinct "
@@ -166,11 +171,8 @@ def generate(cfg: SynthConfig) -> tuple[GradingGraph, TrueLatents]:
         )
 
         for u in gt:
-            pool = z[eu == u]
-            if not pool.size:
-                raise ValueError("ground-truth submission generated without grades; raise super_grades")
             truth[(a, students[u])] = GroundTruth(
-                consensus_score=float(np.mean(pool)),
+                consensus_score=float(np.mean(z[eu == u])),
                 staff_score=float(s[k][u]),
             )
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -176,6 +177,19 @@ class TestRoundsExperiment:
     def test_unknown_method_rejected(self, rounds_graph):
         with pytest.raises(ValueError, match="method"):
             rounds_experiment(rounds_graph, Hyperparameters(), Model.PG1, method="exact")
+
+    @pytest.mark.parametrize("method", ["closed_form", "empirical"])
+    def test_one_retained_sweep_rejected_before_any_fit(self, rounds_graph, monkeypatch, method):
+        # one draw has no spread: the closed form would divide by a zero variance,
+        # and every submission would count as confident from its draw alone
+        def no_fit(*_, **__):
+            raise AssertionError("a round was fitted before the sweep counts were checked")
+
+        monkeypatch.setattr(calibration, "gibbs_infer", no_fit)
+        with pytest.raises(ValueError, match=re.escape(
+                "rounds needs at least 2 retained sweeps to measure confidence, got 1 (2 sweeps, burn-in 1)")):
+            rounds_experiment(rounds_graph, Hyperparameters(), Model.PG1, method=method,
+                              gibbs_cfg=GibbsConfig(model=Model.PG1, total_sweeps=2, burn_in=1))
 
     def test_mismatched_config_model(self, rounds_graph):
         with pytest.raises(ValueError, match="GibbsConfig is for pg2, but pg1 was asked for"):

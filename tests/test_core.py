@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +13,7 @@ from peergrade import (
     PeerGrade,
     PosteriorSummary,
     StatBlock,
+    TraceRecorder,
     VariableStat,
     denormalize,
     exclude_self_grades,
@@ -232,18 +232,18 @@ class TestPosteriorSummary:
         with pytest.raises(ValueError):
             summ.confidence(1, "u", 5.0)
 
-    def test_equality_with_score_samples(self):
+    def test_equality_of_traced_fits(self):
         g = make_graph([(1, "v", "u", 80.0), (1, "u", "v", 70.0)])
         hp = Hyperparameters(mu0=75.0, gamma0=1 / 100)
 
         def fit(seed):
             cfg = GibbsConfig(model=Model.PG1, total_sweeps=60, burn_in=10, seed=seed)
-            return gibbs_infer(g, hp, cfg, collect_scores=True)
+            trace = TraceRecorder([("s", 1, "u"), ("s", 1, "v")])
+            return gibbs_infer(g, hp, cfg, trace=trace), trace.values
 
-        first, again, other = fit(4), fit(4), fit(5)
-        assert first == again
-        assert first != other
-        assert first != replace(first, score_samples=None)
+        (first, first_draws), (again, again_draws), (other, other_draws) = fit(4), fit(4), fit(5)
+        assert first == again and np.array_equal(first_draws, again_draws)
+        assert first != other and not np.array_equal(first_draws, other_draws)
 
 
 class TestStatBlock:

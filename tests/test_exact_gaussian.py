@@ -122,12 +122,10 @@ def test_gibbs_matches_the_exact_moments(offset):
     graph, hp = _network(1, offset), Hyperparameters()
     exact = exact_pg1bias_posterior(graph, hp)
     cfg = GibbsConfig(model=Model.PG1_BIAS, total_sweeps=20_500, burn_in=500, seed=1)
-    biases = [(kind, a, v) for (kind, a, v) in exact if kind == "b"]
-    trace = TraceRecorder(biases)
-    summary = gibbs_infer(graph, hp, cfg, trace=trace, collect_scores=True)
-    scores = [(kind, a, u) for (kind, a, u) in exact if kind == "s"]
-    keys = scores + biases
-    draws = np.column_stack([summary.score_samples[a, u] for _, a, u in scores] + [trace.values])
+    keys = [key for key in exact if key[0] == "s"] + [key for key in exact if key[0] == "b"]
+    trace = TraceRecorder(keys)
+    summary = gibbs_infer(graph, hp, cfg, trace=trace)
+    draws = trace.values
     reported = {"s": summary.s, "b": summary.b}
     got_mean = np.array([reported[kind][a, v].mean for kind, a, v in keys])
     got_var = np.array([reported[kind][a, v].var for kind, a, v in keys])

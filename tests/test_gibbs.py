@@ -238,7 +238,7 @@ class TestTrace:
 
 
 class TestRecord:
-    """Traces and score samples are columns of the engine's draw vector."""
+    """Traces are columns of the engine's draw vector."""
 
     @pytest.fixture(scope="class")
     def pg3_graph(self):
@@ -273,17 +273,18 @@ class TestRecord:
             assert np.array_equal(vector[e.start + e.pos], engine.row(e)[e.pos])
         assert vector.size == e.start + engine.row(e).size + (2 if model is Model.PG3 else 0)
 
-    def test_pg3_traces_match_score_samples_and_summary(self, pg3_graph):
+    def test_pg3_traces_match_score_traces_and_summary(self, pg3_graph):
         cfg = GibbsConfig(model=Model.PG3, total_sweeps=60, burn_in=10, seed=3)
         plain = gibbs_infer(pg3_graph, Hyperparameters(), cfg)
         variables = [(kind, a, u) for kind in ("s", "b") for (a, u) in sorted(getattr(plain, kind))]
-        trace = TraceRecorder(variables)
-        summary = gibbs_infer(pg3_graph, Hyperparameters(), cfg, trace=trace, collect_scores=True)
+        trace, scores = TraceRecorder(variables), TraceRecorder([v for v in variables if v[0] == "s"])
+        summary = gibbs_infer(pg3_graph, Hyperparameters(), cfg, trace=trace)
+        gibbs_infer(pg3_graph, Hyperparameters(), cfg, trace=scores)
         values = np.array([r[4] for r in trace.rows]).reshape(cfg.retained_sweeps, len(variables))
         for column, (kind, a, u) in zip(values.T, variables):
             assert column.mean() == pytest.approx(getattr(summary, kind)[(a, u)].mean, rel=1e-9, abs=1e-9)
-            if kind == "s":
-                assert np.array_equal(summary.score_samples[(a, u)], column)
+        # a score's draws do not depend on what else is traced
+        assert np.array_equal(scores.values, values[:, :len(scores.variables)])
         assert summary.theta is not None
 
     def test_chained_bias_in_an_empty_assignment(self):
@@ -303,14 +304,27 @@ class TestRecord:
         cfg = GibbsConfig(model=model, total_sweeps=40, burn_in=10, seed=6)
         plain = gibbs_infer(pg3_graph, Hyperparameters(), cfg)
         trace = TraceRecorder([("s", a, sorted(pg3_graph.submissions(a))[0]) for a in pg3_graph.assignments])
-        recorded = gibbs_infer(pg3_graph, Hyperparameters(), cfg, trace=trace, collect_scores=True)
+        recorded = gibbs_infer(pg3_graph, Hyperparameters(), cfg, trace=trace)
         assert len(trace.rows) == 3 * cfg.retained_sweeps
-        assert replace(recorded, score_samples=None) == plain
+        assert recorded == plain
         # rows are read from values: sweep-major, one column per variable
         assert trace.first_sweep == cfg.burn_in + 1
         assert trace.values.shape == (cfg.retained_sweeps, 3)
         rows = np.array([r[4] for r in trace.rows]).reshape(trace.values.shape)
         assert trace.values.tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
+    def test_every_reported_latent_traces_to_its_mean(self, pg3_graph, model):
+        # PG2 fits this network z-scored, so its columns are mapped back to pp row by row
+        cfg = GibbsConfig(model=model, total_sweeps=40, burn_in=10, seed=6)
+        plain = gibbs_infer(pg3_graph, Hyperparameters(), cfg)
+        variables = [(kind, a, u) for kind in ("s", "b", "tau") for (a, u) in getattr(plain, kind)]
+        trace = TraceRecorder(variables)
+        assert gibbs_infer(pg3_graph, Hyperparameters(), cfg, trace=trace) == plain
+        assert {a for _, a, _ in variables} == set(pg3_graph.assignments) and len(pg3_graph.assignments) == 3
+        assert trace.values.shape == (cfg.retained_sweeps, len(variables))
+        for column, (kind, a, u) in zip(trace.values.T, variables):
+            assert column.mean() == pytest.approx(getattr(plain, kind)[(a, u)].mean, rel=1e-9)
 
     def test_recorders_compare_before_and_after_a_fit(self):
         g = make_graph([(1, "v", "u", 80.0), (1, "w", "u", 72.0)])
@@ -335,26 +349,22 @@ class TestRecord:
         assert reused.rows == fresh.rows
 
 
-class TestCollectScores:
+class TestScoreTrace:
     def test_samples_match_summary_moments(self):
         g = make_graph([(1, "v", "u", 80.0), (1, "w", "u", 72.0)])
         cfg = GibbsConfig(model=Model.PG1, total_sweeps=200, burn_in=50, seed=7)
-        summ = gibbs_infer(g, HP, cfg, collect_scores=True)
-        samples = summ.score_samples[(1, "u")]
+        trace = TraceRecorder([("s", 1, "u")])
+        summ = gibbs_infer(g, HP, cfg, trace=trace)
+        samples = trace.values[:, 0]
         assert samples.shape == (150,)
         assert float(samples.mean()) == pytest.approx(summ.s[(1, "u")].mean, abs=1e-9)
         assert float(samples.var()) == pytest.approx(summ.s[(1, "u")].var, rel=1e-6)
 
-    def test_disabled_by_default(self):
-        g = make_graph([(1, "v", "u", 80.0)])
-        summ = gibbs_infer(g, HP, GibbsConfig(model=Model.PG1, total_sweeps=30, burn_in=5, seed=7))
-        assert summ.score_samples is None
-
 
 class TestZScoredPg2Readers:
     """PG2 with default priors fits each assignment in z-units; the summary,
-    traces, score samples and frozen priors all map back to percentage points
-    through that assignment's normalization."""
+    traces and frozen priors all map back to percentage points through that
+    assignment's normalization."""
 
     CFG = GibbsConfig(model=Model.PG2, total_sweeps=60, burn_in=10, seed=7)
 
@@ -364,13 +374,14 @@ class TestZScoredPg2Readers:
                                         model=Model.PG2, seed=7))
         return graph
 
-    def test_traces_and_score_samples_match_summary(self, graph):
+    def test_traces_and_score_traces_match_summary(self, graph):
         variables = []
         for a in graph.assignments:
             g = graph.grades_in(a)[0]
             variables += [("s", a, g.gradee), ("b", a, g.grader), ("tau", a, g.grader)]
-        trace = TraceRecorder(variables)
-        summary = gibbs_infer(graph, Hyperparameters(), self.CFG, trace=trace, collect_scores=True)
+        trace, scores = TraceRecorder(variables), TraceRecorder([v for v in variables if v[0] == "s"])
+        summary = gibbs_infer(graph, Hyperparameters(), self.CFG, trace=trace)
+        gibbs_infer(graph, Hyperparameters(), self.CFG, trace=scores)
         for kind, a, student in variables:
             values = np.array([r[4] for r in trace.rows if r[1:4] == (kind, a, student)])
             assert values.size == self.CFG.retained_sweeps
@@ -378,7 +389,7 @@ class TestZScoredPg2Readers:
             assert values.mean() == pytest.approx(stat.mean, rel=1e-9)
             assert values.var() == pytest.approx(stat.var, rel=1e-9)
             if kind == "s":
-                assert np.array_equal(summary.score_samples[(a, student)], values)
+                assert np.array_equal(scores.values[:, scores.variables.index((kind, a, student))], values)
                 assert abs(stat.mean - graph.scores_in(a).mean()) < 20.0  # pp, not z-units
 
     def test_fit_frozen_priors_are_the_reduced_grades_moments(self, graph):

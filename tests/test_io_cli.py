@@ -528,11 +528,18 @@ class TestCliErrors:
          "submission (1, 's00035') has a pool of 20 grades, cannot draw 200 without replacement"),
         (["calibrate", "--truth", "{synth}/truth-consensus.csv", "--truth-source", "staff"],
          "submission (1, 's00035') has no staff score"),
+        (["evaluate", "--grades", "no-such-dir/grades.csv", "--threads", "0"], "max_workers must be >= 1, got 0"),
+        (["calibrate", "--grades", "no-such-dir/grades.csv", "--threads", "0"], "max_workers must be >= 1, got 0"),
+        (["rounds", "--grades", "no-such-dir/grades.csv", "--threads", "0"], "max_workers must be >= 1, got 0"),
+        (["rounds", "--sweeps", "2", "--burnin", "1", "--method", "empirical"],
+         "rounds needs at least 2 retained sweeps to measure confidence, got 1 (2 sweeps, burn-in 1)"),
     ], ids=["sweeps=0", "burnin=900", "trace=s:x:u", "em-trace", "bins=0", "evaluate-missing-grades",
             "sims=0", "rounds-burnin=900", "delta=-1", "threshold=1.5", "threads=-3",
             "identifiability-threads=-3", "identifiability-counts=4,0",
             "identifiability-grades-per-sim=500", "identifiability-gt=0", "evaluate-no-staff",
-            "evaluate-grades-per-sim=200", "calibrate-no-staff"])
+            "evaluate-grades-per-sim=200", "calibrate-no-staff", "evaluate-threads=0-missing-grades",
+            "calibrate-threads=0-missing-grades", "rounds-threads=0-missing-grades",
+            "rounds-one-retained-sweep"])
     def test_bad_flag_rejected_before_any_output(self, synth_dir, tmp_path, capsys, monkeypatch, args, message):
         # flags after the grades and truth files win, so a case can point at a missing file or
         # at the synth directory's staff-less truth; identifiability reads no files, and must
@@ -552,6 +559,18 @@ class TestCliErrors:
         code, _, err = run_cli([command, *inputs, *flags, "--out", str(out)], capsys)
         assert code == 1
         assert err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_synth_ground_truth_without_super_grades(self, tmp_path, capsys, monkeypatch):
+        def no_generate(cfg):
+            raise AssertionError("generate ran before the config was checked")
+
+        monkeypatch.setattr(cli, "generate", no_generate)
+        out = tmp_path / "x"
+        code, _, err = run_cli(["synth", "--students", "50", "--super-grades", "0", "--out", str(out)], capsys)
+        assert code == 1
+        assert err == ("error: infeasible: 3 ground-truth submissions per assignment are graded only by "
+                       "super graders, and super_grades is 0\n")
         assert not out.exists()
 
     def test_bad_hp_key(self, synth_dir, tmp_path, capsys):
@@ -749,6 +768,8 @@ def _table_commands(grades: str, truth: str, timed: str, out: Path) -> list[list
          "--out", str(out / "evaluate")],
         ["calibrate", "--grades", grades, "--truth", truth, *fit, *sims, "--out", str(out / "calibrate")],
         ["rounds", "--grades", grades, *fit, "--max-rounds", "3", "--out", str(out / "rounds")],
+        ["rounds", "--grades", grades, *fit, "--max-rounds", "3", "--method", "empirical",
+         "--out", str(out / "rounds-empirical")],
         ["analyze", "--grades", grades, *fit, "--out", str(out / "analyze")],
         ["analyze", "--grades", timed, *fit, "--min-support", "5", "--out", str(out / "analyze-seconds")],
         ["identifiability", "--students", "60", "--super-grades", "20", "--counts", "4,6", *fit, *sims,
@@ -760,8 +781,9 @@ def test_golden_table_bytes(tmp_path, capsys):
     """Every CSV table the CLI writes matches the committed bytes under
     tests/golden_tables, on the synth set of test_golden_bytes (PG2, 60
     students x 2 assignments, seed 7): infer --trace for s, b and tau,
-    evaluate --dump-residuals, calibrate, rounds, analyze with and without a
-    seconds column, and identifiability. PG3 is left out, as it is there."""
+    evaluate --dump-residuals, calibrate, rounds by closed form and from
+    traced draws, analyze with and without a seconds column, and
+    identifiability. PG3 is left out, as it is there."""
     timed = tmp_path / "timed-grades.csv"
     _with_seconds(GOLDEN / "synth" / "grades.csv", timed)
     out = tmp_path / "out"

@@ -37,6 +37,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="infeasible"):
             base_cfg(n_students=10, grades_per_grader=7, super_grades=5)
 
+    def test_ground_truth_needs_super_grades(self, monkeypatch):
+        def no_generate(cfg):
+            raise AssertionError("generate ran before the config was checked")
+
+        monkeypatch.setattr(synth, "generate", no_generate)
+        with pytest.raises(ValueError, match="infeasible: 3 ground-truth submissions per assignment .* "
+                                             "super_grades is 0"):
+            base_cfg(super_grades=0)
+        assert base_cfg(n_ground_truth=0, super_grades=0).super_grades == 0
+
     def test_needs_resolved_priors(self):
         with pytest.raises(ValueError, match="explicit mu0 and gamma0"):
             base_cfg(hp=Hyperparameters())
@@ -181,7 +191,8 @@ class TestIdentifiabilityExperiment:
     @pytest.mark.parametrize("cfg_kw, grades_per_sim, message", [
         ({"n_ground_truth": 0}, 4, "graph has no ground-truth submissions to evaluate"),
         ({}, 21, "each ground-truth submission has a pool of 20 grades, cannot draw 21 without replacement"),
-        ({"super_grades": 0}, 1, "has a pool of 0 grades, cannot draw 1 without replacement"),
+        ({"super_grades": 0}, 1, "infeasible: 3 ground-truth submissions per assignment are graded only by "
+                                 "super graders, and super_grades is 0"),
     ], ids=["no-ground-truth", "pool-below-draw", "empty-pool"])
     def test_ground_truth_pools_checked_before_generating(self, monkeypatch, cfg_kw, grades_per_sim, message):
         def no_generate(cfg):
