@@ -172,12 +172,12 @@ def _residuals(graph: GradingGraph, estimates) -> tuple[np.ndarray, ...]:
     """Per grade: residual (pp), the grader's and the gradee's estimated
     scores, seconds spent (NaN where absent) and the assignment id."""
     s_hat = _score_map(estimates)
-    grades = graph.grades
-    gradee_s = np.array([s_hat[g.assignment, g.gradee] for g in grades], dtype=float)
-    grader_s = np.array([s_hat[g.assignment, g.grader] for g in grades], dtype=float)
-    resid = np.array([g.score for g in grades], dtype=float) - gradee_s
-    seconds = np.array([np.nan if g.seconds is None else g.seconds for g in grades], dtype=float)
-    return resid, grader_s, gradee_s, seconds, np.array([g.assignment for g in grades], dtype=int)
+    t = graph.grades
+    assignment, ids = t.assignment.tolist(), t.ids
+    gradee_s = np.array([s_hat[a, ids[u]] for a, u in zip(assignment, t.gradee.tolist())], dtype=float)
+    grader_s = np.array([s_hat[a, ids[v]] for a, v in zip(assignment, t.grader.tolist())], dtype=float)
+    seconds = np.full(len(t), np.nan) if t.seconds is None else t.seconds
+    return t.score - gradee_s, grader_s, gradee_s, seconds, t.assignment
 
 
 def residual_vs_covariate(

@@ -155,19 +155,25 @@ class RoundsReport:
         return 1.0 - self.rows[-1].fraction
 
 
+def _given_rank(graph: GradingGraph) -> np.ndarray:
+    """Each grade's position, in input order, among the grades its grader
+    gave in its assignment."""
+    t = graph.grades
+    order = np.lexsort((t.grader, t.assignment))  # stable: input order within a grader
+    a, v = t.assignment[order], t.grader[order]
+    starts = np.ones(len(t), dtype=bool)
+    starts[1:] = (a[1:] != a[:-1]) | (v[1:] != v[:-1])
+    at = np.arange(len(t))
+    rank = np.empty(len(t), dtype=np.intp)
+    rank[order] = at - np.maximum.accumulate(np.where(starts, at, 0))
+    return rank
+
+
 def restrict_to_first_grades(graph: GradingGraph, k: int) -> GradingGraph:
     """Keep only each grader's first k grades per assignment, in input order."""
     if k < 1:
         raise ValueError(f"round must be >= 1, got {k}")
-    counts: dict[tuple[int, str], int] = {}
-    kept = []
-    for g in graph.grades:
-        key = (g.assignment, g.grader)
-        seen = counts.get(key, 0)
-        if seen < k:
-            kept.append(g)
-            counts[key] = seen + 1
-    return graph.with_grades(kept)
+    return graph.with_grades(graph.grades.take(_given_rank(graph) < k))
 
 
 def rounds_experiment(
@@ -197,12 +203,9 @@ def rounds_experiment(
     if cfg.retained_sweeps < 2:
         raise ValueError(f"rounds needs at least 2 retained sweeps to measure confidence, "
                          f"got {cfg.retained_sweeps} ({cfg.total_sweeps} sweeps, burn-in {cfg.burn_in})")
-    per_grader: dict[tuple[int, str], int] = {}
-    for g in graph.grades:
-        per_grader[(g.assignment, g.grader)] = per_grader.get((g.assignment, g.grader), 0) + 1
-    if not per_grader:
+    if not graph.n_grades:
         raise ValueError("no grades to run rounds over")
-    k_max = max(per_grader.values())
+    k_max = int(_given_rank(graph).max()) + 1
     if max_rounds is not None:
         k_max = min(k_max, max_rounds)
     total = sum(len(graph.submissions(a)) for a in graph.assignments)

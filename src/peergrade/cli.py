@@ -265,7 +265,7 @@ def cmd_analyze(args) -> int:
         covs = [Covariate(c) for c in args.covariate]
     else:
         covs = [Covariate.GRADER_SCORE, Covariate.GRADEE_SCORE]
-        if any(g.seconds is not None for g in graph.grades):
+        if graph.grades.seconds is not None:
             covs.append(Covariate.TIME_SPENT)
     for cov in covs:
         table = residual_vs_covariate(graph, estimates, cov, n_bins=args.bins, min_support=args.min_support)

@@ -1,8 +1,9 @@
 """Core data model for peer-grading networks.
 
-Defines the grading graph (who graded whom, with what score), the model
-identifiers, prior hyperparameters with data-driven resolution, latent-state
-containers, posterior summaries, and per-assignment z-score normalization.
+Defines the grading graph (who graded whom, with what score, held as one
+read-only table of integer-coded columns), the model identifiers, prior
+hyperparameters with data-driven resolution, latent-state containers,
+posterior summaries, and per-assignment z-score normalization.
 Scores are percentages on a 0..100 scale unless a graph has been normalized.
 
 Posterior summaries hold their moments as arrays: each block (scores, biases,
@@ -15,6 +16,8 @@ import math
 from collections.abc import ItemsView
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
+from itertools import repeat
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 import numpy as np
@@ -24,6 +27,7 @@ V = TypeVar("V")
 __all__ = [
     "Model",
     "PeerGrade",
+    "GradeTable",
     "GroundTruth",
     "GradingGraph",
     "NormalizationParams",
@@ -133,74 +137,331 @@ class NormalizationParams:
 IDENTITY_NORMALIZATION = NormalizationParams(mean=0.0, std=1.0)  # for graphs fit in percentage points
 
 
+def _int64_ids(values) -> tuple[np.ndarray, dict[int, int]]:
+    """Assignment ids as int64, and the ids out of int64 range by row (stored as 0)."""
+    try:
+        return np.asarray(values, dtype=np.int64), {}
+    except OverflowError:
+        big = {r: a for r, a in enumerate(values) if not -2**63 <= a < 2**63}
+        return np.array([0 if r in big else a for r, a in enumerate(values)], dtype=np.int64), big
+
+
+def _frozen(values, dtype) -> np.ndarray:
+    """values as a read-only array; a writeable array given is viewed, not changed."""
+    out = np.asarray(values, dtype=dtype)
+    if out.flags.writeable:
+        out = out.view()
+        out.flags.writeable = False
+    return out
+
+
+def _seconds(column: np.ndarray | None) -> np.ndarray | None:
+    """A seconds column, None when no row has seconds."""
+    return None if column is None or np.isnan(column).all() else column
+
+
+class GradeTable(Sequence[PeerGrade]):
+    """Read-only columns of peer grades, one row per grade in input order.
+
+    assignment holds assignment ids (int64); grader and gradee hold codes
+    (np.intp) into ids, the student ids, each interned once; score holds the
+    scores, and seconds the grading seconds, NaN where a row has none, or is
+    None when no row has any. lines, where given, holds the file line each
+    row was read from, and an error about a row names its line. Indexing or
+    iterating builds PeerGrade rows on demand; two tables are equal when
+    their rows are.
+    """
+
+    def __init__(self, assignment, grader, gradee, score, ids: Sequence[str], seconds=None, lines=None) -> None:
+        self.ids = tuple(ids)
+        if len(set(self.ids)) != len(self.ids):
+            raise ValueError("student ids must be distinct")
+        assignment, big = _int64_ids(assignment)
+        self.assignment, self.grader, self.gradee, self.score = (
+            _frozen(assignment, np.int64), _frozen(grader, np.intp), _frozen(gradee, np.intp), _frozen(score, float))
+        self.seconds = _seconds(None if seconds is None else _frozen(seconds, float))
+        self.lines = None if lines is None else _frozen(lines, np.intp)
+        n = len(self.score)
+        if any(col is not None and len(col) != n for col in (self.assignment, self.grader, self.gradee,
+                                                             self.seconds, self.lines)):
+            raise ValueError("grade columns must have equal lengths")
+        if n and not all(0 <= col.min() and col.max() < len(self.ids) for col in (self.grader, self.gradee)):
+            raise ValueError("grader and gradee codes must index ids")
+        self._check_rows(big)
+
+    def _replace(self, **columns) -> "GradeTable":
+        """This table with some columns replaced by fresh arrays, which it
+        makes read-only; unchecked."""
+        table = GradeTable.__new__(GradeTable)
+        table.__dict__.update(self.__dict__)
+        for name, column in columns.items():
+            if isinstance(column, np.ndarray):
+                column.flags.writeable = False
+            setattr(table, name, column)
+        table.seconds = _seconds(table.seconds)
+        return table
+
+    def _check_rows(self, big: Mapping[int, int]) -> None:
+        """Raise the error of the first row that is not a valid PeerGrade."""
+        bad = (self.assignment < 1) | ~np.isfinite(self.score)
+        if "" in self.ids:
+            empty = self.ids.index("")
+            bad |= (self.grader == empty) | (self.gradee == empty)
+        if self.seconds is not None:  # NaN is a row without seconds
+            bad |= (self.seconds < 0) | np.isinf(self.seconds)
+        if not bad.any():
+            return
+        r = int(np.argmax(bad))
+        try:
+            if r in big:
+                raise ValueError(f"assignment id must be {'>= 1' if big[r] < 1 else '< 2**63'}, got {big[r]}")
+            self[r]
+        except ValueError as e:
+            raise ValueError(f"line {self.lines[r]}: {e}" if self.lines is not None else str(e)) from None
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[PeerGrade]) -> "GradeTable":
+        """The table of PeerGrade rows, student ids interned in order of first appearance."""
+        code: dict[str, int] = {}
+        assignment, grader, gradee, score, seconds = [], [], [], [], []
+        for g in rows:
+            assignment.append(g.assignment)
+            grader.append(code.setdefault(g.grader, len(code)))
+            gradee.append(code.setdefault(g.gradee, len(code)))
+            score.append(g.score)
+            seconds.append(np.nan if g.seconds is None else g.seconds)
+        return cls(assignment, grader, gradee, score, ids=list(code), seconds=seconds)
+
+    def take(self, rows) -> "GradeTable":
+        """The table of some rows, in the given order: an index array or a boolean mask."""
+        table = GradeTable.__new__(GradeTable)
+        table.ids = self.ids
+        for name in ("assignment", "grader", "gradee", "score", "seconds", "lines"):
+            column = getattr(self, name)
+            if column is not None:
+                column = column[rows]
+                column.flags.writeable = False
+            setattr(table, name, column)
+        table.seconds = _seconds(table.seconds)
+        return table
+
+    def _recoded(self, ids: Sequence[str]) -> "GradeTable":
+        """The same rows coded into ids, which hold every id of this table."""
+        ids = tuple(ids)
+        if ids == self.ids:
+            return self
+        code = {s: i for i, s in enumerate(ids)}
+        remap = np.array([code[s] for s in self.ids], dtype=np.intp)
+        return self._replace(grader=remap[self.grader], gradee=remap[self.gradee], ids=ids)
+
+    def __len__(self) -> int:
+        return len(self.score)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self.take(np.arange(len(self))[i])
+        seconds = None if self.seconds is None or np.isnan(self.seconds[i]) else float(self.seconds[i])
+        return PeerGrade(int(self.assignment[i]), self.ids[self.grader[i]], self.ids[self.gradee[i]],
+                         float(self.score[i]), seconds)
+
+    def records(self) -> Iterator[tuple[int, str, str, float, float | None]]:
+        """(assignment, grader, gradee, score, seconds) per row as plain
+        values, seconds None where the row has none."""
+        ids = self.ids.__getitem__
+        seconds = repeat(None) if self.seconds is None else (
+            None if s != s else s for s in self.seconds.tolist())
+        return zip(self.assignment.tolist(), map(ids, self.grader.tolist()), map(ids, self.gradee.tolist()),
+                   self.score.tolist(), seconds)
+
+    def __iter__(self) -> Iterator[PeerGrade]:
+        return (PeerGrade(*row) for row in self.records())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GradeTable):
+            return NotImplemented
+        if len(self) != len(other) or (self.seconds is None) != (other.seconds is None):
+            return False
+        ids, other_ids = np.array(self.ids, dtype=object), np.array(other.ids, dtype=object)
+        return (np.array_equal(self.assignment, other.assignment)
+                and np.array_equal(self.score, other.score)
+                and np.array_equal(ids[self.grader], other_ids[other.grader])
+                and np.array_equal(ids[self.gradee], other_ids[other.gradee])
+                and (self.seconds is None or np.array_equal(self.seconds, other.seconds, equal_nan=True)))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"GradeTable(rows={len(self)}, students={len(self.ids)})"
+
+
+def _csr(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows stably sorted by key, and where each of the n keys' rows start."""
+    order = np.argsort(keys, kind="stable")
+    starts = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(keys, minlength=n), out=starts[1:])
+    return order, starts
+
+
+def _check_duplicates(table: GradeTable, row_k: np.ndarray) -> None:
+    """Raise on the first row, in input order, that repeats an earlier
+    (assignment, grader, gradee); row_k numbers each row's assignment."""
+    n = len(table.ids)
+    key = (row_k * n + table.grader) * n + table.gradee
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    repeats = np.flatnonzero(sorted_key[1:] == sorted_key[:-1]) + 1
+    if not repeats.size:
+        return
+    second = int(order[repeats].min())
+    first = int(order[np.searchsorted(sorted_key, key[second])])
+    g = table[second]
+    message = f"duplicate grade: grader {g.grader!r} already graded {g.gradee!r} in assignment {g.assignment}"
+    if table.lines is not None:
+        message = f"line {table.lines[second]}: {message} on line {table.lines[first]}"
+    raise ValueError(message)
+
+
 class GradingGraph:
     """Immutable bipartite-per-assignment grading network of peer grades.
 
     Nodes are (assignment, student) submissions; edges are observed peer
-    grades. The graph is the one place self-grades are dropped: every input
-    row, self-grades included, is checked for duplicates and counts toward the
-    submission universe, and then only grades whose grader is not the gradee
-    are kept, in input order. The submission universe defaults to every
-    student appearing as a grader or gradee, but can be given explicitly so
-    that students (or whole assignments) without grades stay addressable,
-    which leave-one-out evaluation and the random-walk bias chain rely on.
+    grades, held as one GradeTable whose ids are every student of the graph,
+    sorted. The graph is the one place self-grades are dropped: every input
+    row, self-grades included, is checked for duplicates and counts toward
+    the submission universe, and then only grades whose grader is not the
+    gradee are kept, in input order. The submission universe defaults to
+    every student appearing as a grader or gradee, but can be given
+    explicitly so that students (or whole assignments) without grades stay
+    addressable, which leave-one-out evaluation and the random-walk bias
+    chain rely on. Submissions are numbered assignment by assignment, and
+    the grades received and given by each are indexed once, on first use.
     """
 
     def __init__(
         self,
-        grades: Iterable[PeerGrade],
+        grades: GradeTable | Iterable[PeerGrade],
         ground_truth: Mapping[tuple[int, str], GroundTruth] | None = None,
         submissions: Mapping[int, Iterable[str]] | None = None,
     ) -> None:
-        rows = tuple(grades)
-        seen: set[tuple[int, str, str]] = set()
-        derived: dict[int, set[str]] = {}
-        for g in rows:
-            key = (g.assignment, g.grader, g.gradee)
-            if key in seen:
-                raise ValueError(
-                    f"duplicate grade: grader {g.grader!r} already graded "
-                    f"{g.gradee!r} in assignment {g.assignment}"
-                )
-            seen.add(key)
-            derived.setdefault(g.assignment, set()).update((g.grader, g.gradee))
-        self._grades: tuple[PeerGrade, ...] = tuple(g for g in rows if not g.is_self_grade)
-        self._n_self_grades = len(rows) - len(self._grades)
+        table = grades if isinstance(grades, GradeTable) else GradeTable.from_rows(grades)
+        universe = None if submissions is None else {int(a): tuple(s) for a, s in submissions.items()}
+        table = table._recoded(sorted(set(table.ids).union(*(universe or {}).values())))
+        n = len(table.ids)
+        present, row_k = np.unique(table.assignment, return_inverse=True)
+        _check_duplicates(table, row_k)
 
-        by_assignment: dict[int, list[PeerGrade]] = {}
-        for g in self._grades:
-            by_assignment.setdefault(g.assignment, []).append(g)
-        self._by_assignment = {a: tuple(gs) for a, gs in by_assignment.items()}
-
-        if submissions is not None:
-            subs = {int(a): set(studs) for a, studs in submissions.items()}
-            for a in subs:
-                if a < 1:
-                    raise ValueError(f"assignment id must be >= 1, got {a}")
-            for a, studs in derived.items():
-                if a not in subs:
-                    raise ValueError(f"grades reference assignment {a} missing from the submission universe")
-                missing = studs - subs[a]
-                if missing:
-                    raise ValueError(
-                        f"grades reference students without submissions in assignment {a}: "
-                        f"{sorted(missing)[:5]}"
-                    )
+        if universe is None:
+            assignments = present
+            sub_keys = np.unique(np.concatenate([row_k * n + table.grader, row_k * n + table.gradee]))
         else:
-            subs = derived
-        self._submissions: dict[int, tuple[str, ...]] = {
-            a: tuple(sorted(studs)) for a, studs in sorted(subs.items())
-        }
+            for a in universe:
+                if not 1 <= a < 2**63:
+                    raise ValueError(f"assignment id must be {'>= 1' if a < 1 else '< 2**63'}, got {a}")
+            assignments = np.array(sorted(universe), dtype=np.int64)
+            code = self._code = {s: i for i, s in enumerate(table.ids)}
+            sub_keys = np.concatenate([np.empty(0, dtype=np.int64)] + [
+                j * n + np.unique(np.array([code[s] for s in universe[a]], dtype=np.int64))
+                for j, a in enumerate(assignments.tolist())
+            ])
+            row_k = np.searchsorted(assignments, table.assignment)
+        self._assignments: tuple[int, ...] = tuple(assignments.tolist())
+        self._index = {a: j for j, a in enumerate(self._assignments)}
+        self._sub_keys = sub_keys
+        self._offsets = np.searchsorted(sub_keys, np.arange(len(assignments) + 1) * n)
+        grader_key, gradee_key = row_k * n + table.grader, row_k * n + table.gradee
+        self._grader_sid, self._gradee_sid = sub_keys.searchsorted(grader_key), sub_keys.searchsorted(gradee_key)
+        if universe is not None:
+            known = np.isin(table.assignment, assignments)
+            self._check_universe(table, known, known & self._found(self._grader_sid, grader_key),
+                                 known & self._found(self._gradee_sid, gradee_key))
+
+        keep = table.grader != table.gradee
+        self._n_self_grades = len(table) - int(np.count_nonzero(keep))
+        self._k = row_k
+        if self._n_self_grades:
+            table = table.take(keep)
+            self._grader_sid, self._gradee_sid, self._k = (
+                self._grader_sid[keep], self._gradee_sid[keep], self._k[keep])
+        self._grades = table
+        self._tables: dict[int, GradeTable] = {}
+        self._submissions: dict[int, tuple[str, ...]] = {}
 
         self._truth: dict[tuple[int, str], GroundTruth] = dict(ground_truth or {})
-        for (a, student) in self._truth:
-            if a not in self._submissions or student not in set(self._submissions[a]):
+        if self._truth:
+            code = self._code
+            keys = np.array([self._index[a] * n + code[u] if a in self._index and u in code else -1
+                             for a, u in self._truth], dtype=np.int64)
+            known = self._found(self._sub_keys.searchsorted(keys), keys)
+            if not known.all():
+                a, student = list(self._truth)[int(np.argmin(known))]
                 raise ValueError(f"ground truth references unknown submission ({a}, {student!r})")
+
+    def _found(self, at: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """Which (assignment number * students + student code) keys are
+        submissions, given where searchsorted places them."""
+        if not len(self._sub_keys):
+            return np.zeros(len(keys), dtype=bool)
+        return self._sub_keys[np.minimum(at, len(self._sub_keys) - 1)] == keys
+
+    @staticmethod
+    def _check_universe(table: GradeTable, known: np.ndarray, grader_ok: np.ndarray, gradee_ok: np.ndarray) -> None:
+        """Raise for the first assignment, in order of first appearance, whose
+        grades reference an assignment or a student without a submission."""
+        bad = ~(grader_ok & gradee_ok)
+        if not bad.any():
+            return
+        present, first = np.unique(table.assignment, return_index=True)
+        failing = np.unique(table.assignment[bad])
+        a = int(failing[np.argmin(first[np.searchsorted(present, failing)])])
+        rows = table.assignment == a
+        if not known[rows].all():
+            raise ValueError(f"grades reference assignment {a} missing from the submission universe")
+        codes = np.union1d(table.grader[rows & ~grader_ok], table.gradee[rows & ~gradee_ok])
+        missing = [table.ids[c] for c in codes[:5].tolist()]
+        raise ValueError(f"grades reference students without submissions in assignment {a}: {missing}")
+
+    @cached_property
+    def _code(self) -> dict[str, int]:
+        return {s: i for i, s in enumerate(self._grades.ids)}
+
+    @cached_property
+    def _by_assignment(self) -> tuple[np.ndarray, np.ndarray]:
+        return _csr(self._k, len(self._assignments))
+
+    @cached_property
+    def _by_gradee(self) -> tuple[np.ndarray, np.ndarray]:
+        return _csr(self._gradee_sid, len(self._sub_keys))
+
+    @cached_property
+    def _by_grader(self) -> tuple[np.ndarray, np.ndarray]:
+        return _csr(self._grader_sid, len(self._sub_keys))
+
+    def _sid(self, assignment: int, student: str) -> int | None:
+        """The number of a submission, None when there is none."""
+        j, c = self._index.get(assignment), self._code.get(student)
+        if j is None or c is None:
+            return None
+        key = j * len(self._grades.ids) + c
+        sid = int(self._sub_keys.searchsorted(key))
+        return sid if sid < len(self._sub_keys) and self._sub_keys[sid] == key else None
+
+    def _rows(self, j: int):
+        """The rows of the j-th assignment, in input order."""
+        if len(self._assignments) == 1:
+            return slice(None)
+        order, starts = self._by_assignment
+        return order[starts[j]:starts[j + 1]]
+
+    def _linked(self, index: tuple[np.ndarray, np.ndarray], sid: int | None) -> GradeTable:
+        if sid is None:
+            return self._grades.take(np.empty(0, dtype=np.intp))
+        order, starts = index
+        return self._grades.take(order[starts[sid]:starts[sid + 1]])
 
     # -- basic views ------------------------------------------------------
 
     @property
-    def grades(self) -> tuple[PeerGrade, ...]:
+    def grades(self) -> GradeTable:
         """All peer grades in input order."""
         return self._grades
 
@@ -212,7 +473,13 @@ class GradingGraph:
     @property
     def assignments(self) -> tuple[int, ...]:
         """Assignment ids in ascending order."""
-        return tuple(self._submissions)
+        return self._assignments
+
+    @property
+    def graders(self) -> tuple[str, ...]:
+        """Every student who gave a grade, sorted by id."""
+        ids = self._grades.ids
+        return tuple(ids[c] for c in np.unique(self._grades.grader).tolist())
 
     @property
     def ground_truth(self) -> Mapping[tuple[int, str], GroundTruth]:
@@ -224,49 +491,73 @@ class GradingGraph:
 
     def submissions(self, assignment: int) -> tuple[str, ...]:
         """Students with a submission in the assignment, sorted by id."""
-        try:
-            return self._submissions[assignment]
-        except KeyError:
-            raise KeyError(f"unknown assignment {assignment}") from None
+        j = self._index.get(assignment)
+        if j is None:
+            raise KeyError(f"unknown assignment {assignment}")
+        subs = self._submissions.get(j)
+        if subs is None:
+            ids = self._grades.ids
+            codes = self._sub_keys[self._offsets[j]:self._offsets[j + 1]] - j * len(ids)
+            subs = self._submissions[j] = tuple(ids[c] for c in codes.tolist())
+        return subs
 
-    def grades_in(self, assignment: int) -> tuple[PeerGrade, ...]:
+    def grades_in(self, assignment: int) -> GradeTable:
         """Grades of one assignment, in input order."""
-        return self._by_assignment.get(assignment, ())
+        j = self._index.get(assignment)
+        if j is None:
+            return self._grades.take(np.empty(0, dtype=np.intp))
+        table = self._tables.get(j)
+        if table is None:
+            rows = self._rows(j)
+            table = self._tables[j] = self._grades if isinstance(rows, slice) else self._grades.take(rows)
+        return table
 
-    def graders_of(self, assignment: int, gradee: str) -> tuple[PeerGrade, ...]:
+    def grade_positions(self, assignment: int) -> tuple[np.ndarray, np.ndarray]:
+        """For each grade of one assignment, in input order, the positions of
+        its grader and its gradee in submissions(assignment)."""
+        j = self._index.get(assignment)
+        if j is None:
+            raise KeyError(f"unknown assignment {assignment}")
+        rows, first = self._rows(j), self._offsets[j]
+        return self._grader_sid[rows] - first, self._gradee_sid[rows] - first
+
+    def graders_of(self, assignment: int, gradee: str) -> GradeTable:
         """Grades received by a submission, in input order."""
-        return tuple(g for g in self.grades_in(assignment) if g.gradee == gradee)
+        return self._linked(self._by_gradee, self._sid(assignment, gradee))
 
-    def gradees_of(self, assignment: int, grader: str) -> tuple[PeerGrade, ...]:
+    def gradees_of(self, assignment: int, grader: str) -> GradeTable:
         """Grades given by a grader in an assignment, in input order."""
-        return tuple(g for g in self.grades_in(assignment) if g.grader == grader)
+        return self._linked(self._by_grader, self._sid(assignment, grader))
 
     def scores_in(self, assignment: int) -> np.ndarray:
-        return np.array([g.score for g in self.grades_in(assignment)], dtype=float)
+        return self.grades_in(assignment).score
 
     # -- derived graphs ----------------------------------------------------
 
-    def with_grades(self, grades: Iterable[PeerGrade]) -> "GradingGraph":
+    def with_grades(self, grades: GradeTable | Iterable[PeerGrade]) -> "GradingGraph":
         """A copy holding different grades but the same universe and truth."""
         return GradingGraph(
             grades,
             ground_truth=self._truth,
-            submissions={a: studs for a, studs in self._submissions.items()},
+            submissions={a: self.submissions(a) for a in self._assignments},
         )
 
     def without_received(self, assignment: int, gradee: str) -> "GradingGraph":
         """Drop every grade received by one submission (leave-one-out step)."""
-        kept = [g for g in self._grades if not (g.assignment == assignment and g.gradee == gradee)]
-        return self.with_grades(kept)
+        keep = np.ones(len(self._grades), dtype=bool)
+        sid = self._sid(assignment, gradee)
+        if sid is not None:
+            order, starts = self._by_gradee
+            keep[order[starts[sid]:starts[sid + 1]]] = False
+        return self.with_grades(self._grades.take(keep))
 
     def __len__(self) -> int:
         return len(self._grades)
 
     def __repr__(self) -> str:
-        n_subs = sum(len(s) for s in self._submissions.values())
         return (
-            f"GradingGraph(assignments={len(self._submissions)}, "
-            f"submissions={n_subs}, grades={len(self._grades)}, "
+            f"GradingGraph(assignments={len(self._assignments)}, "
+            f"submissions={len(self._sub_keys)}, grades={len(self._grades)}, "
             f"ground_truth={len(self._truth)})"
         )
 
@@ -295,12 +586,12 @@ def _apply_zscores(graph: GradingGraph, params: Mapping[int, NormalizationParams
     """One graph with every grade of the given assignments z-scored."""
     if not params:
         return graph
-    out = []
-    for g in graph.grades:
-        p = params.get(g.assignment)
-        out.append(g if p is None else PeerGrade(g.assignment, g.grader, g.gradee,
-                                                   (g.score - p.mean) / p.std, g.seconds))
-    return graph.with_grades(out)
+    table = graph.grades
+    score = table.score.copy()
+    for a, p in params.items():
+        rows = table.assignment == a
+        score[rows] = (score[rows] - p.mean) / p.std
+    return graph.with_grades(table._replace(score=score))
 
 
 def zscore_normalize(graph: GradingGraph, assignment: int) -> tuple[GradingGraph, NormalizationParams]:
@@ -385,13 +676,19 @@ class Hyperparameters:
                 "cannot resolve data-driven priors from fewer than 2 grades; "
                 "set mu0 and gamma0 explicitly"
             )
-        var = float(np.var(scores))
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean, var = float(np.mean(scores)), float(np.var(scores))
+        if not (math.isfinite(mean) and math.isfinite(var)):
+            raise ValueError(
+                "grades too large to resolve data-driven priors from: their variance overflows; "
+                "set mu0 and gamma0 explicitly"
+            )
         if var == 0.0:
             raise ValueError(
                 "degenerate assignment: zero grade variance, cannot resolve gamma0; "
                 "set mu0 and gamma0 explicitly"
             )
-        mu0 = self.mu0 if self.mu0 is not None else float(np.mean(scores))
+        mu0 = self.mu0 if self.mu0 is not None else mean
         gamma0 = self.gamma0 if self.gamma0 is not None else 1.0 / var
         return replace(self, mu0=mu0, gamma0=gamma0)
 

@@ -233,7 +233,7 @@ def fit_frozen(
     truth = graph.ground_truth.get(key)
     if truth is None:
         raise KeyError(f"({a}, {gradee!r}) is not a ground-truth submission")
-    pool = graph.graders_of(a, gradee)
+    pool = tuple(graph.graders_of(a, gradee))
     reduced = graph.without_received(a, gradee)
     if engine == "em":
         cfg = _config_for(model, em_cfg, EmConfig)
@@ -394,7 +394,7 @@ def evaluate_baseline(
     def run_one(key: tuple[int, str], index: int) -> SubmissionEval:
         gt = truth_map[key]
         truth = _truth(key, gt.consensus_score, gt.staff_score, eval_cfg.truth_source)
-        scores = np.array([g.score for g in graph.graders_of(*key)])
+        scores = graph.graders_of(*key).score
         return _simulate(key, index, len(scores), truth, eval_cfg,
                          lambda chosen: (median_baseline(scores[chosen]), None))
 

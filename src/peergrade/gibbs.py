@@ -126,10 +126,10 @@ def cond_sample_score(
     a, student = u
     p = hp.gamma0
     num = hp.gamma0 * hp.mu0
-    for g in graph.graders_of(a, student):
-        t = state.tau[(a, g.grader)]
+    for _, grader, _, z, _ in graph.graders_of(a, student).records():
+        t = state.tau[(a, grader)]
         p += t
-        num += t * (g.score - state.b[(a, g.grader)])
+        num += t * (z - state.b[(a, grader)])
     return float(rng.normal(num / p, math.sqrt(1.0 / p)))
 
 
@@ -144,9 +144,9 @@ def cond_sample_bias(
     tau_v * sum(z - s_u) / precision."""
     a, grader = v
     t = state.tau[v]
-    given = graph.gradees_of(a, grader)
+    given = list(graph.gradees_of(a, grader).records())
     p = hp.eta0 + len(given) * t
-    num = t * sum(g.score - state.s[(a, g.gradee)] for g in given)
+    num = t * sum(z - state.s[(a, u)] for _, _, u, z, _ in given)
     return float(rng.normal(num / p, math.sqrt(1.0 / p)))
 
 
@@ -159,8 +159,8 @@ def cond_sample_reliability(
 ) -> float:
     """Draw tau_v | rest: Gamma(alpha0 + n_v/2, beta0 + sum resid^2 / 2), shape-rate."""
     a, grader = v
-    given = graph.gradees_of(a, grader)
-    rss = sum((g.score - state.s[(a, g.gradee)] - state.b[v]) ** 2 for g in given)
+    given = list(graph.gradees_of(a, grader).records())
+    rss = sum((z - state.s[(a, u)] - state.b[v]) ** 2 for _, _, u, z, _ in given)
     shape = hp.alpha0 + 0.5 * len(given)
     rate = hp.beta0 + 0.5 * rss
     return float(rng.gamma(shape, 1.0 / rate))
@@ -194,9 +194,9 @@ def cond_sample_bias_chain(
         p += hp.omega0
         num += hp.omega0 * state.b[(assignments[k + 1], v)]
     t = state.tau[(T, v)]
-    given = graph.gradees_of(T, v)
+    given = list(graph.gradees_of(T, v).records())
     p += len(given) * t
-    num += t * sum(g.score - state.s[(T, g.gradee)] for g in given)
+    num += t * sum(z - state.s[(T, u)] for _, _, u, z, _ in given)
     return float(rng.normal(num / p, math.sqrt(1.0 / p)))
 
 
@@ -223,19 +223,19 @@ def cond_sample_score_affine(
     a, student = u
     p = hp.gamma0
     num = hp.gamma0 * hp.mu0
-    for g in graph.graders_of(a, student):
-        w = max(th1 * state.s[(a, g.grader)] + th0, floor)
+    for _, grader, _, z, _ in graph.graders_of(a, student).records():
+        w = max(th1 * state.s[(a, grader)] + th0, floor)
         p += w
-        num += w * (g.score - state.b[(a, g.grader)])
+        num += w * (z - state.b[(a, grader)])
     prop = float(rng.normal(num / p, math.sqrt(1.0 / p)))
 
-    given = graph.gradees_of(a, student)
+    given = list(graph.gradees_of(a, student).records())
     if not given:
         return prop, True
     cur = state.s[u]
     w_old = max(th1 * cur + th0, floor)
     w_new = max(th1 * prop + th0, floor)
-    rss = sum((g.score - state.s[(a, g.gradee)] - state.b[u]) ** 2 for g in given)
+    rss = sum((z - state.s[(a, gradee)] - state.b[u]) ** 2 for _, _, gradee, z, _ in given)
     log_ratio = 0.5 * len(given) * (math.log(w_new) - math.log(w_old)) - 0.5 * (w_new - w_old) * rss
     if log_ratio >= 0.0 or math.log(rng.uniform()) < log_ratio:
         return prop, True
@@ -260,14 +260,16 @@ class _AssignmentIndex:
     ) -> None:
         self.assignment = assignment
         self.students = list(graph.submissions(assignment))
-        self.pos = {s: i for i, s in enumerate(self.students)}
         self.n_students = len(self.students)
-        self.graders, self.gpos = graders or (self.students, self.pos)
+        self.z = graph.grades_in(assignment).score
+        self.grader, self.gradee = graph.grade_positions(assignment)
+        if graders is None:
+            self.graders = self.students
+        else:  # a student's position in the grader list, read through its own position
+            self.graders, gpos = graders
+            shared = np.array([gpos.get(s, -1) for s in self.students], dtype=np.intp)
+            self.grader = shared[self.grader]
         self.n_graders = len(self.graders)
-        grades = graph.grades_in(assignment)
-        self.z = np.array([g.score for g in grades], dtype=float)
-        self.gradee = np.array([self.pos[g.gradee] for g in grades], dtype=np.intp)
-        self.grader = np.array([self.gpos[g.grader] for g in grades], dtype=np.intp)
         self.n_given = np.bincount(self.grader, minlength=self.n_graders).astype(float)
         self.n_received = np.bincount(self.gradee, minlength=self.n_students).astype(float)
 
@@ -707,7 +709,7 @@ def _build_engine(graph: GradingGraph, hp: Hyperparameters, cfg: GibbsConfig | E
     pg2 = cfg.model is Model.PG2
     work, norm = prepare_graph(graph, cfg.model, pg2 and cfg.assume_normalized)
     resolved = resolve_priors(work, hp, normalized=bool(norm))
-    graders = sorted({g.grader for g in work.grades}) if pg2 else None
+    graders = list(work.graders) if pg2 else None
     engine = _Pg3Engine if cfg.model is Model.PG3 else _Engine
     return engine(work, graders, resolved, norm, cfg)
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .analytics import BinnedResidualTable, ResidualHeatmap, TemporalCorrelationReport
 from .calibration import CalibrationReport, RoundsReport
-from .core import GradingGraph, GroundTruth, PeerGrade, PosteriorSummary, StatBlock, by_assignment
+from .core import GradeTable, GradingGraph, GroundTruth, PeerGrade, PosteriorSummary, StatBlock, by_assignment
 from .em import PointEstimates
 from .evaluation import METRIC_ROWS, EvaluationReport
 from .gibbs import TraceRecorder
@@ -248,10 +248,11 @@ def _records(path) -> Iterator[tuple[int, list[str]]]:
             raise ValueError(f"{path}: cannot decode as text ({e.reason})") from None
 
 
-def read_grades_csv(path) -> list[PeerGrade]:
+def read_grades_csv(path) -> GradeTable:
     """Parse a grades file (header assignment,grader,gradee,score with an
-    optional trailing seconds column)."""
-    grades: list[PeerGrade] = []
+    optional trailing seconds column) into a table whose rows know their
+    lines. Errors name the line of the first bad row, as reading row by row
+    would."""
     records = _records(path)
     _, header = next(records, (1, None))
     if header is None:
@@ -261,22 +262,36 @@ def read_grades_csv(path) -> list[PeerGrade]:
             f"{path}: bad header {','.join(header)!r}; expected {','.join(GRADE_HEADER)}"
             " (optionally with a trailing seconds column)"
         )
-    has_seconds = header == GRADE_HEADER_SECONDS
-    for lineno, row in records:
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise ValueError(f"line {lineno}: expected {len(header)} cells, got {len(row)}")
-        seconds = None
-        if has_seconds and row[4].strip() != "":
-            seconds = _parse_float(row[4], "seconds", lineno)
-        assignment = _parse_int(row[0], "assignment", lineno)
-        score = _parse_float(row[3], "score", lineno)
-        try:
-            grades.append(PeerGrade(assignment, row[1], row[2], score, seconds))
-        except ValueError as e:
-            raise ValueError(f"line {lineno}: {e}") from None
-    return grades
+    has_seconds, n_cells = header == GRADE_HEADER_SECONDS, len(header)
+    code: dict[str, int] = {}
+    assignment, grader, gradee, score, seconds, lines = [], [], [], [], [], []
+
+    def table() -> GradeTable:
+        return GradeTable(assignment, grader, gradee, score, ids=list(code), seconds=seconds, lines=lines)
+
+    try:
+        for lineno, row in records:
+            if not row:
+                continue
+            if len(row) != n_cells:
+                raise ValueError(f"line {lineno}: expected {n_cells} cells, got {len(row)}")
+            s = None
+            if has_seconds and row[4].strip() != "":
+                s = _parse_float(row[4], "seconds", lineno)
+            a = _parse_int(row[0], "assignment", lineno)
+            z = _parse_float(row[3], "score", lineno)
+            assignment.append(a)
+            score.append(z)
+            grader.append(code.setdefault(row[1], len(code)))
+            gradee.append(code.setdefault(row[2], len(code)))
+            lines.append(lineno)
+            seconds.append(math.nan if s is None else s)
+            if s is not None and s != s:  # NaN stands for no seconds in the table, so a NaN cell fails here
+                raise ValueError(f"line {lineno}: grading seconds must be finite and >= 0, got nan")
+    except ValueError:
+        table()  # a row read before the failing one may hold an earlier error
+        raise
+    return table()
 
 
 def read_truth_csv(path) -> dict[tuple[int, str], GroundTruth]:
@@ -307,7 +322,7 @@ def read_truth_csv(path) -> dict[tuple[int, str], GroundTruth]:
 
 def ingest(grades_path, truth_path=None) -> GradingGraph:
     """Build a validated graph from files; the graph drops self-grades, and
-    their count is logged."""
+    their count is logged. A duplicate grade's error names both lines."""
     grades = read_grades_csv(grades_path)
     truth = read_truth_csv(truth_path) if truth_path else None
     graph = GradingGraph(grades, ground_truth=truth)
@@ -322,14 +337,15 @@ def describe(graph: GradingGraph) -> str:
     total_subs = total_grades = total_truth = 0
     truth = graph.ground_truth
     for a in graph.assignments:
-        graders = {g.grader for g in graph.grades_in(a)}
+        grades = graph.grades_in(a)
+        n_graders = len(np.unique(grades.grader))
         n_subs = len(graph.submissions(a))
-        n_grades = len(graph.grades_in(a))
+        n_grades = len(grades)
         n_truth = sum(1 for (ta, _) in truth if ta == a)
         total_subs += n_subs
         total_grades += n_grades
         total_truth += n_truth
-        lines.append(f"{a:>10} {n_subs:>12} {len(graders):>8} {n_grades:>8} {n_truth:>6}")
+        lines.append(f"{a:>10} {n_subs:>12} {n_graders:>8} {n_grades:>8} {n_truth:>6}")
     lines.append(f"{'total':>10} {total_subs:>12} {'':>8} {total_grades:>8} {total_truth:>6}")
     return "\n".join(lines)
 
@@ -347,14 +363,15 @@ def _write_table(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
         w.writerows(rows)
 
 
-def write_grades_csv(grades: Iterable[PeerGrade], path) -> None:
-    grades = list(grades)
-    if not any(g.seconds is not None for g in grades):
-        _write_table(path, GRADE_HEADER, ((g.assignment, g.grader, g.gradee, f6(g.score)) for g in grades))
+def write_grades_csv(grades: GradeTable | Iterable[PeerGrade], path) -> None:
+    """Write grades row by row from their columns; the seconds column only
+    when a row has seconds."""
+    t = grades if isinstance(grades, GradeTable) else GradeTable.from_rows(grades)
+    if t.seconds is None:
+        _write_table(path, GRADE_HEADER, ((a, v, u, f6(z)) for a, v, u, z, _ in t.records()))
         return
     _write_table(path, GRADE_HEADER_SECONDS, (
-        (g.assignment, g.grader, g.gradee, f6(g.score), "" if g.seconds is None else f6(g.seconds))
-        for g in grades
+        (a, v, u, f6(z), "" if s is None else f6(s)) for a, v, u, z, s in t.records()
     ))
 
 

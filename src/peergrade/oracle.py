@@ -119,9 +119,9 @@ def _enumerate_latents(
 
     receives: dict[tuple[int, str], bool] = {}
     gives: dict[tuple[int, str], bool] = {}
-    for g in work.grades:
-        receives[(g.assignment, g.gradee)] = True
-        gives[(g.assignment, g.grader)] = True
+    for a, v, u, _, _ in work.grades.records():
+        receives[(a, u)] = True
+        gives[(a, v)] = True
 
     for a in work.assignments:
         hp = resolved[a]
@@ -139,7 +139,7 @@ def _enumerate_latents(
     if model is Model.PG2:
         assignments = list(work.assignments)
         hp0 = resolved[assignments[0]]
-        graders = sorted({g.grader for g in work.grades})
+        graders = work.graders
         for v in graders:
             for k, a in enumerate(assignments):
                 # marginal prior sd grows along the walk
@@ -209,16 +209,15 @@ def oracle_posterior(
     # each likelihood and chain-link term: the lattice axes it reads, and its
     # log density over them
     terms: list[tuple[tuple[int, ...], Callable]] = []
-    for g in work.grades:
-        a = g.assignment
-        js = pos[("s", a, g.gradee)]
-        jb = pos[("b", a, g.grader)]
+    for a, grader, gradee, score, _ in work.grades.records():
+        js = pos[("s", a, gradee)]
+        jb = pos[("b", a, grader)]
         if model is Model.PG3:
-            jv = pos[("s", a, g.grader)]
+            jv = pos[("s", a, grader)]
             th0, th1 = resolved[a].effective_theta0, resolved[a].theta1
             floor = resolved[a].precision_floor
 
-            def term(v, z=g.score, js=js, jb=jb, jv=jv, th0=th0, th1=th1, floor=floor):
+            def term(v, z=score, js=js, jb=jb, jv=jv, th0=th0, th1=th1, floor=floor):
                 w = np.maximum(th1 * v[jv] + th0, floor)
                 resid = z - v[js] - v[jb]
                 return 0.5 * np.log(w) - 0.5 * w * resid * resid
@@ -228,16 +227,16 @@ def oracle_posterior(
         elif model is Model.PG1_BIAS:
             tau = resolved[a].effective_tau_fixed
 
-            def term(v, z=g.score, js=js, jb=jb, tau=tau):
+            def term(v, z=score, js=js, jb=jb, tau=tau):
                 resid = z - v[js] - v[jb]
                 return -0.5 * tau * resid * resid
 
             terms.append(((js, jb), term))
 
         else:
-            jt = pos[("tau", a, g.grader)]
+            jt = pos[("tau", a, grader)]
 
-            def term(v, z=g.score, js=js, jb=jb, jt=jt):
+            def term(v, z=score, js=js, jb=jb, jt=jt):
                 resid = z - v[js] - v[jb]
                 return 0.5 * np.log(v[jt]) - 0.5 * v[jt] * resid * resid
 
@@ -246,7 +245,7 @@ def oracle_posterior(
     if model is Model.PG2:
         assignments = list(work.assignments)
         omega0 = resolved[assignments[0]].omega0
-        for v_id in sorted({g.grader for g in work.grades}):
+        for v_id in work.graders:
             for prev_a, cur_a in zip(assignments, assignments[1:]):
                 j1 = pos[("b", prev_a, v_id)]
                 j2 = pos[("b", cur_a, v_id)]

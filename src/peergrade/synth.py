@@ -16,11 +16,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import (
+    GradeTable,
     GradingGraph,
     GroundTruth,
     Hyperparameters,
     Model,
-    PeerGrade,
 )
 from .evaluation import EvalConfig, evaluate_baseline, evaluate_model
 from .gibbs import GibbsConfig, gibbs_infer
@@ -136,7 +136,7 @@ def generate(cfg: SynthConfig) -> tuple[GradingGraph, TrueLatents]:
     else:
         tau = np.maximum(hp.theta1 * s + hp.effective_theta0, hp.precision_floor)
 
-    grades: list[PeerGrade] = []
+    columns: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (grader, gradee, score) per assignment
     truth: dict[tuple[int, str], GroundTruth] = {}
     q = cfg.grades_per_grader
     for k, a in enumerate(assignments):
@@ -165,10 +165,7 @@ def generate(cfg: SynthConfig) -> tuple[GradingGraph, TrueLatents]:
         eu = np.concatenate([non_gt[chosen].ravel(), np.repeat(gt, cfg.super_grades)])
         noise_sd = 1.0 / np.sqrt(tau[k][eg])
         z = s[k][eu] + b[k][eg] + rng.normal(0.0, 1.0, size=eg.size) * noise_sd
-        grades.extend(
-            PeerGrade(assignment=a, grader=students[v], gradee=students[u], score=score)
-            for v, u, score in zip(eg.tolist(), eu.tolist(), z.tolist())
-        )
+        columns.append((eg, eu, z))
 
         for u in gt:
             truth[(a, students[u])] = GroundTruth(
@@ -181,6 +178,11 @@ def generate(cfg: SynthConfig) -> tuple[GradingGraph, TrueLatents]:
         b={(a, students[v]): float(b[k][v]) for k, a in enumerate(assignments) for v in range(n)},
         tau={(a, students[v]): float(tau[k][v]) for k, a in enumerate(assignments) for v in range(n)},
         theta=(hp.effective_theta0, hp.theta1) if cfg.model is Model.PG3 else None,
+    )
+    grades = GradeTable(
+        np.repeat(assignments, [eg.size for eg, _, _ in columns]),
+        *(np.concatenate(col) for col in zip(*columns)),
+        ids=students,
     )
     graph = GradingGraph(
         grades,

@@ -205,6 +205,14 @@ class TestResolvePriors:
         res = resolve_priors(g, Hyperparameters(mu0=75.0, gamma0=0.01))
         assert res[2].mu0 == 75.0
 
+    def test_overflowing_variance_names_the_assignment(self):
+        # the variance of +-1e308 overflows; numpy's RuntimeWarning is an error under pytest
+        g = make_graph([(1, "a", "u", 60.0), (1, "b", "u", 80.0), (2, "a", "u", 1e308), (2, "b", "u", -1e308)])
+        with pytest.raises(ValueError) as err:
+            resolve_priors(g, Hyperparameters())
+        assert str(err.value) == ("assignment 2: grades too large to resolve data-driven priors from: "
+                                  "their variance overflows; set mu0 and gamma0 explicitly")
+
 
 class TestModel:
     def test_from_string(self):

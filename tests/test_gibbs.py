@@ -486,7 +486,7 @@ class TestChromaticPg3:
         n = 20_000
         engine = self.engine(graph, self.HP)
         engine.load_state(state)
-        i = engine.idx[0].pos["u"]
+        i = engine.idx[0].students.index("u")
         cls = next(c for c in engine.classes[0] if i in c.members)
         s = engine.s[0]
         s0 = s.copy()

@@ -1,0 +1,173 @@
+"""The columnar grade table and the graph built on it, checked against the
+row-by-row graph it replaces."""
+import numpy as np
+import pytest
+
+from peergrade import (
+    GibbsConfig,
+    GradeTable,
+    GradingGraph,
+    Hyperparameters,
+    Model,
+    PeerGrade,
+    SynthConfig,
+    generate,
+    gibbs_infer,
+    normalize_all,
+    restrict_to_first_grades,
+)
+from peergrade.io import ingest, read_grades_csv, write_grades_csv, write_truth_csv
+
+
+class RowwiseGraph:
+    """The graph as it was built row by row: a seen set over every input
+    row, the self-grade drop, per-assignment tuples and sorted submissions."""
+
+    def __init__(self, grades, submissions=None):
+        rows = tuple(grades)
+        seen, derived = set(), {}
+        for g in rows:
+            key = (g.assignment, g.grader, g.gradee)
+            assert key not in seen
+            seen.add(key)
+            derived.setdefault(g.assignment, set()).update((g.grader, g.gradee))
+        self.grades = tuple(g for g in rows if not g.is_self_grade)
+        self.n_self_grades = len(rows) - len(self.grades)
+        subs = derived if submissions is None else {int(a): set(s) for a, s in submissions.items()}
+        self.submissions = {a: tuple(sorted(s)) for a, s in sorted(subs.items())}
+
+    def grades_in(self, a):
+        return tuple(g for g in self.grades if g.assignment == a)
+
+    def graders_of(self, a, u):
+        return tuple(g for g in self.grades_in(a) if g.gradee == u)
+
+    def gradees_of(self, a, v):
+        return tuple(g for g in self.grades_in(a) if g.grader == v)
+
+
+@pytest.fixture(scope="module")
+def network():
+    """A PG2 network over 3 graded assignments and a fourth without grades,
+    with self-grades injected and seconds on two rows of every three."""
+    graph, _ = generate(SynthConfig(n_students=40, n_assignments=3, grades_per_grader=3,
+                                    n_ground_truth=2, super_grades=10, model=Model.PG2, seed=13))
+    rng = np.random.default_rng(5)
+    rows = [PeerGrade(g.assignment, g.grader, g.gradee, g.score, None if i % 3 == 0 else float(rng.uniform(30, 600)))
+            for i, g in enumerate(graph.grades)]
+    students = graph.submissions(1)
+    for i, (a, u) in enumerate([(1, students[4]), (2, students[0]), (3, students[17]), (1, students[30])]):
+        rows.insert(37 * i + 5, PeerGrade(a, u, u, 90.0 + i, 60.0))
+    universe = {a: students for a in (1, 2, 3, 4)}
+    return rows, universe
+
+
+def test_views_match_the_rowwise_graph(network):
+    rows, universe = network
+    graph, ref = GradingGraph(rows, submissions=universe), RowwiseGraph(rows, universe)
+    assert graph.n_self_grades == ref.n_self_grades == 4
+    assert list(graph.grades) == list(ref.grades)
+    assert graph.assignments == tuple(ref.submissions) == (1, 2, 3, 4)
+    for a in graph.assignments:
+        assert graph.submissions(a) == ref.submissions[a]
+        assert list(graph.grades_in(a)) == list(ref.grades_in(a))
+        assert graph.scores_in(a).tolist() == [g.score for g in ref.grades_in(a)]
+        for u in graph.submissions(a):
+            assert list(graph.graders_of(a, u)) == list(ref.graders_of(a, u))
+            assert list(graph.gradees_of(a, u)) == list(ref.gradees_of(a, u))
+    assert not graph.grades_in(4) and not graph.graders_of(4, universe[4][0])
+    assert graph.graders == tuple(sorted({g.grader for g in ref.grades}))
+
+
+def test_grade_positions_index_the_submissions(network):
+    rows, universe = network
+    graph = GradingGraph(rows, submissions=universe)
+    for a in graph.assignments:
+        grader, gradee = graph.grade_positions(a)
+        assert grader.dtype == gradee.dtype == np.intp
+        subs = graph.submissions(a)
+        assert [(subs[v], subs[u]) for v, u in zip(grader, gradee)] == [
+            (g.grader, g.gradee) for g in graph.grades_in(a)]
+
+
+def test_derived_graphs_match_their_rowwise_definitions(network):
+    rows, universe = network
+    graph = GradingGraph(rows, submissions=universe)
+    ref = RowwiseGraph(rows, universe)
+    for a, u in [(1, universe[1][4]), (2, universe[2][0]), (3, universe[3][39]), (4, universe[4][1])]:
+        reduced = graph.without_received(a, u)
+        assert list(reduced.grades) == [g for g in ref.grades if not (g.assignment == a and g.gradee == u)]
+        assert all(reduced.submissions(b) == graph.submissions(b) for b in graph.assignments)
+
+    for k in (1, 2, 3):
+        counts, kept = {}, []
+        for g in ref.grades:
+            seen = counts.get((g.assignment, g.grader), 0)
+            if seen < k:
+                kept.append(g)
+            counts[(g.assignment, g.grader)] = seen + 1
+        assert list(restrict_to_first_grades(graph, k).grades) == kept
+
+    normed, params = normalize_all(graph)
+    assert sorted(params) == [1, 2, 3]
+    for a, p in params.items():
+        scores = np.array([g.score for g in ref.grades_in(a)])
+        assert (p.mean, p.std) == (float(np.mean(scores)), float(np.std(scores)))
+    assert list(normed.grades) == [
+        PeerGrade(g.assignment, g.grader, g.gradee, (g.score - params[g.assignment].mean) / params[g.assignment].std,
+                  g.seconds)
+        for g in ref.grades
+    ]
+
+
+def test_table_rows_and_equality():
+    rows = [PeerGrade(2, "v", "u", 70.5, 12.0), PeerGrade(1, "u", "w", 60.0), PeerGrade(1, "w", "v", 81.0)]
+    table = GradeTable.from_rows(rows)
+    assert len(table) == 3 and list(table) == rows
+    assert table[1] == rows[1] and table[-1] == rows[2]
+    assert list(table[1:]) == rows[1:]
+    assert list(table.records()) == [(2, "v", "u", 70.5, 12.0), (1, "u", "w", 60.0, None), (1, "w", "v", 81.0, None)]
+    assert table == GradingGraph(rows).grades  # same rows, other codes
+    assert table != GradeTable.from_rows(rows[:2]) and table != rows
+    assert table.take(np.array([0])).seconds is not None and table.take(np.array([1, 2])).seconds is None
+    with pytest.raises(ValueError):
+        table.score[0] = 1.0
+
+
+def test_table_rejects_what_a_row_rejects():
+    with pytest.raises(ValueError, match="^grade score must be finite, got inf$"):
+        GradeTable([1, 1], [0, 1], [1, 0], [70.0, np.inf], ids=["a", "b"])
+    with pytest.raises(ValueError, match="^line 7: assignment id must be >= 1, got 0$"):
+        GradeTable([1, 0], [0, 1], [1, 0], [70.0, 60.0], ids=["a", "b"], lines=[3, 7])
+    with pytest.raises(ValueError, match="^assignment id must be < 2\\*\\*63, got 9223372036854775808$"):
+        GradeTable([1, 2**63], [0, 1], [1, 0], [70.0, 60.0], ids=["a", "b"])
+    with pytest.raises(ValueError, match="distinct"):
+        GradeTable([1], [0], [1], [70.0], ids=["a", "a"])
+
+
+def test_reader_keeps_lines_and_rows(tmp_path):
+    path = tmp_path / "g.csv"
+    path.write_text("assignment,grader,gradee,score,seconds\n1,a,b,70,\n\n2,\"b\nc\",a,61.5,30\n")
+    table = read_grades_csv(path)
+    assert table.lines.tolist() == [2, 5]
+    assert list(table) == [PeerGrade(1, "a", "b", 70.0), PeerGrade(2, "b\nc", "a", 61.5, 30.0)]
+
+
+def test_nothing_builds_a_peer_grade_from_generate_to_a_fit(tmp_path, monkeypatch):
+    built = []
+    check = PeerGrade.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(PeerGrade, "__post_init__", counted)
+    graph, _ = generate(SynthConfig(n_students=60, grades_per_grader=4, n_ground_truth=2, super_grades=10,
+                                    model=Model.PG1, seed=21))
+    write_grades_csv(graph.grades, tmp_path / "grades.csv")
+    write_truth_csv(graph.ground_truth, tmp_path / "truth.csv")
+    ingested = ingest(tmp_path / "grades.csv", tmp_path / "truth.csv")
+    gibbs_infer(ingested, Hyperparameters(), GibbsConfig(model=Model.PG1, total_sweeps=20, burn_in=5, seed=3))
+    assert built == []
+    ingested.grades[0]  # the counter sees a row built on demand
+    assert len(built) == 1

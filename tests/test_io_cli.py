@@ -173,7 +173,7 @@ class TestGradesCsv:
         rows = [g for g in GRADE_ROWS if g.seconds is None]
         write_grades_csv(rows, path)
         assert path.read_text().splitlines()[0] == "assignment,grader,gradee,score"
-        assert read_grades_csv(path) == rows
+        assert list(read_grades_csv(path)) == rows
 
     def test_roundtrip_with_seconds(self, tmp_path):
         path = tmp_path / "g.csv"
@@ -181,7 +181,7 @@ class TestGradesCsv:
         header = path.read_text().splitlines()[0]
         assert header == "assignment,grader,gradee,score,seconds"
         back = read_grades_csv(path)
-        assert back == GRADE_ROWS
+        assert list(back) == GRADE_ROWS
         assert back[0].seconds is None and back[2].seconds == 300.0
 
     def test_rejects_wrong_header(self, tmp_path):
@@ -606,6 +606,23 @@ class TestCliErrors:
         assert code == 1
         assert err.startswith("error: assignment 2: no grades to resolve data-driven priors")
         assert "Traceback" not in err
+
+    def test_duplicate_grade_names_both_lines(self, tmp_path, capsys):
+        gpath = tmp_path / "g.csv"
+        gpath.write_text("assignment,grader,gradee,score\n1,a,b,80\n1,b,a,70\n\n1,a,b,75\n")
+        code, _, err = run_cli(["infer", "--grades", str(gpath), "--out", str(tmp_path / "x")], capsys)
+        assert code == 1
+        assert err == "error: line 5: duplicate grade: grader 'a' already graded 'b' in assignment 1 on line 2\n"
+
+    def test_overflowing_grades_name_the_assignment(self, tmp_path, capsys):
+        gpath = tmp_path / "g.csv"
+        gpath.write_text("assignment,grader,gradee,score\n1,a,b,1e308\n1,b,a,-1e308\n")
+        code, _, err = run_cli([
+            "infer", "--grades", str(gpath), "--sweeps", "20", "--burnin", "5", "--out", str(tmp_path / "x"),
+        ], capsys)
+        assert code == 1
+        assert err == ("error: assignment 1: grades too large to resolve data-driven priors from: "
+                       "their variance overflows; set mu0 and gamma0 explicitly\n")
 
     def test_trace_of_non_grader_bias(self, tmp_path, capsys):
         # u grades nobody, so it has no bias to trace
