@@ -37,7 +37,6 @@ __all__ = [
     "StatColumn",
     "StatBlock",
     "PosteriorSummary",
-    "exclude_self_grades",
     "zscore_normalize",
     "normalize_all",
     "denormalize",
@@ -189,18 +188,6 @@ class GradeTable(Sequence[PeerGrade]):
             raise ValueError("grader and gradee codes must index ids")
         self._check_rows(big)
 
-    def _replace(self, **columns) -> "GradeTable":
-        """This table with some columns replaced by fresh arrays, which it
-        makes read-only; unchecked."""
-        table = GradeTable.__new__(GradeTable)
-        table.__dict__.update(self.__dict__)
-        for name, column in columns.items():
-            if isinstance(column, np.ndarray):
-                column.flags.writeable = False
-            setattr(table, name, column)
-        table.seconds = _seconds(table.seconds)
-        return table
-
     def _check_rows(self, big: Mapping[int, int]) -> None:
         """Raise the error of the first row that is not a valid PeerGrade."""
         bad = (self.assignment < 1) | ~np.isfinite(self.score)
@@ -232,18 +219,23 @@ class GradeTable(Sequence[PeerGrade]):
             seconds.append(np.nan if g.seconds is None else g.seconds)
         return cls(assignment, grader, gradee, score, ids=list(code), seconds=seconds)
 
-    def take(self, rows) -> "GradeTable":
-        """The table of some rows, in the given order: an index array or a boolean mask."""
+    def _copy(self, rows, ids: tuple[str, ...] | None = None, **columns) -> "GradeTable":
+        """The table of some rows (an index array, a boolean mask or a slice),
+        in that order, with ids and some full-length columns replaced; unchecked."""
         table = GradeTable.__new__(GradeTable)
-        table.ids = self.ids
+        table.ids = self.ids if ids is None else ids
         for name in ("assignment", "grader", "gradee", "score", "seconds", "lines"):
-            column = getattr(self, name)
+            column = columns.get(name, getattr(self, name))
             if column is not None:
                 column = column[rows]
-                column.flags.writeable = False
+                column.setflags(write=False)
             setattr(table, name, column)
         table.seconds = _seconds(table.seconds)
         return table
+
+    def take(self, rows) -> "GradeTable":
+        """The table of some rows, in the given order: an index array or a boolean mask."""
+        return self._copy(rows)
 
     def _recoded(self, ids: Sequence[str]) -> "GradeTable":
         """The same rows coded into ids, which hold every id of this table."""
@@ -252,14 +244,14 @@ class GradeTable(Sequence[PeerGrade]):
             return self
         code = {s: i for i, s in enumerate(ids)}
         remap = np.array([code[s] for s in self.ids], dtype=np.intp)
-        return self._replace(grader=remap[self.grader], gradee=remap[self.gradee], ids=ids)
+        return self._copy(slice(None), ids, grader=remap[self.grader], gradee=remap[self.gradee])
 
     def __len__(self) -> int:
         return len(self.score)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return self.take(np.arange(len(self))[i])
+            return self._copy(i)
         seconds = None if self.seconds is None or np.isnan(self.seconds[i]) else float(self.seconds[i])
         return PeerGrade(int(self.assignment[i]), self.ids[self.grader[i]], self.ids[self.gradee[i]],
                          float(self.score[i]), seconds)
@@ -279,14 +271,7 @@ class GradeTable(Sequence[PeerGrade]):
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradeTable):
             return NotImplemented
-        if len(self) != len(other) or (self.seconds is None) != (other.seconds is None):
-            return False
-        ids, other_ids = np.array(self.ids, dtype=object), np.array(other.ids, dtype=object)
-        return (np.array_equal(self.assignment, other.assignment)
-                and np.array_equal(self.score, other.score)
-                and np.array_equal(ids[self.grader], other_ids[other.grader])
-                and np.array_equal(ids[self.gradee], other_ids[other.gradee])
-                and (self.seconds is None or np.array_equal(self.seconds, other.seconds, equal_nan=True)))
+        return len(self) == len(other) and all(map(tuple.__eq__, self.records(), other.records()))
 
     __hash__ = None
 
@@ -383,8 +368,6 @@ class GradingGraph:
             self._grader_sid, self._gradee_sid, self._k = (
                 self._grader_sid[keep], self._gradee_sid[keep], self._k[keep])
         self._grades = table
-        self._tables: dict[int, GradeTable] = {}
-        self._submissions: dict[int, tuple[str, ...]] = {}
 
         self._truth: dict[tuple[int, str], GroundTruth] = dict(ground_truth or {})
         if self._truth:
@@ -445,10 +428,8 @@ class GradingGraph:
         sid = int(self._sub_keys.searchsorted(key))
         return sid if sid < len(self._sub_keys) and self._sub_keys[sid] == key else None
 
-    def _rows(self, j: int):
+    def _rows(self, j: int) -> np.ndarray:
         """The rows of the j-th assignment, in input order."""
-        if len(self._assignments) == 1:
-            return slice(None)
         order, starts = self._by_assignment
         return order[starts[j]:starts[j + 1]]
 
@@ -494,23 +475,16 @@ class GradingGraph:
         j = self._index.get(assignment)
         if j is None:
             raise KeyError(f"unknown assignment {assignment}")
-        subs = self._submissions.get(j)
-        if subs is None:
-            ids = self._grades.ids
-            codes = self._sub_keys[self._offsets[j]:self._offsets[j + 1]] - j * len(ids)
-            subs = self._submissions[j] = tuple(ids[c] for c in codes.tolist())
-        return subs
+        ids = self._grades.ids
+        codes = self._sub_keys[self._offsets[j]:self._offsets[j + 1]] - j * len(ids)
+        return tuple(ids[c] for c in codes.tolist())
 
     def grades_in(self, assignment: int) -> GradeTable:
         """Grades of one assignment, in input order."""
         j = self._index.get(assignment)
         if j is None:
             return self._grades.take(np.empty(0, dtype=np.intp))
-        table = self._tables.get(j)
-        if table is None:
-            rows = self._rows(j)
-            table = self._tables[j] = self._grades if isinstance(rows, slice) else self._grades.take(rows)
-        return table
+        return self._grades.take(self._rows(j))
 
     def grade_positions(self, assignment: int) -> tuple[np.ndarray, np.ndarray]:
         """For each grade of one assignment, in input order, the positions of
@@ -562,21 +536,18 @@ class GradingGraph:
         )
 
 
-def exclude_self_grades(graph: GradingGraph) -> tuple[GradingGraph, int]:
-    """The graph and how many self-grades building it dropped; a GradingGraph
-    never holds a self-grade, so the graph is returned as it is."""
-    return graph, graph.n_self_grades
-
-
 def _zscore_params(scores: np.ndarray, assignment: int) -> NormalizationParams:
     """Mean and population std of one assignment's grades; errors on fewer
-    than two grades or zero score variance, where the transform is undefined."""
+    than two grades, zero score variance or a variance that overflows, where
+    the transform is undefined."""
     if scores.size < 2:
         raise ValueError(
             f"cannot normalize assignment {assignment}: needs at least 2 grades, has {scores.size}"
         )
-    mean = float(np.mean(scores))
-    std = float(np.std(scores))  # population std, ddof=0
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std = float(np.mean(scores)), float(np.std(scores))  # population std, ddof=0
+    if not (math.isfinite(mean) and math.isfinite(std)):
+        raise ValueError(f"cannot normalize assignment {assignment}: grades too large, their variance overflows")
     if std == 0.0:
         raise ValueError(f"degenerate assignment {assignment}: all grades equal ({mean})")
     return NormalizationParams(mean=mean, std=std)
@@ -591,7 +562,7 @@ def _apply_zscores(graph: GradingGraph, params: Mapping[int, NormalizationParams
     for a, p in params.items():
         rows = table.assignment == a
         score[rows] = (score[rows] - p.mean) / p.std
-    return graph.with_grades(table._replace(score=score))
+    return graph.with_grades(table._copy(slice(None), score=score))
 
 
 def zscore_normalize(graph: GradingGraph, assignment: int) -> tuple[GradingGraph, NormalizationParams]:
@@ -772,9 +743,6 @@ class LatentState:
     b: dict[tuple[int, str], float] = field(default_factory=dict)
     tau: dict[tuple[int, str], float] = field(default_factory=dict)
     theta: tuple[float, float] | None = None  # (theta0, theta1)
-
-    def copy(self) -> "LatentState":
-        return LatentState(dict(self.s), dict(self.b), dict(self.tau), self.theta)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from peergrade import (
     TraceRecorder,
     VariableStat,
     denormalize,
-    exclude_self_grades,
     gibbs_infer,
     normalize_all,
     resolve_priors,
@@ -87,10 +86,9 @@ class TestGradingGraph:
 
     def test_exclude_self_grades(self):
         g = make_graph([(1, "v", "u", 80.0), (1, "u", "u", 99.0)])
-        clean, removed = exclude_self_grades(g)
-        assert removed == 1
-        assert all(not x.is_self_grade for x in clean.grades)
-        assert clean.submissions(1) == g.submissions(1)
+        assert g.n_self_grades == 1
+        assert all(not x.is_self_grade for x in g.grades)
+        assert g.submissions(1) == ("u", "v")
 
 
 class TestZscore:
@@ -150,6 +148,13 @@ class TestZscore:
         g = make_graph([(1, "a", "u", 70.0), (1, "b", "u", 80.0), (2, "a", "u", 70.0)])
         with pytest.raises(ValueError, match="cannot normalize assignment 2: needs at least 2 grades"):
             normalize_all(g)
+
+    def test_overflowing_variance_names_the_assignment(self):
+        # the variance of +-1e308 overflows; numpy's RuntimeWarning is an error under pytest
+        g = make_graph([(1, "a", "u", 60.0), (1, "b", "u", 80.0), (2, "a", "u", 1e308), (2, "b", "u", -1e308)])
+        with pytest.raises(ValueError) as err:
+            normalize_all(g)
+        assert str(err.value) == "cannot normalize assignment 2: grades too large, their variance overflows"
 
     def test_normalized_moments(self):
         g = make_graph([(1, "a", "u", 61.0), (1, "b", "u", 74.5), (1, "c", "w", 88.0)])

@@ -1,5 +1,7 @@
 """The columnar grade table and the graph built on it, checked against the
 row-by-row graph it replaces."""
+import itertools
+
 import numpy as np
 import pytest
 
@@ -46,28 +48,41 @@ class RowwiseGraph:
         return tuple(g for g in self.grades_in(a) if g.grader == v)
 
 
-@pytest.fixture(scope="module")
-def network():
-    """A PG2 network over 3 graded assignments and a fourth without grades,
-    with self-grades injected and seconds on two rows of every three."""
-    graph, _ = generate(SynthConfig(n_students=40, n_assignments=3, grades_per_grader=3,
-                                    n_ground_truth=2, super_grades=10, model=Model.PG2, seed=13))
+def _with_self_grades_and_seconds(graph, self_graded):
+    """graph's rows with seconds on two rows of every three, and a self-grade
+    of each (assignment, student position) in self_graded inserted."""
     rng = np.random.default_rng(5)
     rows = [PeerGrade(g.assignment, g.grader, g.gradee, g.score, None if i % 3 == 0 else float(rng.uniform(30, 600)))
             for i, g in enumerate(graph.grades)]
     students = graph.submissions(1)
-    for i, (a, u) in enumerate([(1, students[4]), (2, students[0]), (3, students[17]), (1, students[30])]):
-        rows.insert(37 * i + 5, PeerGrade(a, u, u, 90.0 + i, 60.0))
-    universe = {a: students for a in (1, 2, 3, 4)}
-    return rows, universe
+    for i, (a, k) in enumerate(self_graded):
+        rows.insert(37 * i + 5, PeerGrade(a, students[k], students[k], 90.0 + i, 60.0))
+    return rows, students
+
+
+@pytest.fixture(scope="module", params=["four-assignments", "one-assignment"])
+def network(request):
+    """Rows, submission universe and number of self-grades of a PG2 network
+    over 3 graded assignments and a fourth without grades, or of a PG1
+    network of one assignment; self-grades are injected and two rows of
+    every three have seconds."""
+    if request.param == "four-assignments":
+        graph, _ = generate(SynthConfig(n_students=40, n_assignments=3, grades_per_grader=3,
+                                        n_ground_truth=2, super_grades=10, model=Model.PG2, seed=13))
+        rows, students = _with_self_grades_and_seconds(graph, [(1, 4), (2, 0), (3, 17), (1, 30)])
+        return rows, {a: students for a in (1, 2, 3, 4)}, 4
+    graph, _ = generate(SynthConfig(n_students=40, grades_per_grader=3, n_ground_truth=2, super_grades=10,
+                                    model=Model.PG1, seed=13))
+    rows, students = _with_self_grades_and_seconds(graph, [(1, 4), (1, 0), (1, 17)])
+    return rows, {1: students}, 3
 
 
 def test_views_match_the_rowwise_graph(network):
-    rows, universe = network
+    rows, universe, self_grades = network
     graph, ref = GradingGraph(rows, submissions=universe), RowwiseGraph(rows, universe)
-    assert graph.n_self_grades == ref.n_self_grades == 4
+    assert graph.n_self_grades == ref.n_self_grades == self_grades
     assert list(graph.grades) == list(ref.grades)
-    assert graph.assignments == tuple(ref.submissions) == (1, 2, 3, 4)
+    assert graph.assignments == tuple(ref.submissions) == tuple(universe)
     for a in graph.assignments:
         assert graph.submissions(a) == ref.submissions[a]
         assert list(graph.grades_in(a)) == list(ref.grades_in(a))
@@ -75,26 +90,27 @@ def test_views_match_the_rowwise_graph(network):
         for u in graph.submissions(a):
             assert list(graph.graders_of(a, u)) == list(ref.graders_of(a, u))
             assert list(graph.gradees_of(a, u)) == list(ref.gradees_of(a, u))
-    assert not graph.grades_in(4) and not graph.graders_of(4, universe[4][0])
+    assert not graph.grades_in(5) and not graph.graders_of(5, universe[1][0])
     assert graph.graders == tuple(sorted({g.grader for g in ref.grades}))
 
 
 def test_grade_positions_index_the_submissions(network):
-    rows, universe = network
-    graph = GradingGraph(rows, submissions=universe)
+    rows, universe, _ = network
+    graph, ref = GradingGraph(rows, submissions=universe), RowwiseGraph(rows, universe)
     for a in graph.assignments:
         grader, gradee = graph.grade_positions(a)
         assert grader.dtype == gradee.dtype == np.intp
-        subs = graph.submissions(a)
+        subs = ref.submissions[a]
         assert [(subs[v], subs[u]) for v, u in zip(grader, gradee)] == [
-            (g.grader, g.gradee) for g in graph.grades_in(a)]
+            (g.grader, g.gradee) for g in ref.grades_in(a)]
 
 
 def test_derived_graphs_match_their_rowwise_definitions(network):
-    rows, universe = network
+    rows, universe, _ = network
     graph = GradingGraph(rows, submissions=universe)
     ref = RowwiseGraph(rows, universe)
-    for a, u in [(1, universe[1][4]), (2, universe[2][0]), (3, universe[3][39]), (4, universe[4][1])]:
+    for a, k in zip(itertools.cycle(universe), (4, 0, 39, 1)):
+        u = universe[a][k]
         reduced = graph.without_received(a, u)
         assert list(reduced.grades) == [g for g in ref.grades if not (g.assignment == a and g.gradee == u)]
         assert all(reduced.submissions(b) == graph.submissions(b) for b in graph.assignments)
@@ -109,7 +125,7 @@ def test_derived_graphs_match_their_rowwise_definitions(network):
         assert list(restrict_to_first_grades(graph, k).grades) == kept
 
     normed, params = normalize_all(graph)
-    assert sorted(params) == [1, 2, 3]
+    assert sorted(params) == [a for a in universe if ref.grades_in(a)]
     for a, p in params.items():
         scores = np.array([g.score for g in ref.grades_in(a)])
         assert (p.mean, p.std) == (float(np.mean(scores)), float(np.std(scores)))
@@ -129,7 +145,11 @@ def test_table_rows_and_equality():
     assert list(table.records()) == [(2, "v", "u", 70.5, 12.0), (1, "u", "w", 60.0, None), (1, "w", "v", 81.0, None)]
     assert table == GradingGraph(rows).grades  # same rows, other codes
     assert table != GradeTable.from_rows(rows[:2]) and table != rows
+    assert table != GradeTable.from_rows(rows[:2] + [PeerGrade(1, "w", "v", 81.5)])  # one score differs
+    assert table != GradeTable.from_rows(rows[:2] + [PeerGrade(1, "w", "v", 81.0, 0.0)])  # one row's seconds
+    assert table != GradeTable.from_rows([PeerGrade(2, "v", "u", 70.5, 13.0)] + rows[1:])
     assert table.take(np.array([0])).seconds is not None and table.take(np.array([1, 2])).seconds is None
+    assert table.take(np.array([1, 2])) == GradeTable.from_rows(rows[1:])
     with pytest.raises(ValueError):
         table.score[0] = 1.0
 

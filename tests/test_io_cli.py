@@ -624,6 +624,16 @@ class TestCliErrors:
         assert err == ("error: assignment 1: grades too large to resolve data-driven priors from: "
                        "their variance overflows; set mu0 and gamma0 explicitly\n")
 
+    def test_overflowing_grades_name_the_assignment_when_z_scored(self, tmp_path, capsys):
+        gpath = tmp_path / "g.csv"
+        gpath.write_text("assignment,grader,gradee,score\n1,a,b,1e308\n1,b,a,-1e308\n")
+        code, _, err = run_cli([
+            "infer", "--grades", str(gpath), "--model", "pg2", "--sweeps", "20", "--burnin", "5",
+            "--out", str(tmp_path / "x"),
+        ], capsys)
+        assert code == 1
+        assert err == "error: cannot normalize assignment 1: grades too large, their variance overflows\n"
+
     def test_trace_of_non_grader_bias(self, tmp_path, capsys):
         # u grades nobody, so it has no bias to trace
         gpath = tmp_path / "g.csv"
