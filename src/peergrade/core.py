@@ -433,6 +433,11 @@ class GradingGraph:
         order, starts = self._by_assignment
         return order[starts[j]:starts[j + 1]]
 
+    def _rows_of(self, assignment: int) -> np.ndarray:
+        """The rows of an assignment, in input order; none for an unknown one."""
+        j = self._index.get(assignment)
+        return np.empty(0, dtype=np.intp) if j is None else self._rows(j)
+
     def _linked(self, index: tuple[np.ndarray, np.ndarray], sid: int | None) -> GradeTable:
         if sid is None:
             return self._grades.take(np.empty(0, dtype=np.intp))
@@ -481,10 +486,7 @@ class GradingGraph:
 
     def grades_in(self, assignment: int) -> GradeTable:
         """Grades of one assignment, in input order."""
-        j = self._index.get(assignment)
-        if j is None:
-            return self._grades.take(np.empty(0, dtype=np.intp))
-        return self._grades.take(self._rows(j))
+        return self._grades.take(self._rows_of(assignment))
 
     def grade_positions(self, assignment: int) -> tuple[np.ndarray, np.ndarray]:
         """For each grade of one assignment, in input order, the positions of
@@ -504,7 +506,10 @@ class GradingGraph:
         return self._linked(self._by_grader, self._sid(assignment, grader))
 
     def scores_in(self, assignment: int) -> np.ndarray:
-        return self.grades_in(assignment).score
+        """Scores of one assignment's grades, in input order; read-only."""
+        scores = self._grades.score[self._rows_of(assignment)]
+        scores.setflags(write=False)
+        return scores
 
     # -- derived graphs ----------------------------------------------------
 
@@ -580,7 +585,7 @@ def normalize_all(graph: GradingGraph) -> tuple[GradingGraph, dict[int, Normaliz
 
     Computes every assignment's parameters first, then builds one graph.
     """
-    params = {a: _zscore_params(graph.scores_in(a), a) for a in graph.assignments if graph.grades_in(a)}
+    params = {a: _zscore_params(z, a) for a in graph.assignments if (z := graph.scores_in(a)).size}
     return _apply_zscores(graph, params), params
 
 

@@ -74,11 +74,12 @@ class PointEstimates:
         return self.s[(assignment, student)]
 
 
-def _log_joint(engine: _Engine, k: int) -> float:
-    """Log joint density of row k (one assignment) at the engine's current state."""
+def _log_joint(engine: _Engine, k: int, resid: np.ndarray | None = None) -> float:
+    """Log joint density of row k (one assignment) at the engine's current
+    state; resid, where given, is engine.residuals(k) at that state."""
     idx, hp = engine.idx[k], engine.hp[k]
     s, b, tau = engine.s[k], engine.b[k], engine.tau[k]
-    resid = idx.z - s[idx.gradee] - b[idx.grader]
+    resid = engine.residuals(k) if resid is None else resid
     w = tau[idx.grader]
     total = float(np.sum(0.5 * (np.log(w) - _LOG_2PI) - 0.5 * w * resid * resid))
     total += float(np.sum(0.5 * (math.log(hp.gamma0) - _LOG_2PI) - 0.5 * hp.gamma0 * (s - hp.mu0) ** 2))
@@ -97,14 +98,18 @@ def _log_joint(engine: _Engine, k: int) -> float:
     return total
 
 
-def _ascend(engine: _Engine, k: int) -> None:
+def _ascend(engine: _Engine, k: int) -> np.ndarray | None:
     """One iteration on row k: its blocks, in sweep order, set to their
-    conditional modes."""
+    conditional modes. Returns the residuals at the new scores and biases
+    where the reliability step computed them."""
     engine.s[k] = engine.score_conditional(k)[0]
     engine.b[k] = engine.bias_conditional(k)[0]
-    if engine.infer_tau:
-        shape, rate = engine.reliability_conditional(k)
-        engine.tau[k] = np.maximum((shape - 1.0) / rate, engine.hp[k].precision_floor)
+    if not engine.infer_tau:
+        return None
+    resid = engine.residuals(k)
+    shape, rate = engine.reliability_conditional(k, resid)
+    engine.tau[k] = np.maximum((shape - 1.0) / rate, engine.hp[k].precision_floor)
+    return resid
 
 
 def em_infer(graph: GradingGraph, hp: Hyperparameters, cfg: EmConfig) -> PointEstimates:
@@ -122,9 +127,9 @@ def em_infer(graph: GradingGraph, hp: Hyperparameters, cfg: EmConfig) -> PointEs
         trace = [_log_joint(engine, k)]
         for iteration in range(1, cfg.max_iterations + 1):
             before = [row[k] for row in rows]
-            _ascend(engine, k)
+            resid = _ascend(engine, k)
             delta = max(float(np.max(np.abs(row[k] - old), initial=0.0)) for row, old in zip(rows, before))
-            trace.append(_log_joint(engine, k))
+            trace.append(_log_joint(engine, k, resid))
             if delta < cfg.tol:
                 break
         out.n_iterations[a] = iteration

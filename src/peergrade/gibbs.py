@@ -20,10 +20,23 @@ sequential scan in class order.
 
 Each block of the engine first computes its conditional's parameters (score
 mean and precision, bias-chain mean and precision, reliability shape and
-rate) and then draws from them; coordinate ascent (em.py) sets the same
-blocks to their conditional modes. Scalar reference implementations of each
-conditional sampler are exposed for distribution-level testing; the engine
-implements the same conditionals on arrays.
+rate) and then shifts and scales its variates by them; coordinate ascent
+(em.py) sets the same blocks to their conditional modes. Scalar reference
+implementations of each conditional sampler are exposed for
+distribution-level testing; the engine implements the same conditionals on
+arrays.
+
+A sweep's variates do not depend on the chain's state: standard normals for
+every score and every bias, standard gammas of the fixed shapes
+alpha0 + n_given / 2 where reliabilities are drawn, and for PG3 the normals
+and exponentials of its score proposals. The engine draws them into a buffer
+set before the sweep, in the order the blocks consume them. When a sweep
+needs at least _DRAW_AHEAD_MIN variates, gibbs_infer draws the next sweep's
+set on one helper thread while the current sweep computes, alternating two
+sets; smaller fits draw inline into one set. PG3 always draws inline,
+because its theta step draws a uniform only on some sweeps. Each generator
+is used by one thread at a time and called in the same order either way, so
+the draws and every output are the same.
 
 The engine's layout is the one table of what a fit reports: one entry per
 (block, row), listing the reported students or graders, their positions in
@@ -35,8 +48,10 @@ maps its values back to percentage points.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -72,6 +87,10 @@ __all__ = [
 ]
 
 _MAX_SEED = 2**64 - 1
+# Variates a sweep must draw for the next sweep's to be drawn on a helper
+# thread. Below it the hand-off costs more than the drawing it overlaps:
+# a 3,600-student PG1 fit draws 10,800 a sweep, a 36,000-student one 108,000.
+_DRAW_AHEAD_MIN = 32_768
 
 
 @dataclass(frozen=True)
@@ -261,7 +280,7 @@ class _AssignmentIndex:
         self.assignment = assignment
         self.students = list(graph.submissions(assignment))
         self.n_students = len(self.students)
-        self.z = graph.grades_in(assignment).score
+        self.z = graph.scores_in(assignment)
         self.grader, self.gradee = graph.grade_positions(assignment)
         if graders is None:
             self.graders = self.students
@@ -314,10 +333,7 @@ class _Accumulator:
         return mean, np.maximum(self.sumsq / self.n - d * d, 0.0)
 
 
-def _normal(rng: np.random.Generator, mean: np.ndarray, prec: np.ndarray) -> np.ndarray:
-    """Gaussian draws with the given means and precisions; the same variates
-    as rng.normal(mean, 1/sqrt(prec)), without its per-call argument checks."""
-    return mean + np.sqrt(1.0 / prec) * rng.standard_normal(mean.shape)
+_Variates = dict[str, list[np.ndarray]]  # one sweep's variates: per block, one array per row
 
 
 class _Reported(NamedTuple):
@@ -341,8 +357,9 @@ class _Engine:
     eta0 anchors the first, omega0 links consecutive ones. Otherwise each
     row is graded by its assignment's submissions and each bias is anchored
     at eta0 alone, so rows are independent. Reliabilities are drawn for PG1
-    and PG2 and held at the fixed value for PG1-bias. A sweep takes one
-    generator per row and row k draws from the k-th.
+    and PG2 and held at the fixed value for PG1-bias. A sweep's variates
+    come from one generator per row, row k's from the k-th; draw fills a
+    buffer set with them and sweep consumes it.
 
     The layout holds the reported latents in draw-vector order: every score,
     the bias of every grader with a grade in any row (PG2) or in its row, and,
@@ -351,6 +368,8 @@ class _Engine:
     assume_normalized), and row k maps back to percentage points through
     norm[k], the identity where the graph was not z-scored.
     """
+
+    draws_ahead = True  # whether a sweep's variates can be drawn before the previous sweep ends
 
     def __init__(
         self,
@@ -375,6 +394,7 @@ class _Engine:
         self.biased = [np.flatnonzero(n > 0) for n in given]
         self.infer_tau = cfg.model.has_reliability
         tau0 = self.alpha0 / self.beta0 if self.infer_tau else base.effective_tau_fixed
+        self.tau_shape = [self.alpha0 + 0.5 * ix.n_given for ix in self.idx]
         self.s = [ix.mean_received(hp.mu0) for ix, hp in zip(self.idx, self.hp)]
         self.b = [np.zeros(ix.n_graders) for ix in self.idx]
         self.tau = [np.full(ix.n_graders, tau0) for ix in self.idx]
@@ -392,11 +412,32 @@ class _Engine:
         self.accept_s = self.total_s = 0
         self.accept_theta = self.total_theta = 0
 
-    def sweep(self, rngs: Sequence[np.random.Generator]) -> None:
-        """Every row's scores, then every row's biases, then reliabilities."""
-        self._score_block(rngs)
-        self._bias_block(rngs)
-        self._reliability_block(rngs)
+    def variates(self) -> _Variates:
+        """An unfilled buffer set for draw."""
+        v = {"s": [np.empty(ix.n_students) for ix in self.idx], "b": [np.empty(ix.n_graders) for ix in self.idx]}
+        if self.infer_tau:
+            v["tau"] = [np.empty(ix.n_graders) for ix in self.idx]
+        return v
+
+    def draw(self, rngs: Sequence[np.random.Generator], v: _Variates) -> None:
+        """Fill v with one sweep's variates, row k's from rngs[k]: every row's
+        score normals, then every row's bias normals, then every row's
+        reliability gammas."""
+        for rng, out in zip(rngs, v["s"]):
+            rng.standard_normal(out=out)
+        for rng, out in zip(rngs, v["b"]):
+            rng.standard_normal(out=out)
+        for rng, shape, out in zip(rngs, self.tau_shape, v.get("tau", ())):
+            rng.standard_gamma(shape, out=out)
+
+    def sweep(self, v: _Variates, rngs: Sequence[np.random.Generator]) -> None:
+        """Every row's scores, then every row's biases, then reliabilities, on
+        the variates draw put in v. Only draws that depend on the state (PG3's
+        theta step) come from rngs here."""
+        self._score_block(v["s"])
+        self._bias_block(v["b"])
+        if self.infer_tau:
+            self._reliability_block(v["tau"])
 
     def score_conditional(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Mean and precision of row k's scores given the rest."""
@@ -406,9 +447,10 @@ class _Engine:
         num = hp.gamma0 * hp.mu0 + idx.sum_by_gradee(w * (idx.z - self.b[k][idx.grader]))
         return num / prec, prec
 
-    def _score_block(self, rngs: Sequence[np.random.Generator]) -> None:
-        for k, rng in enumerate(rngs):
-            self.s[k] = _normal(rng, *self.score_conditional(k))
+    def _score_block(self, normals: Sequence[np.ndarray]) -> None:
+        for k, eps in enumerate(normals):
+            mean, prec = self.score_conditional(k)
+            self.s[k] = mean + np.sqrt(1.0 / prec) * eps
 
     def _bias_likelihood(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Precision and precision-weighted residual sum that row k's grades
@@ -429,22 +471,25 @@ class _Engine:
         num = num + lik_num
         return num / prec, prec
 
-    def _bias_block(self, rngs: Sequence[np.random.Generator]) -> None:
-        for k, rng in enumerate(rngs):
-            self.b[k] = _normal(rng, *self.bias_conditional(k))
+    def _bias_block(self, normals: Sequence[np.ndarray]) -> None:
+        for k, eps in enumerate(normals):
+            mean, prec = self.bias_conditional(k)
+            self.b[k] = mean + np.sqrt(1.0 / prec) * eps
 
-    def reliability_conditional(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Gamma shape and rate of row k's reliabilities given the rest."""
+    def residuals(self, k: int) -> np.ndarray:
+        """Each grade of row k less its gradee's score and its grader's bias."""
         idx = self.idx[k]
-        resid = idx.z - self.s[k][idx.gradee] - self.b[k][idx.grader]
-        return self.alpha0 + 0.5 * idx.n_given, self.beta0 + 0.5 * idx.sum_by_grader(resid * resid)
+        return idx.z - self.s[k][idx.gradee] - self.b[k][idx.grader]
 
-    def _reliability_block(self, rngs: Sequence[np.random.Generator]) -> None:
-        if not self.infer_tau:
-            return
-        for k, rng in enumerate(rngs):
-            shape, rate = self.reliability_conditional(k)
-            self.tau[k] = (1.0 / rate) * rng.standard_gamma(shape)
+    def reliability_conditional(self, k: int, resid: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Gamma shape and rate of row k's reliabilities given the rest;
+        resid, where given, is residuals(k) at the current state."""
+        resid = self.residuals(k) if resid is None else resid
+        return self.tau_shape[k], self.beta0 + 0.5 * self.idx[k].sum_by_grader(resid * resid)
+
+    def _reliability_block(self, gammas: Sequence[np.ndarray]) -> None:
+        for k, g in enumerate(gammas):
+            self.tau[k] = (1.0 / self.reliability_conditional(k)[1]) * g
 
     def row(self, e: _Reported) -> np.ndarray:
         """The current array, in working units, that a layout entry reports from."""
@@ -564,14 +609,18 @@ class _Pg3Engine(_Engine):
     conditional of s_i involves only its graders (proposal precisions) and
     its gradees (acceptance residuals), so the students of one colour class
     are conditionally independent and take one vectorized Metropolis step
-    together, classes in turn. Each row's sweep draws its normals and
-    exponentials in one call each, laid out class by class. Biases stay
+    together, classes in turn. Each row's score normals and exponentials
+    are drawn in one call each, laid out class by class. Biases stay
     conjugate, with each grade weighted by the precision at its grader's
     score. One theta serves every row: it moves by joint random-walk
     Metropolis once per sweep, drawing from row 0's generator, under a flat
     prior restricted to the precision-floor feasible region over every
     row's current scores, against the likelihood of every row's grades.
+    Whether it draws a uniform depends on the state, so its draws are made
+    during the sweep and the next sweep's variates cannot be drawn ahead.
     """
+
+    draws_ahead = False
 
     def __init__(self, graph: GradingGraph, graders: Sequence[str] | None,
                  resolved: dict[int, Hyperparameters], norm: dict[int, NormalizationParams],
@@ -602,18 +651,35 @@ class _Pg3Engine(_Engine):
             total += float(0.5 * np.sum(np.log(w)) - 0.5 * np.sum(w * resid * resid))
         return total
 
-    def _score_block(self, rngs: Sequence[np.random.Generator]) -> None:
-        for k, rng in enumerate(rngs):
-            self._update_scores(k, rng, self.classes[k])
+    def variates(self) -> _Variates:
+        return {**super().variates(), "e2": [np.empty(ix.n_students) for ix in self.idx]}
 
-    def _update_scores(self, k: int, rng: np.random.Generator, classes: Sequence[_ColourClass]) -> None:
+    def draw(self, rngs: Sequence[np.random.Generator], v: _Variates) -> None:
+        """Fill v with one sweep's variates, row k's from rngs[k]: each row's
+        score normals and exponentials in turn, then every row's bias normals."""
+        for rng, eps, e2 in zip(rngs, v["s"], v["e2"]):
+            rng.standard_normal(out=eps)
+            # e2 = -2 log u for uniform u, so accepting when -2 log(ratio) <= e2
+            # accepts with probability min(1, ratio), and always when ratio == 1
+            rng.standard_exponential(out=e2)
+            e2 *= 2.0
+        for rng, out in zip(rngs, v["b"]):
+            rng.standard_normal(out=out)
+
+    def sweep(self, v: _Variates, rngs: Sequence[np.random.Generator]) -> None:
+        """Every row's scores, then every row's biases, on the variates in v;
+        then the theta step, drawing from rngs[0]."""
+        for k, classes in enumerate(self.classes):
+            self._update_scores(k, v["s"][k], v["e2"][k], classes)
+        self._bias_block(v["b"])
+        if self.sample_theta:
+            self._theta_step(rngs[0])
+
+    def _update_scores(self, k: int, eps: np.ndarray, e2: np.ndarray, classes: Sequence[_ColourClass]) -> None:
         """One Metropolis step for every member of the given classes of row k,
-        class by class."""
+        class by class, on the row's proposal normals eps and acceptance
+        exponentials e2 (of mean 2)."""
         idx = self.idx[k]
-        eps = rng.standard_normal(idx.n_students)
-        # e2 = -2 log u for uniform u, so accepting when -2 log(ratio) <= e2
-        # accepts with probability min(1, ratio), and always when ratio == 1
-        e2 = rng.exponential(2.0, idx.n_students)
         zb = idx.z - self.b[k][idx.grader]
         w = self._prec(self.s[k])
         for c in classes:
@@ -647,10 +713,7 @@ class _Pg3Engine(_Engine):
         w = self._prec(s)[idx.grader]
         return idx.sum_by_grader(w), idx.sum_by_grader(w * (idx.z - s[idx.gradee]))
 
-    def _reliability_block(self, rngs: Sequence[np.random.Generator]) -> None:
-        if not self.sample_theta:
-            return
-        rng = rngs[0]
+    def _theta_step(self, rng: np.random.Generator) -> None:
         self.total_theta += 1
         th0, th1 = self.theta
         prop0 = th0 + float(rng.normal(0.0, self.sig0))
@@ -742,10 +805,32 @@ def sweep(
     """
     engine = _build_engine(graph, hp, cfg)
     engine.load_state(state)
-    engine.sweep([rng] * len(engine.assignments))
+    rngs = [rng] * len(engine.assignments)
+    v = engine.variates()
+    engine.draw(rngs, v)
+    engine.sweep(v, rngs)
     out = LatentState(theta=state.theta)
     engine.export_state(out)
     return out
+
+
+def _drawn(engine: _Engine, rngs: Sequence[np.random.Generator], current: _Variates, sweeps: int,
+           helper: ThreadPoolExecutor | None) -> Iterator[_Variates]:
+    """Each of sweeps sweeps' variates, filled by engine.draw before they are
+    handed out. Without a helper, the buffer set current is refilled inline
+    after the caller is done with it. With one, the next sweep's set is
+    filled on the helper while the caller uses the current one, and two sets
+    alternate."""
+    spare = engine.variates() if helper is not None else None
+    engine.draw(rngs, current)
+    for left in range(sweeps - 1, -1, -1):
+        drawing = helper.submit(engine.draw, rngs, spare) if helper is not None and left else None
+        yield current
+        if drawing is not None:
+            drawing.result()
+            current, spare = spare, current
+        elif left:
+            engine.draw(rngs, current)
 
 
 def gibbs_infer(
@@ -761,7 +846,9 @@ def gibbs_infer(
     that the chain model's assignments all draw from the first. Posterior
     moments are streamed and reported in percentage points. The traced
     latents are columns picked from each retained sweep's draw vector into
-    one array, trace.values, in percentage points.
+    one array, trace.values, in percentage points. A helper thread that
+    draws ahead (see the module docstring) is joined before the fit returns
+    or raises.
     """
     engine = _build_engine(graph, hp, cfg)
     children = np.random.SeedSequence(cfg.seed).spawn(len(engine.assignments))
@@ -773,10 +860,13 @@ def gibbs_infer(
     picked = np.array([at for _, at in columns], dtype=np.intp)
     record = np.empty((cfg.retained_sweeps, picked.size))
 
-    for sweep_no in range(1, cfg.total_sweeps + 1):
-        engine.sweep(rngs)
-        if sweep_no > cfg.burn_in:
-            record[sweep_no - cfg.burn_in - 1] = engine.accumulate()[picked]
+    first = engine.variates()
+    ahead = engine.draws_ahead and sum(row.size for block in first.values() for row in block) >= _DRAW_AHEAD_MIN
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="peergrade-draw") if ahead else nullcontext() as helper:
+        for sweep_no, v in enumerate(_drawn(engine, rngs, first, cfg.total_sweeps, helper), start=1):
+            engine.sweep(v, rngs)
+            if sweep_no > cfg.burn_in:
+                record[sweep_no - cfg.burn_in - 1] = engine.accumulate()[picked]
 
     for j, (e, _) in enumerate(columns):
         record[:, j] = engine.norm[e.k].to_pp(e.kind, record[:, j])[0]

@@ -1,4 +1,5 @@
 import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,15 @@ from peergrade import GradingGraph, Model, PeerGrade, SynthConfig, generate
 # subprocesses the tests start find this checkout's package through PYTHONPATH.
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_its_test():
+    """Fail a test that leaves a thread it started running."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before and t.is_alive()]
+    assert not left, f"threads still running after the test: {left}"
 
 
 def make_graph(rows, **kwargs) -> GradingGraph:

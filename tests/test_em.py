@@ -3,7 +3,11 @@ import logging
 import numpy as np
 import pytest
 
-from peergrade import EmConfig, GradingGraph, Hyperparameters, Model, PeerGrade, SynthConfig, em_infer, generate
+from peergrade import (
+    EmConfig, GradingGraph, Hyperparameters, LatentState, Model, PeerGrade, SynthConfig, em_infer, generate,
+)
+from peergrade.em import _log_joint
+from peergrade.gibbs import _build_engine
 from conftest import make_graph
 
 HP = Hyperparameters(mu0=75.0, gamma0=1 / 100, eta0=1 / 25, alpha0=2.0, beta0=18.0)
@@ -143,6 +147,17 @@ class TestOutputs:
         g = random_net(15, 3, seed=3)
         pts = em_infer(g, HP, EmConfig(model=Model.PG1))
         assert pts.log_joint == pytest.approx(pts.objective_trace[1][-1])
+
+    @pytest.mark.parametrize("model", [Model.PG1_BIAS, Model.PG1])
+    def test_objective_is_the_log_joint_at_the_estimates(self, model):
+        """The trace's last value, which pg1 takes from the reliability step's
+        residuals, equals the log joint recomputed at the estimates."""
+        g = random_net(15, 3, seed=3)
+        cfg = EmConfig(model=model)
+        pts = em_infer(g, HP, cfg)
+        engine = _build_engine(g, HP, cfg)
+        engine.load_state(LatentState(pts.s, pts.b, pts.tau))
+        assert _log_joint(engine, 0).hex() == pts.objective_trace[1][-1].hex()
 
     def test_estimate_accessor(self):
         g = make_graph([(1, "v", "u", 80.0), (1, "w", "u", 74.0)])

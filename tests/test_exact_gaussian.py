@@ -152,8 +152,8 @@ def _held_tau_moments(
     batch = (sweeps - burn_in) // n_batches
     sums, sumsq = np.zeros((n_batches, len(keys))), np.zeros(len(keys))
     for n in range(burn_in + batch * n_batches):
-        engine._score_block(rngs)
-        engine._bias_block(rngs)
+        engine._score_block([rng.standard_normal(ix.n_students) for rng, ix in zip(rngs, engine.idx)])
+        engine._bias_block([rng.standard_normal(ix.n_graders) for rng, ix in zip(rngs, engine.idx)])
         if n == burn_in - 1:
             shift = np.concatenate(engine.s + engine.b)  # moments are taken about it
         elif n >= burn_in:

@@ -1,4 +1,5 @@
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -24,8 +25,9 @@ from peergrade import (
     initial_state,
     sweep,
 )
+from peergrade import gibbs
 from peergrade.evaluation import fit_frozen
-from peergrade.gibbs import _build_engine
+from peergrade.gibbs import _build_engine, _Engine, _Pg3Engine
 from conftest import make_graph
 
 HP = Hyperparameters(mu0=75.0, gamma0=1 / 100, eta0=1 / 25, alpha0=2.0, beta0=18.0)
@@ -267,7 +269,9 @@ class TestRecord:
         # x grades nobody, so its row holds a bias and a reliability the layout does not report
         g = make_graph([(1, "v", "u", 80.0), (1, "u", "v", 77.0), (1, "v", "x", 70.0), (2, "x", "u", 75.0)])
         engine = _build_engine(g, HP, GibbsConfig(model=model, assume_normalized=True))
-        engine.sweep([np.random.default_rng(1)] * 2)
+        rngs, v = [np.random.default_rng(1)] * 2, engine.variates()
+        engine.draw(rngs, v)
+        engine.sweep(v, rngs)
         vector = engine.accumulate()
         for e in engine.layout:
             assert np.array_equal(vector[e.start + e.pos], engine.row(e)[e.pos])
@@ -494,7 +498,7 @@ class TestChromaticPg3:
         got = np.empty(n)
         for k in range(n):
             s[:] = s0
-            engine._update_scores(0, rng, [cls])
+            engine._update_scores(0, rng.standard_normal(s.size), rng.exponential(2.0, s.size), [cls])
             got[k] = s[i]
         got_accept = float(np.mean(got != s0[i]))
 
@@ -549,7 +553,9 @@ class TestSharedTheta:
         graph, _ = generate(SynthConfig(n_students=60, n_assignments=3, super_grades=20,
                                         model=Model.PG3, seed=7))
         engine = _build_engine(graph, Hyperparameters(), self.CFG)
-        engine.sweep([np.random.default_rng(k) for k in range(3)])
+        rngs, v = [np.random.default_rng(k) for k in range(3)], engine.variates()
+        engine.draw(rngs, v)
+        engine.sweep(v, rngs)
         return graph, engine
 
     def test_fit_reports_one_theta(self, pg3):
@@ -578,3 +584,71 @@ class TestSharedTheta:
         engine.s[2][0] = -50.0  # the lowest score of the graph, in the last assignment
         assert not engine._feasible(floor + 49.0, 1.0)
         assert engine._feasible(floor + 50.5, 1.0)
+
+
+class TestDrawAhead:
+    """Past a size, the next sweep's variates are drawn on a helper thread
+    while the current sweep computes. The draws stay the same."""
+
+    NETWORKS = {
+        "pg1bias": SynthConfig(n_students=50, n_assignments=1, super_grades=10, model=Model.PG1_BIAS, seed=8),
+        "pg1": SynthConfig(n_students=40, n_assignments=3, super_grades=10, model=Model.PG1, seed=8),
+        "pg2": SynthConfig(n_students=40, n_assignments=3, super_grades=10, model=Model.PG2, seed=8),
+        "pg3": SynthConfig(n_students=40, n_assignments=2, super_grades=10, model=Model.PG3, seed=8),
+    }
+
+    @pytest.fixture
+    def drew(self, monkeypatch):
+        """The name of the thread that drew each sweep's variates, in turn."""
+        names = []
+        for engine_type in (_Engine, _Pg3Engine):
+            def named(engine, rngs, v, draw=engine_type.draw):
+                names.append(threading.current_thread().name)
+                draw(engine, rngs, v)
+            monkeypatch.setattr(engine_type, "draw", named)
+        return names
+
+    @staticmethod
+    def fit(monkeypatch, synth, least):
+        """A fit tracing every latent it reports, with the size at which
+        draws go to the helper set to least."""
+        monkeypatch.setattr(gibbs, "_DRAW_AHEAD_MIN", least)
+        graph, _ = generate(synth)
+        cfg = GibbsConfig(model=synth.model, total_sweeps=25, burn_in=5, seed=9)
+        engine = _build_engine(graph, Hyperparameters(), cfg)
+        trace = TraceRecorder([(e.kind, engine.assignments[e.k], u) for e in engine.layout for u in e.keys])
+        return gibbs_infer(graph, Hyperparameters(), cfg, trace=trace), trace
+
+    @pytest.mark.parametrize("model", ["pg1bias", "pg1", "pg2", "pg3"])
+    def test_drawing_ahead_keeps_every_byte(self, monkeypatch, drew, model):
+        synth = self.NETWORKS[model]
+        ahead, ahead_trace = self.fit(monkeypatch, synth, 0)
+        ahead_drew = drew[:]
+        drew.clear()
+        inline, inline_trace = self.fit(monkeypatch, synth, 2**62)
+        assert ahead == inline
+        assert ahead_trace.values.tobytes() == inline_trace.values.tobytes()
+        assert ahead_trace.values.shape == (20, len(ahead_trace.variables))
+        main = threading.current_thread().name
+        assert drew == [main] * 25
+        if model == "pg3":  # its theta step draws on some sweeps only, so it never draws ahead
+            assert ahead_drew == [main] * 25
+        else:  # the first sweep's draws are made before there is a sweep to overlap
+            assert ahead_drew[0] == main and len(ahead_drew) == 25
+            assert all(name.startswith("peergrade-draw") for name in ahead_drew[1:])
+
+    def test_an_error_on_the_helper_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(gibbs, "_DRAW_AHEAD_MIN", 0)
+        draw = _Engine.draw
+
+        def failing(engine, rngs, v):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("draw failed on the helper")
+            draw(engine, rngs, v)
+
+        monkeypatch.setattr(_Engine, "draw", failing)
+        graph, _ = generate(self.NETWORKS["pg1"])
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="draw failed on the helper"):
+            gibbs_infer(graph, Hyperparameters(), GibbsConfig(model=Model.PG1, total_sweeps=5, burn_in=1))
+        assert set(threading.enumerate()) <= before

@@ -191,3 +191,20 @@ def test_nothing_builds_a_peer_grade_from_generate_to_a_fit(tmp_path, monkeypatc
     assert built == []
     ingested.grades[0]  # the counter sees a row built on demand
     assert len(built) == 1
+
+
+def test_a_pg2_fit_copies_each_assignments_rows_once(monkeypatch):
+    """z-scoring reads each assignment's scores once, and the engine reads the
+    z-scored graph's once; neither builds an assignment's table again."""
+    copies = []
+    for name in ("grades_in", "scores_in"):
+        def counted(graph, a, read=getattr(GradingGraph, name)):
+            copies.append((graph, a))  # holding the graph keeps its id from being reused
+            return read(graph, a)
+        monkeypatch.setattr(GradingGraph, name, counted)
+    graph, _ = generate(SynthConfig(n_students=40, n_assignments=4, super_grades=10, model=Model.PG2, seed=5))
+    gibbs_infer(graph, Hyperparameters(), GibbsConfig(model=Model.PG2, total_sweeps=4, burn_in=1, seed=3))
+    per_graph = {}
+    for g, a in copies:
+        per_graph.setdefault(id(g), []).append(a)
+    assert list(per_graph.values()) == [[1, 2, 3, 4], [1, 2, 3, 4]]
