@@ -136,6 +136,12 @@ class NormalizationParams:
 IDENTITY_NORMALIZATION = NormalizationParams(mean=0.0, std=1.0)  # for graphs fit in percentage points
 
 
+def check_seed(seed: int) -> None:
+    """Raise unless seed is a 64-bit unsigned integer, which every seeded config takes."""
+    if not (0 <= seed < 2**64):
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+
+
 def _int64_ids(values) -> tuple[np.ndarray, dict[int, int]]:
     """Assignment ids as int64, and the ids out of int64 range by row (stored as 0)."""
     try:
@@ -438,11 +444,26 @@ class GradingGraph:
         j = self._index.get(assignment)
         return np.empty(0, dtype=np.intp) if j is None else self._rows(j)
 
-    def _linked(self, index: tuple[np.ndarray, np.ndarray], sid: int | None) -> GradeTable:
+    def _linked(self, index: tuple[np.ndarray, np.ndarray], sid: int | None) -> np.ndarray:
+        """The rows an index links to a submission, in input order; none for no submission."""
         if sid is None:
-            return self._grades.take(np.empty(0, dtype=np.intp))
+            return np.empty(0, dtype=np.intp)
         order, starts = index
-        return self._grades.take(order[starts[sid]:starts[sid + 1]])
+        return order[starts[sid]:starts[sid + 1]]
+
+    def _pairs(self, rows: np.ndarray, codes: np.ndarray) -> list[tuple[str, float]]:
+        ids = self._grades.ids
+        return list(zip([ids[c] for c in codes[rows].tolist()], self._grades.score[rows].tolist()))
+
+    def _received(self, assignment: int, gradee: str) -> list[tuple[str, float]]:
+        """(grader, score) per grade received by a submission, in input order;
+        graders_of's rows without building a table."""
+        return self._pairs(self._linked(self._by_gradee, self._sid(assignment, gradee)), self._grades.grader)
+
+    def _given(self, assignment: int, grader: str) -> list[tuple[str, float]]:
+        """(gradee, score) per grade given by a grader in an assignment, in
+        input order; gradees_of's rows without building a table."""
+        return self._pairs(self._linked(self._by_grader, self._sid(assignment, grader)), self._grades.gradee)
 
     # -- basic views ------------------------------------------------------
 
@@ -499,11 +520,11 @@ class GradingGraph:
 
     def graders_of(self, assignment: int, gradee: str) -> GradeTable:
         """Grades received by a submission, in input order."""
-        return self._linked(self._by_gradee, self._sid(assignment, gradee))
+        return self._grades.take(self._linked(self._by_gradee, self._sid(assignment, gradee)))
 
     def gradees_of(self, assignment: int, grader: str) -> GradeTable:
         """Grades given by a grader in an assignment, in input order."""
-        return self._linked(self._by_grader, self._sid(assignment, grader))
+        return self._grades.take(self._linked(self._by_grader, self._sid(assignment, grader)))
 
     def scores_in(self, assignment: int) -> np.ndarray:
         """Scores of one assignment's grades, in input order; read-only."""
@@ -524,10 +545,7 @@ class GradingGraph:
     def without_received(self, assignment: int, gradee: str) -> "GradingGraph":
         """Drop every grade received by one submission (leave-one-out step)."""
         keep = np.ones(len(self._grades), dtype=bool)
-        sid = self._sid(assignment, gradee)
-        if sid is not None:
-            order, starts = self._by_gradee
-            keep[order[starts[sid]:starts[sid + 1]]] = False
+        keep[self._linked(self._by_gradee, self._sid(assignment, gradee))] = False
         return self.with_grades(self._grades.take(keep))
 
     def __len__(self) -> int:
@@ -707,30 +725,41 @@ def resolve_priors(
 
     With normalized=True (grades already z-scored), data-driven priors are
     exactly standard: mu0=0, gamma0=1. Otherwise they come from each
-    assignment's observed grades, which must exist and vary.
+    assignment's observed grades, which must exist and vary. Either way, an
+    assignment's squared residuals about mu0 must sum to a finite value, or
+    every fit of it would overflow.
     """
     out: dict[int, Hyperparameters] = {}
     for a in graph.assignments:
-        if hp.is_resolved:
-            out[a] = hp
-            continue
-        if normalized:
-            out[a] = replace(
+        if normalized:  # z-scores have mean 0 and variance 1: their squares about mu0 sum to n (1 + mu0^2)
+            resolved = hp if hp.is_resolved else replace(
                 hp,
                 mu0=0.0 if hp.mu0 is None else hp.mu0,
                 gamma0=1.0 if hp.gamma0 is None else hp.gamma0,
             )
-            continue
-        scores = graph.scores_in(a)
-        if scores.size == 0:
+            rss = graph._rows_of(a).size * (1.0 + resolved.mu0 * resolved.mu0)
+        else:
+            scores = graph.scores_in(a)
+            if hp.is_resolved:
+                resolved = hp
+            elif scores.size == 0:
+                raise ValueError(
+                    f"assignment {a}: no grades to resolve data-driven priors from; "
+                    "set mu0 and gamma0 explicitly"
+                )
+            else:
+                try:
+                    resolved = hp.resolve(scores)
+                except ValueError as e:
+                    raise ValueError(f"assignment {a}: {e}") from None
+            with np.errstate(over="ignore"):
+                rss = float(np.sum(np.square(scores - resolved.mu0)))
+        if not math.isfinite(rss):
             raise ValueError(
-                f"assignment {a}: no grades to resolve data-driven priors from; "
-                "set mu0 and gamma0 explicitly"
+                f"assignment {a}: grades too far from mu0={resolved.mu0:g}: their squared residuals "
+                "overflow; rescale the grades or set mu0 nearer to them"
             )
-        try:
-            out[a] = hp.resolve(scores)
-        except ValueError as e:
-            raise ValueError(f"assignment {a}: {e}") from None
+        out[a] = resolved
     return out
 
 

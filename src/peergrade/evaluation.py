@@ -25,6 +25,7 @@ from .core import (
     Hyperparameters,
     Model,
     PeerGrade,
+    check_seed,
     prepare_graph,
     resolve_priors,
 )
@@ -44,8 +45,6 @@ __all__ = [
     "evaluate_model",
     "evaluate_baseline",
 ]
-
-_MAX_SEED = 2**64 - 1
 
 METRIC_ROWS = ("RMSE", "% Within 5pp", "% Within 10pp", "Mean Std", "Worst Grade")
 
@@ -71,8 +70,7 @@ class EvalConfig:
             raise ValueError(f"n_simulations must be >= 1, got {self.n_simulations}")
         if self.grades_per_simulation < 1:
             raise ValueError(f"grades_per_simulation must be >= 1, got {self.grades_per_simulation}")
-        if not (0 <= self.seed <= _MAX_SEED):
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)

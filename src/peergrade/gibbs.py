@@ -28,15 +28,15 @@ arrays.
 
 A sweep's variates do not depend on the chain's state: standard normals for
 every score and every bias, standard gammas of the fixed shapes
-alpha0 + n_given / 2 where reliabilities are drawn, and for PG3 the normals
-and exponentials of its score proposals. The engine draws them into a buffer
-set before the sweep, in the order the blocks consume them. When a sweep
-needs at least _DRAW_AHEAD_MIN variates, gibbs_infer draws the next sweep's
-set on one helper thread while the current sweep computes, alternating two
-sets; smaller fits draw inline into one set. PG3 always draws inline,
-because its theta step draws a uniform only on some sweeps. Each generator
-is used by one thread at a time and called in the same order either way, so
-the draws and every output are the same.
+alpha0 + n_given / 2 where reliabilities are drawn, and for PG3 the
+exponentials of its score proposals and theta's proposal variates. The
+engine's plan lists them in the order the blocks consume them, and the
+engine draws them into a buffer set before the sweep. When a sweep needs at
+least _DRAW_AHEAD_MIN variates, gibbs_infer draws the next sweep's set on
+one helper thread while the current sweep computes, alternating two sets;
+smaller fits draw inline into one set. Each generator is used by one thread
+at a time and called in the same order either way, so the draws and every
+output are the same.
 
 The engine's layout is the one table of what a fit reports: one entry per
 (block, row), listing the reported students or graders, their positions in
@@ -66,6 +66,7 @@ from .core import (
     StatBlock,
     StatColumn,
     VariableStat,
+    check_seed,
     prepare_graph,
     resolve_priors,
 )
@@ -86,7 +87,6 @@ __all__ = [
     "gibbs_infer",
 ]
 
-_MAX_SEED = 2**64 - 1
 # Variates a sweep must draw for the next sweep's to be drawn on a helper
 # thread. Below it the hand-off costs more than the drawing it overlaps:
 # a 3,600-student PG1 fit draws 10,800 a sweep, a 36,000-student one 108,000.
@@ -112,8 +112,7 @@ class GibbsConfig:
             raise ValueError(
                 f"burn_in must lie in [0, total_sweeps), got {self.burn_in} of {self.total_sweeps}"
             )
-        if not (0 <= self.seed <= _MAX_SEED):
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        check_seed(self.seed)
         if not (math.isfinite(self.mh_proposal_scale) and self.mh_proposal_scale > 0):
             raise ValueError(f"mh_proposal_scale must be positive, got {self.mh_proposal_scale}")
 
@@ -145,7 +144,7 @@ def cond_sample_score(
     a, student = u
     p = hp.gamma0
     num = hp.gamma0 * hp.mu0
-    for _, grader, _, z, _ in graph.graders_of(a, student).records():
+    for grader, z in graph._received(a, student):
         t = state.tau[(a, grader)]
         p += t
         num += t * (z - state.b[(a, grader)])
@@ -163,9 +162,9 @@ def cond_sample_bias(
     tau_v * sum(z - s_u) / precision."""
     a, grader = v
     t = state.tau[v]
-    given = list(graph.gradees_of(a, grader).records())
+    given = graph._given(a, grader)
     p = hp.eta0 + len(given) * t
-    num = t * sum(z - state.s[(a, u)] for _, _, u, z, _ in given)
+    num = t * sum(z - state.s[(a, u)] for u, z in given)
     return float(rng.normal(num / p, math.sqrt(1.0 / p)))
 
 
@@ -178,8 +177,8 @@ def cond_sample_reliability(
 ) -> float:
     """Draw tau_v | rest: Gamma(alpha0 + n_v/2, beta0 + sum resid^2 / 2), shape-rate."""
     a, grader = v
-    given = list(graph.gradees_of(a, grader).records())
-    rss = sum((z - state.s[(a, u)] - state.b[v]) ** 2 for _, _, u, z, _ in given)
+    given = graph._given(a, grader)
+    rss = sum((z - state.s[(a, u)] - state.b[v]) ** 2 for u, z in given)
     shape = hp.alpha0 + 0.5 * len(given)
     rate = hp.beta0 + 0.5 * rss
     return float(rng.gamma(shape, 1.0 / rate))
@@ -213,9 +212,9 @@ def cond_sample_bias_chain(
         p += hp.omega0
         num += hp.omega0 * state.b[(assignments[k + 1], v)]
     t = state.tau[(T, v)]
-    given = list(graph.gradees_of(T, v).records())
+    given = graph._given(T, v)
     p += len(given) * t
-    num += t * sum(z - state.s[(T, u)] for _, _, u, z, _ in given)
+    num += t * sum(z - state.s[(T, u)] for u, z in given)
     return float(rng.normal(num / p, math.sqrt(1.0 / p)))
 
 
@@ -242,19 +241,19 @@ def cond_sample_score_affine(
     a, student = u
     p = hp.gamma0
     num = hp.gamma0 * hp.mu0
-    for _, grader, _, z, _ in graph.graders_of(a, student).records():
+    for grader, z in graph._received(a, student):
         w = max(th1 * state.s[(a, grader)] + th0, floor)
         p += w
         num += w * (z - state.b[(a, grader)])
     prop = float(rng.normal(num / p, math.sqrt(1.0 / p)))
 
-    given = list(graph.gradees_of(a, student).records())
+    given = graph._given(a, student)
     if not given:
         return prop, True
     cur = state.s[u]
     w_old = max(th1 * cur + th0, floor)
     w_new = max(th1 * prop + th0, floor)
-    rss = sum((z - state.s[(a, gradee)] - state.b[u]) ** 2 for _, _, gradee, z, _ in given)
+    rss = sum((z - state.s[(a, gradee)] - state.b[u]) ** 2 for gradee, z in given)
     log_ratio = 0.5 * len(given) * (math.log(w_new) - math.log(w_old)) - 0.5 * (w_new - w_old) * rss
     if log_ratio >= 0.0 or math.log(rng.uniform()) < log_ratio:
         return prop, True
@@ -336,6 +335,22 @@ class _Accumulator:
 _Variates = dict[str, list[np.ndarray]]  # one sweep's variates: per block, one array per row
 
 
+def _normals(rng: np.random.Generator, out: np.ndarray) -> None:
+    rng.standard_normal(out=out)
+
+
+def _doubled_exponentials(rng: np.random.Generator, out: np.ndarray) -> None:
+    # out = -2 log u for uniform u, so accepting when -2 log(ratio) <= out
+    # accepts with probability min(1, ratio), and always when ratio == 1
+    rng.standard_exponential(out=out)
+    out *= 2.0
+
+
+def _theta_variates(rng: np.random.Generator, out: np.ndarray) -> None:  # two normals, one exponential
+    rng.standard_normal(out=out[:2])
+    rng.standard_exponential(out=out[2:])
+
+
 class _Reported(NamedTuple):
     """The latents of one block ("s", "b" or "tau") in row k that a fit
     reports: their students or graders, their positions in the row's array,
@@ -357,9 +372,10 @@ class _Engine:
     eta0 anchors the first, omega0 links consecutive ones. Otherwise each
     row is graded by its assignment's submissions and each bias is anchored
     at eta0 alone, so rows are independent. Reliabilities are drawn for PG1
-    and PG2 and held at the fixed value for PG1-bias. A sweep's variates
-    come from one generator per row, row k's from the k-th; draw fills a
-    buffer set with them and sweep consumes it.
+    and PG2 and held at the fixed value for PG1-bias. The plan lists a
+    sweep's variates in draw order, block by block, as (block, k, size,
+    fill) per row, where fill(rng, out) fills row k's array from the k-th
+    generator; draw fills a buffer set by it and sweep consumes it.
 
     The layout holds the reported latents in draw-vector order: every score,
     the bias of every grader with a grade in any row (PG2) or in its row, and,
@@ -368,8 +384,6 @@ class _Engine:
     assume_normalized), and row k maps back to percentage points through
     norm[k], the identity where the graph was not z-scored.
     """
-
-    draws_ahead = True  # whether a sweep's variates can be drawn before the previous sweep ends
 
     def __init__(
         self,
@@ -395,6 +409,11 @@ class _Engine:
         self.infer_tau = cfg.model.has_reliability
         tau0 = self.alpha0 / self.beta0 if self.infer_tau else base.effective_tau_fixed
         self.tau_shape = [self.alpha0 + 0.5 * ix.n_given for ix in self.idx]
+        self.plan = [("s", k, ix.n_students, _normals) for k, ix in enumerate(self.idx)]
+        self.plan += [("b", k, ix.n_graders, _normals) for k, ix in enumerate(self.idx)]
+        if self.infer_tau:  # each fill binds its row's shapes, not self, so the engine holds no reference cycle
+            self.plan += [("tau", k, ix.n_graders, lambda rng, out, shape=shape: rng.standard_gamma(shape, out=out))
+                          for k, (ix, shape) in enumerate(zip(self.idx, self.tau_shape))]
         self.s = [ix.mean_received(hp.mu0) for ix, hp in zip(self.idx, self.hp)]
         self.b = [np.zeros(ix.n_graders) for ix in self.idx]
         self.tau = [np.full(ix.n_graders, tau0) for ix in self.idx]
@@ -414,26 +433,18 @@ class _Engine:
 
     def variates(self) -> _Variates:
         """An unfilled buffer set for draw."""
-        v = {"s": [np.empty(ix.n_students) for ix in self.idx], "b": [np.empty(ix.n_graders) for ix in self.idx]}
-        if self.infer_tau:
-            v["tau"] = [np.empty(ix.n_graders) for ix in self.idx]
+        v: _Variates = {}
+        for block, _, size, _ in self.plan:
+            v.setdefault(block, []).append(np.empty(size))
         return v
 
     def draw(self, rngs: Sequence[np.random.Generator], v: _Variates) -> None:
-        """Fill v with one sweep's variates, row k's from rngs[k]: every row's
-        score normals, then every row's bias normals, then every row's
-        reliability gammas."""
-        for rng, out in zip(rngs, v["s"]):
-            rng.standard_normal(out=out)
-        for rng, out in zip(rngs, v["b"]):
-            rng.standard_normal(out=out)
-        for rng, shape, out in zip(rngs, self.tau_shape, v.get("tau", ())):
-            rng.standard_gamma(shape, out=out)
+        """Fill v with one sweep's variates by the plan, row k's from rngs[k]."""
+        for block, k, _, fill in self.plan:
+            fill(rngs[k], v[block][k])
 
-    def sweep(self, v: _Variates, rngs: Sequence[np.random.Generator]) -> None:
-        """Every row's scores, then every row's biases, then reliabilities, on
-        the variates draw put in v. Only draws that depend on the state (PG3's
-        theta step) come from rngs here."""
+    def sweep(self, v: _Variates) -> None:
+        """Every row's scores, then every row's biases, then reliabilities, on the variates in v."""
         self._score_block(v["s"])
         self._bias_block(v["b"])
         if self.infer_tau:
@@ -604,23 +615,21 @@ def _colour_classes(idx: _AssignmentIndex) -> list[_ColourClass]:
 class _Pg3Engine(_Engine):
     """The engine for the score-linked reliability model.
 
-    Overrides the score block, the bias arithmetic and the reliability block.
-    Scores move by Metropolis-within-Gibbs on a chromatic schedule: the
-    conditional of s_i involves only its graders (proposal precisions) and
-    its gradees (acceptance residuals), so the students of one colour class
-    are conditionally independent and take one vectorized Metropolis step
+    Overrides the score block and the bias arithmetic, draws no
+    reliabilities, and adds the theta step. Scores move by
+    Metropolis-within-Gibbs on a chromatic schedule: the conditional of s_i
+    involves only its graders (proposal precisions) and its gradees
+    (acceptance residuals), so the students of one colour class are
+    conditionally independent and take one vectorized Metropolis step
     together, classes in turn. Each row's score normals and exponentials
     are drawn in one call each, laid out class by class. Biases stay
     conjugate, with each grade weighted by the precision at its grader's
     score. One theta serves every row: it moves by joint random-walk
-    Metropolis once per sweep, drawing from row 0's generator, under a flat
-    prior restricted to the precision-floor feasible region over every
-    row's current scores, against the likelihood of every row's grades.
-    Whether it draws a uniform depends on the state, so its draws are made
-    during the sweep and the next sweep's variates cannot be drawn ahead.
+    Metropolis once per sweep under a flat prior restricted to the
+    precision-floor feasible region over every row's current scores,
+    against the likelihood of every row's grades, on two proposal normals
+    and one exponential that close the plan, from row 0's generator.
     """
-
-    draws_ahead = False
 
     def __init__(self, graph: GradingGraph, graders: Sequence[str] | None,
                  resolved: dict[int, Hyperparameters], norm: dict[int, NormalizationParams],
@@ -628,12 +637,15 @@ class _Pg3Engine(_Engine):
         super().__init__(graph, graders, resolved, norm, cfg)
         hp = self.hp[0]
         self.classes = [_colour_classes(ix) for ix in self.idx]
-        self.sample_theta = cfg.sample_theta
         self.theta = (hp.effective_theta0, hp.theta1)
         ref = hp.alpha0 / hp.beta0
         score_scale = max(1.0, abs(hp.mu0) + 4.0 / math.sqrt(hp.gamma0))
         self.sig0 = cfg.mh_proposal_scale * ref
         self.sig1 = cfg.mh_proposal_scale * ref / score_scale
+        rows = len(self.idx)  # each row's exponentials follow every row's score normals
+        self.plan[rows:rows] = [("e2", k, ix.n_students, _doubled_exponentials) for k, ix in enumerate(self.idx)]
+        if cfg.sample_theta:
+            self.plan.append(("theta", 0, 3, _theta_variates))
 
     def _prec(self, s_values: np.ndarray) -> np.ndarray:
         th0, th1 = self.theta
@@ -651,29 +663,13 @@ class _Pg3Engine(_Engine):
             total += float(0.5 * np.sum(np.log(w)) - 0.5 * np.sum(w * resid * resid))
         return total
 
-    def variates(self) -> _Variates:
-        return {**super().variates(), "e2": [np.empty(ix.n_students) for ix in self.idx]}
-
-    def draw(self, rngs: Sequence[np.random.Generator], v: _Variates) -> None:
-        """Fill v with one sweep's variates, row k's from rngs[k]: each row's
-        score normals and exponentials in turn, then every row's bias normals."""
-        for rng, eps, e2 in zip(rngs, v["s"], v["e2"]):
-            rng.standard_normal(out=eps)
-            # e2 = -2 log u for uniform u, so accepting when -2 log(ratio) <= e2
-            # accepts with probability min(1, ratio), and always when ratio == 1
-            rng.standard_exponential(out=e2)
-            e2 *= 2.0
-        for rng, out in zip(rngs, v["b"]):
-            rng.standard_normal(out=out)
-
-    def sweep(self, v: _Variates, rngs: Sequence[np.random.Generator]) -> None:
-        """Every row's scores, then every row's biases, on the variates in v;
-        then the theta step, drawing from rngs[0]."""
+    def sweep(self, v: _Variates) -> None:
+        """Every row's scores, then every row's biases, then theta, on the variates in v."""
         for k, classes in enumerate(self.classes):
             self._update_scores(k, v["s"][k], v["e2"][k], classes)
         self._bias_block(v["b"])
-        if self.sample_theta:
-            self._theta_step(rngs[0])
+        if "theta" in v:  # where the plan samples theta
+            self._theta_step(*v["theta"][0].tolist())
 
     def _update_scores(self, k: int, eps: np.ndarray, e2: np.ndarray, classes: Sequence[_ColourClass]) -> None:
         """One Metropolis step for every member of the given classes of row k,
@@ -713,16 +709,17 @@ class _Pg3Engine(_Engine):
         w = self._prec(s)[idx.grader]
         return idx.sum_by_grader(w), idx.sum_by_grader(w * (idx.z - s[idx.gradee]))
 
-    def _theta_step(self, rng: np.random.Generator) -> None:
+    def _theta_step(self, n0: float, n1: float, e: float) -> None:
+        """One random-walk Metropolis step on proposal normals n0, n1 and a standard exponential
+        e = -log u, so rejecting when -log(ratio) > e accepts with probability min(1, ratio)."""
         self.total_theta += 1
         th0, th1 = self.theta
-        prop0 = th0 + float(rng.normal(0.0, self.sig0))
-        prop1 = th1 + float(rng.normal(0.0, self.sig1))
+        prop0, prop1 = th0 + self.sig0 * n0, th1 + self.sig1 * n1
         if not self._feasible(prop0, prop1):
             return
         if self._feasible(th0, th1):
             log_ratio = self._log_likelihood(prop0, prop1) - self._log_likelihood(th0, th1)
-            if log_ratio < 0.0 and math.log(rng.uniform()) >= log_ratio:
+            if -log_ratio > e:
                 return
         self.theta = (prop0, prop1)
         self.accept_theta += 1
@@ -800,15 +797,14 @@ def sweep(
 
     Visits every assignment's scores, then every assignment's biases, then
     every assignment's reliabilities (then theta), assignments in ascending
-    order and students in sorted order within each, all drawn from rng.
-    Operates in the model's working units, like initial_state.
+    order and students in sorted order within each, on variates drawn from
+    rng in the engine's plan order. Operates in the model's working units.
     """
     engine = _build_engine(graph, hp, cfg)
     engine.load_state(state)
-    rngs = [rng] * len(engine.assignments)
     v = engine.variates()
-    engine.draw(rngs, v)
-    engine.sweep(v, rngs)
+    engine.draw([rng] * len(engine.assignments), v)
+    engine.sweep(v)
     out = LatentState(theta=state.theta)
     engine.export_state(out)
     return out
@@ -861,10 +857,10 @@ def gibbs_infer(
     record = np.empty((cfg.retained_sweeps, picked.size))
 
     first = engine.variates()
-    ahead = engine.draws_ahead and sum(row.size for block in first.values() for row in block) >= _DRAW_AHEAD_MIN
+    ahead = sum(row.size for block in first.values() for row in block) >= _DRAW_AHEAD_MIN
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="peergrade-draw") if ahead else nullcontext() as helper:
         for sweep_no, v in enumerate(_drawn(engine, rngs, first, cfg.total_sweeps, helper), start=1):
-            engine.sweep(v, rngs)
+            engine.sweep(v)
             if sweep_no > cfg.burn_in:
                 record[sweep_no - cfg.burn_in - 1] = engine.accumulate()[picked]
 

@@ -21,6 +21,7 @@ from .core import (
     GroundTruth,
     Hyperparameters,
     Model,
+    check_seed,
 )
 from .evaluation import EvalConfig, evaluate_baseline, evaluate_model
 from .gibbs import GibbsConfig, gibbs_infer
@@ -32,8 +33,6 @@ __all__ = [
     "IdentifiabilityRow",
     "identifiability_experiment",
 ]
-
-_MAX_SEED = 2**64 - 1
 
 
 def _default_hp() -> Hyperparameters:
@@ -66,8 +65,7 @@ class SynthConfig:
             raise ValueError("n_ground_truth and super_grades must be >= 0")
         if self.n_ground_truth > self.n_students:
             raise ValueError("n_ground_truth cannot exceed n_students")
-        if not (0 <= self.seed <= _MAX_SEED):
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        check_seed(self.seed)
         if not self.hp.is_resolved:
             raise ValueError("generation needs explicit mu0 and gamma0 (no data to resolve them from)")
         if self.n_ground_truth and self.super_grades == 0:

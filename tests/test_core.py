@@ -218,6 +218,25 @@ class TestResolvePriors:
         assert str(err.value) == ("assignment 2: grades too large to resolve data-driven priors from: "
                                   "their variance overflows; set mu0 and gamma0 explicitly")
 
+    FAR = ("assignment {}: grades too far from mu0=1e+200: their squared residuals overflow; "
+           "rescale the grades or set mu0 nearer to them")
+
+    def test_squared_residuals_must_stay_finite(self):
+        # assignment 1's grades sit at mu0, assignment 2's 1e200 from it: their squares overflow
+        g = make_graph([(1, "a", "u", 1e200), (1, "b", "u", 1e200), (2, "a", "u", 1.0), (2, "b", "u", -1.0)])
+        with pytest.raises(ValueError) as err:
+            resolve_priors(g, Hyperparameters(mu0=1e200, gamma0=1.0))
+        assert str(err.value) == self.FAR.format(2)
+        near = make_graph([(1, "a", "u", 1.0), (1, "b", "u", -1.0)])  # 1e150 squared stays finite
+        assert resolve_priors(near, Hyperparameters(mu0=1e150, gamma0=1.0))[1].mu0 == 1e150
+
+    def test_z_scores_must_stay_finite_about_mu0(self):
+        g = make_graph([(1, "a", "u", 1.0), (1, "b", "u", -1.0)])
+        assert resolve_priors(g, Hyperparameters(mu0=1e150), normalized=True)[1].mu0 == 1e150
+        with pytest.raises(ValueError) as err:
+            resolve_priors(g, Hyperparameters(mu0=1e200), normalized=True)
+        assert str(err.value) == self.FAR.format(1)
+
 
 class TestModel:
     def test_from_string(self):

@@ -1,5 +1,7 @@
+import gc
 import math
 import threading
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -27,7 +29,7 @@ from peergrade import (
 )
 from peergrade import gibbs
 from peergrade.evaluation import fit_frozen
-from peergrade.gibbs import _build_engine, _Engine, _Pg3Engine
+from peergrade.gibbs import _build_engine, _Engine
 from conftest import make_graph
 
 HP = Hyperparameters(mu0=75.0, gamma0=1 / 100, eta0=1 / 25, alpha0=2.0, beta0=18.0)
@@ -271,7 +273,7 @@ class TestRecord:
         engine = _build_engine(g, HP, GibbsConfig(model=model, assume_normalized=True))
         rngs, v = [np.random.default_rng(1)] * 2, engine.variates()
         engine.draw(rngs, v)
-        engine.sweep(v, rngs)
+        engine.sweep(v)
         vector = engine.accumulate()
         for e in engine.layout:
             assert np.array_equal(vector[e.start + e.pos], engine.row(e)[e.pos])
@@ -555,7 +557,7 @@ class TestSharedTheta:
         engine = _build_engine(graph, Hyperparameters(), self.CFG)
         rngs, v = [np.random.default_rng(k) for k in range(3)], engine.variates()
         engine.draw(rngs, v)
-        engine.sweep(v, rngs)
+        engine.sweep(v)
         return graph, engine
 
     def test_fit_reports_one_theta(self, pg3):
@@ -586,6 +588,76 @@ class TestSharedTheta:
         assert engine._feasible(floor + 50.5, 1.0)
 
 
+@pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
+def test_an_engine_is_freed_without_the_cycle_collector(model):
+    """Nothing an engine holds refers back to it, so a fit's arrays go when
+    the fit returns; refits in evaluate, calibrate and rounds would
+    otherwise pile up until a collection."""
+    graph, _ = generate(SynthConfig(n_students=40, n_assignments=2, super_grades=10, model=model, seed=2))
+    engine = _build_engine(graph, Hyperparameters(), GibbsConfig(model=model, assume_normalized=True))
+    v = engine.variates()
+    engine.draw([np.random.default_rng(0)] * 2, v)
+    engine.sweep(v)
+    alive = weakref.ref(engine)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del engine
+        assert alive() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+class TestThetaStep:
+    """With scores and biases held, PG3's theta step alone samples theta's
+    conditional: a flat prior on the feasible region times the likelihood
+    of the grades, sum(0.5 log w - 0.5 w r^2) with w = theta1 * s_grader + theta0."""
+
+    STEPS, BURN, BATCHES = 60_000, 5_000, 50
+
+    @staticmethod
+    def grid_moments(engine, centre, spread, n=401):
+        """theta0 and theta1 means and variances of the conditional on an
+        n x n grid of centre +- 8 spread, and the grid's mass on its edges."""
+        idx, s, b = engine.idx[0], engine.s[0], engine.b[0]
+        w_of, resid = s[idx.grader], idx.z - s[idx.gradee] - b[idx.grader]
+        th0 = np.linspace(centre[0] - 8 * spread[0], centre[0] + 8 * spread[0], n)
+        th1 = np.linspace(centre[1] - 8 * spread[1], centre[1] + 8 * spread[1], n)
+        log_p = np.full((n, n), -np.inf)
+        floor = engine.hp[0].precision_floor
+        for i, t0 in enumerate(th0.tolist()):
+            feasible = np.minimum(th1 * s.min(), th1 * s.max()) + t0 >= floor
+            w = th1[feasible, None] * w_of + t0
+            log_p[i, feasible] = 0.5 * np.log(w).sum(axis=1) - 0.5 * (w * resid * resid).sum(axis=1)
+        p = np.exp(log_p - log_p.max())
+        p /= p.sum()
+        edges = p[0].sum() + p[-1].sum() + p[:, 0].sum() + p[:, -1].sum()
+        mean = np.array([p.sum(axis=1) @ th0, p.sum(axis=0) @ th1])
+        var = np.array([p.sum(axis=1) @ (th0 - mean[0]) ** 2, p.sum(axis=0) @ (th1 - mean[1]) ** 2])
+        return mean, var, edges
+
+    @pytest.mark.parametrize("scale", [0.3, 0.6])
+    def test_theta_moments_match_a_grid_of_the_conditional(self, scale):
+        graph, truth = generate(SynthConfig(n_students=40, super_grades=10, model=Model.PG3, seed=4))
+        engine = _build_engine(graph, Hyperparameters(), GibbsConfig(model=Model.PG3, mh_proposal_scale=scale))
+        engine.load_state(LatentState(s=truth.s, b=truth.b))
+        rng = np.random.default_rng(1)
+        draws = np.empty((self.STEPS, 2))
+        for i, ((n0, n1), e) in enumerate(zip(rng.standard_normal((self.STEPS, 2)).tolist(),
+                                              rng.standard_exponential(self.STEPS).tolist())):
+            engine._theta_step(n0, n1, e)
+            draws[i] = engine.theta
+        kept = draws[self.BURN:]
+        mean, var, edges = self.grid_moments(engine, kept.mean(axis=0), kept.std(axis=0))
+        assert edges < 1e-9  # the grid holds the whole conditional
+        assert 0.05 < engine.accept_theta / engine.total_theta < 0.6
+        for values, want in ((kept, mean), ((kept - mean) ** 2, var)):  # within 3 batch-means SEs
+            batch_means = values.reshape(self.BATCHES, -1, 2).mean(axis=1)
+            se = batch_means.std(axis=0, ddof=1) / math.sqrt(self.BATCHES)
+            assert np.all(np.abs(values.mean(axis=0) - want) < 3 * se), (values.mean(axis=0), want, se)
+
+
 class TestDrawAhead:
     """Past a size, the next sweep's variates are drawn on a helper thread
     while the current sweep computes. The draws stay the same."""
@@ -601,11 +673,11 @@ class TestDrawAhead:
     def drew(self, monkeypatch):
         """The name of the thread that drew each sweep's variates, in turn."""
         names = []
-        for engine_type in (_Engine, _Pg3Engine):
-            def named(engine, rngs, v, draw=engine_type.draw):
-                names.append(threading.current_thread().name)
-                draw(engine, rngs, v)
-            monkeypatch.setattr(engine_type, "draw", named)
+
+        def named(engine, rngs, v, draw=_Engine.draw):
+            names.append(threading.current_thread().name)
+            draw(engine, rngs, v)
+        monkeypatch.setattr(_Engine, "draw", named)
         return names
 
     @staticmethod
@@ -631,11 +703,9 @@ class TestDrawAhead:
         assert ahead_trace.values.shape == (20, len(ahead_trace.variables))
         main = threading.current_thread().name
         assert drew == [main] * 25
-        if model == "pg3":  # its theta step draws on some sweeps only, so it never draws ahead
-            assert ahead_drew == [main] * 25
-        else:  # the first sweep's draws are made before there is a sweep to overlap
-            assert ahead_drew[0] == main and len(ahead_drew) == 25
-            assert all(name.startswith("peergrade-draw") for name in ahead_drew[1:])
+        # the first sweep's draws are made before there is a sweep to overlap
+        assert ahead_drew[0] == main and len(ahead_drew) == 25
+        assert all(name.startswith("peergrade-draw") for name in ahead_drew[1:])
 
     def test_an_error_on_the_helper_reaches_the_caller(self, monkeypatch):
         monkeypatch.setattr(gibbs, "_DRAW_AHEAD_MIN", 0)

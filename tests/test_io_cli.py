@@ -634,6 +634,31 @@ class TestCliErrors:
         assert code == 1
         assert err == "error: cannot normalize assignment 1: grades too large, their variance overflows\n"
 
+    FAR = ("error: assignment 1: grades too far from mu0={}: their squared residuals overflow; "
+           "rescale the grades or set mu0 nearer to them\n")
+
+    @pytest.mark.parametrize("engine", [["--model", "pg1bias"], ["--model", "pg1"], ["--model", "pg2"],
+                                        ["--model", "pg3"], ["--engine", "em"]], ids=lambda args: args[-1])
+    def test_prior_far_from_the_grades_names_the_assignment(self, synth_dir, tmp_path, capsys, engine):
+        code, _, err = run_cli([
+            "infer", "--grades", str(synth_dir / "grades.csv"), *engine, "--hp", "mu0=1e300",
+            "--sweeps", "20", "--burnin", "5", "--out", str(tmp_path / "x"),
+        ], capsys)
+        assert code == 1
+        assert err == self.FAR.format("1e+300")
+
+    @pytest.mark.parametrize("engine", [["--model", "pg1bias"], ["--model", "pg1"], ["--model", "pg3"],
+                                        ["--engine", "em"]], ids=lambda args: args[-1])
+    def test_explicit_priors_for_overflowing_grades_name_the_assignment(self, tmp_path, capsys, engine):
+        gpath = tmp_path / "g.csv"
+        gpath.write_text("assignment,grader,gradee,score\n1,a,b,1e200\n1,b,c,-1e200\n1,c,a,3e199\n1,a,c,5\n")
+        code, _, err = run_cli([
+            "infer", "--grades", str(gpath), *engine, "--hp", "mu0=0", "--hp", "gamma0=1",
+            "--sweeps", "20", "--burnin", "5", "--out", str(tmp_path / "x"),
+        ], capsys)
+        assert code == 1
+        assert err == self.FAR.format("0")
+
     def test_trace_of_non_grader_bias(self, tmp_path, capsys):
         # u grades nobody, so it has no bias to trace
         gpath = tmp_path / "g.csv"

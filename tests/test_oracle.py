@@ -42,8 +42,10 @@ class TestGuards:
 
     def test_underflow_detected(self, monkeypatch):
         # a grade so extreme the log density is -inf at every grid point, in
-        # one block and in 21; no block may produce a NaN on the way to the error
-        g = make_graph([(1, "v", "u", 1e160)])
+        # one block and in 21; no block may produce a NaN on the way to the error.
+        # Its squared residual about mu0 (1e306) is finite, so resolve_priors
+        # lets it through; times tau_fixed it overflows
+        g = make_graph([(1, "v", "u", 1e153)])
         hp = Hyperparameters(mu0=75.0, gamma0=1 / 16, eta0=1.0, tau_fixed=400.0)
         for budget in (None, 21):
             if budget is not None:
