@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core import GradingGraph, Hyperparameters, LatentState, Model
 from .gibbs import _build_engine, _Engine
@@ -90,7 +89,7 @@ def _log_joint(engine: _Engine, k: int, resid: np.ndarray | None = None) -> floa
         total += float(
             np.sum(
                 hp.alpha0 * math.log(hp.beta0)
-                - gammaln(hp.alpha0)
+                - math.lgamma(hp.alpha0)
                 + (hp.alpha0 - 1.0) * np.log(tg)
                 - hp.beta0 * tg
             )

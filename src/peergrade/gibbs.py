@@ -51,7 +51,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -91,6 +91,11 @@ __all__ = [
 # thread. Below it the hand-off costs more than the drawing it overlaps:
 # a 3,600-student PG1 fit draws 10,800 a sweep, a 36,000-student one 108,000.
 _DRAW_AHEAD_MIN = 32_768
+
+# A row of at most this many graders draws its reliability gammas by scalar
+# calls. On numpy 2.4 an array call of standard_gamma costs about 6 us at
+# these sizes and a scalar call about 0.75 us, so they break even near 8.
+_GAMMAS_ONE_BY_ONE = 8
 
 
 @dataclass(frozen=True)
@@ -351,6 +356,22 @@ def _theta_variates(rng: np.random.Generator, out: np.ndarray) -> None:  # two n
     rng.standard_exponential(out=out[2:])
 
 
+def _gammas(shape: np.ndarray) -> Callable[[np.random.Generator, np.ndarray], None]:
+    """A fill of standard gammas of the given shapes. It binds the shapes as a
+    default argument, not the engine, so that an engine is no reference cycle.
+    A row of at most _GAMMAS_ONE_BY_ONE graders draws them one at a time: an
+    array call's set-up costs more than a few scalar calls, which draw the
+    same stream."""
+    if shape.size > _GAMMAS_ONE_BY_ONE:
+        return lambda rng, out, shape=shape: rng.standard_gamma(shape, out=out)
+
+    def fill(rng: np.random.Generator, out: np.ndarray, shape: list[float] = shape.tolist()) -> None:
+        for i, a in enumerate(shape):
+            out[i] = rng.standard_gamma(a)
+
+    return fill
+
+
 class _Reported(NamedTuple):
     """The latents of one block ("s", "b" or "tau") in row k that a fit
     reports: their students or graders, their positions in the row's array,
@@ -411,8 +432,8 @@ class _Engine:
         self.tau_shape = [self.alpha0 + 0.5 * ix.n_given for ix in self.idx]
         self.plan = [("s", k, ix.n_students, _normals) for k, ix in enumerate(self.idx)]
         self.plan += [("b", k, ix.n_graders, _normals) for k, ix in enumerate(self.idx)]
-        if self.infer_tau:  # each fill binds its row's shapes, not self, so the engine holds no reference cycle
-            self.plan += [("tau", k, ix.n_graders, lambda rng, out, shape=shape: rng.standard_gamma(shape, out=out))
+        if self.infer_tau:
+            self.plan += [("tau", k, ix.n_graders, _gammas(shape))
                           for k, (ix, shape) in enumerate(zip(self.idx, self.tau_shape))]
         self.s = [ix.mean_received(hp.mu0) for ix, hp in zip(self.idx, self.hp)]
         self.b = [np.zeros(ix.n_graders) for ix in self.idx]

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaincinv
 
 from .core import (
     IDENTITY_NORMALIZATION,
@@ -94,9 +93,13 @@ def _gaussian_grid(center: float, sd: float, spec: GridSpec) -> np.ndarray:
 
 def _tau_grid(hp: Hyperparameters, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """Log-spaced points with midpoint-in-log quadrature weights."""
+    # Only this grid needs scipy, so only building it imports scipy.special:
+    # importing it with the package would cost every command about 0.3 s.
+    from scipy.special import gammaincinv
+
     lo, hi = spec.tau_quantile_range
     # Gamma(alpha0, rate beta0) quantiles by gamma.ppf's own expression (times
-    # the scale, not over the rate), so importing the oracle skips scipy.stats
+    # the scale, not over the rate), without scipy.stats' import
     t_lo = float(gammaincinv(hp.alpha0, lo) * (1.0 / hp.beta0))
     t_hi = float(gammaincinv(hp.alpha0, hi) * (1.0 / hp.beta0))
     logt = np.linspace(math.log(t_lo), math.log(t_hi), spec.tau_points)

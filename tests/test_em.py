@@ -1,7 +1,11 @@
+import dataclasses
 import logging
+import math
 
 import numpy as np
 import pytest
+from scipy import stats
+from scipy.special import gammaln
 
 from peergrade import (
     EmConfig, GradingGraph, Hyperparameters, LatentState, Model, PeerGrade, SynthConfig, em_infer, generate,
@@ -158,6 +162,29 @@ class TestOutputs:
         engine = _build_engine(g, HP, cfg)
         engine.load_state(LatentState(pts.s, pts.b, pts.tau))
         assert _log_joint(engine, 0).hex() == pts.objective_trace[1][-1].hex()
+
+    @pytest.mark.parametrize("alpha0", [0.5, 1.5, 2.0, 3.0, 7.25, 100.0])
+    def test_log_joint_agrees_with_scipy(self, alpha0):
+        """The log joint is the sum of scipy.stats' log densities at the
+        estimates, and its Gamma normalizer math.lgamma(alpha0) is gammaln's
+        to 1e-15 of max(1, |gammaln|). The bound is absolute near lgamma's
+        roots at 1 and 2: at 1.5 the two differ by 1.7e-16, 1.4e-15 of the
+        value."""
+        ref = float(gammaln(alpha0))
+        assert abs(math.lgamma(alpha0) - ref) <= 1e-15 * max(1.0, abs(ref))
+        hp = dataclasses.replace(HP, alpha0=alpha0)
+        g = random_net(15, 3, seed=3)
+        cfg = EmConfig(model=Model.PG1)
+        pts = em_infer(g, hp, cfg)
+        engine = _build_engine(g, hp, cfg)
+        engine.load_state(LatentState(pts.s, pts.b, pts.tau))
+        idx, biased = engine.idx[0], engine.biased[0]
+        s, b, tau = engine.s[0], engine.b[0], engine.tau[0]
+        expected = (stats.norm.logpdf(engine.residuals(0), scale=tau[idx.grader] ** -0.5).sum()
+                    + stats.norm.logpdf(s, hp.mu0, hp.gamma0 ** -0.5).sum()
+                    + stats.norm.logpdf(b[biased], 0.0, hp.eta0 ** -0.5).sum()
+                    + stats.gamma.logpdf(tau[biased], alpha0, scale=1.0 / hp.beta0).sum())
+        assert _log_joint(engine, 0) == pytest.approx(expected, rel=1e-12)
 
     def test_estimate_accessor(self):
         g = make_graph([(1, "v", "u", 80.0), (1, "w", "u", 74.0)])

@@ -722,3 +722,17 @@ class TestDrawAhead:
         with pytest.raises(RuntimeError, match="draw failed on the helper"):
             gibbs_infer(graph, Hyperparameters(), GibbsConfig(model=Model.PG1, total_sweeps=5, burn_in=1))
         assert set(threading.enumerate()) <= before
+
+
+@pytest.mark.parametrize("model", ["pg1bias", "pg1", "pg2", "pg3"])
+def test_drawing_gammas_one_by_one_keeps_every_byte(monkeypatch, model):
+    """A row of at most _GAMMAS_ONE_BY_ONE graders draws its reliability
+    gammas by scalar calls, which draw the array call's stream: every row
+    one way and every row the other give the same summary and trace."""
+    fits = []
+    for most in (0, 2**62):
+        monkeypatch.setattr(gibbs, "_GAMMAS_ONE_BY_ONE", most)
+        fits.append(TestDrawAhead.fit(monkeypatch, TestDrawAhead.NETWORKS[model], 2**62))
+    (array, array_trace), (scalar, scalar_trace) = fits
+    assert array == scalar
+    assert array_trace.values.tobytes() == scalar_trace.values.tobytes()

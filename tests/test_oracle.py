@@ -211,11 +211,20 @@ def test_tau_grid_spans_the_gamma_quantiles(alpha0, beta0, quantiles):
     assert np.array_equal(grid, np.exp(np.linspace(math.log(lo), math.log(hi), spec.tau_points)))
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    """Importing the package loads scipy.special only: scipy.stats is most of
-    the import time. A fresh interpreter, because this module imports
-    scipy.stats itself."""
-    code = "import sys, peergrade, peergrade.io; print('scipy.stats' in sys.modules)"
+def test_the_reliability_grid_loads_scipy_special_only():
+    """The grid's ends come from scipy.special, which the oracle imports only
+    to build it, and never from scipy.stats. A fresh interpreter, because
+    this module imports scipy.stats itself."""
+    code = (
+        "import sys\n"
+        "from peergrade import GridSpec, Hyperparameters, Model, oracle_posterior\n"
+        "from peergrade.core import GradingGraph, PeerGrade\n"
+        "graph = GradingGraph([PeerGrade(1, 'v', 'u1', 70.0), PeerGrade(1, 'v', 'u2', 80.0)])\n"
+        "before = 'scipy.special' in sys.modules\n"
+        "oracle_posterior(graph, Hyperparameters(mu0=75.0, gamma0=0.01), Model.PG1,\n"
+        "                 GridSpec(points_per_dim=5, tau_points=5))\n"
+        "print(before, 'scipy.special' in sys.modules, 'scipy.stats' in sys.modules)\n"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "False True False\n"
