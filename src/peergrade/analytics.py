@@ -9,12 +9,13 @@ scores, since staff scores exist only for ground-truth submissions.
 from __future__ import annotations
 
 import logging
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .core import GradingGraph, StatBlock
+from .core import GradingGraph, LatentState, PosteriorSummary
 
 __all__ = [
     "Covariate",
@@ -41,26 +42,13 @@ class Covariate(Enum):
     TIME_SPENT = "time_spent"  # requires the optional seconds column
 
 
-def _mean_map(block) -> dict[tuple[int, str], float]:
-    """(assignment, student) -> estimate; a StatBlock is read from its mean
-    columns without building a VariableStat per latent, and point estimates
-    and plain mappings already hold floats."""
-    if isinstance(block, StatBlock):
-        return {
-            (a, student): m
-            for a, col in block.columns.items()
-            for student, m in zip(col.students, col.mean.tolist())
-        }
-    return {key: float(value) for key, value in block.items()}
-
-
-def _bias_map(estimates) -> dict[tuple[int, str], float]:
-    """Accept a PosteriorSummary, PointEstimates, or plain mapping of biases."""
-    return _mean_map(getattr(estimates, "b", estimates))
-
-
-def _score_map(estimates) -> dict[tuple[int, str], float]:
-    return _mean_map(getattr(estimates, "s", estimates))
+def _point_block(estimates, name: str) -> Mapping[tuple[int, str], float]:
+    """One block ("s" or "b") of point values keyed by (assignment, student):
+    a PosteriorSummary's posterior means, a LatentState's dict, or a plain
+    mapping as given."""
+    if isinstance(estimates, PosteriorSummary):
+        estimates = estimates.point()
+    return getattr(estimates, name) if isinstance(estimates, LatentState) else estimates
 
 
 @dataclass(frozen=True)
@@ -89,10 +77,11 @@ def bias_temporal_correlation(
     over graders present in both; pairs with fewer than min_overlap common
     graders are skipped with a notice.
 
-    estimates may be a PosteriorSummary, PointEstimates, or a mapping
-    (assignment, grader) -> bias.
+    estimates may be a PosteriorSummary (its posterior means), a LatentState
+    (EM's PointEstimates, generate's latents, a summary's point()) or a
+    mapping (assignment, grader) -> bias.
     """
-    bias = _bias_map(estimates)
+    bias = _point_block(estimates, "b")
     if assignments is None:
         assignments = tuple(sorted({a for a, _ in bias}))
     if len(assignments) < 2:
@@ -170,12 +159,16 @@ def _bin_edges(n_bins: int) -> np.ndarray:
 
 def _residuals(graph: GradingGraph, estimates) -> tuple[np.ndarray, ...]:
     """Per grade: residual (pp), the grader's and the gradee's estimated
-    scores, seconds spent (NaN where absent) and the assignment id."""
-    s_hat = _score_map(estimates)
+    scores, seconds spent (NaN where absent) and the assignment id. Each
+    submission's estimate is looked up once; a missing one raises KeyError."""
+    s_hat = _point_block(estimates, "s")
     t = graph.grades
-    assignment, ids = t.assignment.tolist(), t.ids
-    gradee_s = np.array([s_hat[a, ids[u]] for a, u in zip(assignment, t.gradee.tolist())], dtype=float)
-    grader_s = np.array([s_hat[a, ids[v]] for a, v in zip(assignment, t.grader.tolist())], dtype=float)
+    grader_s, gradee_s = np.empty(len(t)), np.empty(len(t))
+    for a in graph.assignments:
+        s = np.array([s_hat[a, u] for u in graph.submissions(a)], dtype=float)
+        grader, gradee = graph.grade_positions(a)
+        rows = np.flatnonzero(t.assignment == a)
+        grader_s[rows], gradee_s[rows] = s[grader], s[gradee]
     seconds = np.full(len(t), np.nan) if t.seconds is None else t.seconds
     return t.score - gradee_s, grader_s, gradee_s, seconds, t.assignment
 

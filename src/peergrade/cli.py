@@ -63,7 +63,7 @@ def _parse_trace_var(text: str) -> tuple[str, int, str]:
 
 def _load_config(path) -> dict[str, str]:
     out: dict[str, str] = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text or text.startswith("#"):
@@ -258,7 +258,7 @@ def cmd_analyze(args) -> int:
     if args.bins < 1:
         raise ValueError(f"n_bins must be >= 1, got {args.bins}")
     graph = io.ingest(args.grades, args.truth)
-    estimates = em_infer(graph, hp, cfg) if args.engine == "em" else gibbs_infer(graph, hp, cfg)
+    estimates = em_infer(graph, hp, cfg) if args.engine == "em" else gibbs_infer(graph, hp, cfg).point()
     out = _outdir(args)
 
     if args.covariate:

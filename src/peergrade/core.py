@@ -8,7 +8,8 @@ Scores are percentages on a 0..100 scale unless a graph has been normalized.
 
 Posterior summaries hold their moments as arrays: each block (scores, biases,
 reliabilities) is a read-only mapping over one column per assignment, and a
-lookup builds the VariableStat of one latent on demand.
+lookup builds the VariableStat of one latent on demand. Point values (MAP
+estimates, generating latents, posterior means) are LatentStates of dicts.
 """
 from __future__ import annotations
 
@@ -771,6 +772,11 @@ class LatentState:
     with at least one given grade (the chain model keys every assignment of
     such graders); tau holds per-grader precisions where the model infers them.
     theta carries the score-linked reliability coefficients.
+
+    Every point estimate is one, in percentage points: em_infer's MAP
+    estimates, generate's generating latents and PosteriorSummary.point()'s
+    posterior means. The samplers' initial_state and sweep hold one in the
+    model's working units.
     """
 
     s: dict[tuple[int, str], float] = field(default_factory=dict)
@@ -917,6 +923,16 @@ class PosteriorSummary:
             block = getattr(self, name)
             if not isinstance(block, StatBlock):
                 setattr(self, name, StatBlock.from_stats(block))
+
+    def point(self) -> LatentState:
+        """The posterior means as a LatentState, each block in column order;
+        theta holds the (theta0, theta1) means where the model has theta."""
+        s, b, tau = (
+            {(a, u): m for a, col in block.columns.items() for u, m in zip(col.students, col.mean.tolist())}
+            for block in (self.s, self.b, self.tau)
+        )
+        theta = None if self.theta is None else (self.theta["theta0"].mean, self.theta["theta1"].mean)
+        return LatentState(s, b, tau, theta)
 
     def estimate(self, assignment: int, student: str) -> float:
         """Posterior-mean score of one submission."""

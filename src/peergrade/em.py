@@ -9,6 +9,8 @@ maximizer of the log joint density given the others, so the objective is
 non-decreasing.
 Scores and biases take their Gaussian conditional means; reliabilities take
 the Gamma conditional mode (shape - 1) / rate, clamped at the precision floor.
+The result is a LatentState, the container of every point estimate, that
+also records iterations, convergence and the objective per assignment.
 """
 from __future__ import annotations
 
@@ -47,9 +49,10 @@ class EmConfig:
             raise ValueError(f"tol must be positive, got {self.tol}")
 
 
-@dataclass
-class PointEstimates:
-    """MAP estimates keyed by (assignment, student), in percentage points.
+@dataclass(kw_only=True)
+class PointEstimates(LatentState):
+    """MAP estimates: a LatentState in percentage points (theta stays None)
+    with the run's record.
 
     objective_trace holds the log joint density after each iteration per
     assignment (index 0 is the starting point); converged marks assignments
@@ -57,9 +60,6 @@ class PointEstimates:
     """
 
     model: Model
-    s: dict[tuple[int, str], float] = field(default_factory=dict)
-    b: dict[tuple[int, str], float] = field(default_factory=dict)
-    tau: dict[tuple[int, str], float] = field(default_factory=dict)
     n_iterations: dict[int, int] = field(default_factory=dict)
     converged: dict[int, bool] = field(default_factory=dict)
     objective_trace: dict[int, list[float]] = field(default_factory=dict)
@@ -137,5 +137,5 @@ def em_infer(graph: GradingGraph, hp: Hyperparameters, cfg: EmConfig) -> PointEs
             log.warning("assignment %d: EM stopped after %d iterations (max_iterations) "
                         "without meeting tol=%g", a, iteration, cfg.tol)
         out.objective_trace[a] = trace
-    engine.export_state(LatentState(out.s, out.b, out.tau))  # fills the estimates
+    engine.export_state(out)
     return out

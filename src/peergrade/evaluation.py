@@ -250,31 +250,19 @@ def fit_frozen(
     gamma0 = p.to_pp("tau", resolved.gamma0)[0]
     prior_prec = p.to_pp("tau", resolved.alpha0 / resolved.beta0)[0]
 
-    if engine == "em":
-        points = em_infer(reduced, hp, cfg)
-        b_hat, tau_hat, s_hat = points.b, points.tau, points.s
-    else:
-        summary = gibbs_infer(reduced, hp, cfg)
-        # only the pool graders' latents are needed
-        keys = [(a, g.grader) for g in pool]
-        b_hat, tau_hat, s_hat = (
-            {k: block[k].mean for k in keys if k in block}
-            for block in (summary.b, summary.tau, summary.s)
-        )
-        theta = summary.theta
-
+    fit = em_infer(reduced, hp, cfg) if engine == "em" else gibbs_infer(reduced, hp, cfg).point()
     bias: dict[str, float] = {}
     precision: dict[str, float] = {}
     for g in pool:
         v = g.grader
-        bias[v] = b_hat.get((a, v), 0.0)
+        bias[v] = fit.b.get((a, v), 0.0)
         if model is Model.PG1_BIAS:
             precision[v] = resolved.effective_tau_fixed
         elif model is Model.PG3:
-            th0, th1 = theta["theta0"].mean, theta["theta1"].mean
-            precision[v] = max(th1 * s_hat[(a, v)] + th0, resolved.precision_floor)
+            th0, th1 = fit.theta
+            precision[v] = max(th1 * fit.s[(a, v)] + th0, resolved.precision_floor)
         else:
-            precision[v] = tau_hat.get((a, v), prior_prec)
+            precision[v] = fit.tau.get((a, v), prior_prec)
 
     return FrozenPrediction(
         assignment=a,

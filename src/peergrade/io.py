@@ -25,11 +25,12 @@ import numpy as np
 
 from .analytics import BinnedResidualTable, ResidualHeatmap, TemporalCorrelationReport
 from .calibration import CalibrationReport, RoundsReport
-from .core import GradeTable, GradingGraph, GroundTruth, PeerGrade, PosteriorSummary, StatBlock, by_assignment
+from .core import (GradeTable, GradingGraph, GroundTruth, LatentState, PeerGrade, PosteriorSummary, StatBlock,
+                   by_assignment)
 from .em import PointEstimates
 from .evaluation import METRIC_ROWS, EvaluationReport
 from .gibbs import TraceRecorder
-from .synth import IdentifiabilityRow, TrueLatents
+from .synth import IdentifiabilityRow
 
 __all__ = [
     "read_grades_csv",
@@ -237,7 +238,7 @@ def _records(path) -> Iterator[tuple[int, list[str]]]:
     quoted cell spans lines is numbered by its last line. A malformed record
     or bytes that do not decode stop with a ValueError naming the line or the
     file."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             for row in reader:
@@ -382,7 +383,7 @@ def write_truth_csv(truth: Mapping[tuple[int, str], GroundTruth], path) -> None:
     ))
 
 
-def write_latents_csv(latents: TrueLatents, path) -> None:
+def write_latents_csv(latents: LatentState, path) -> None:
     _write_table(path, ["assignment", "student", "s_true", "b_true", "tau_true"], (
         (a, student, f6(latents.s[a, student]), f6(latents.b[a, student]), f6(latents.tau[a, student]))
         for a, student in sorted(latents.s)

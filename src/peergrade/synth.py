@@ -1,6 +1,7 @@
 """Synthetic grading networks sampled exactly from each model.
 
-Latents come top-down from the chosen model's priors, graders are matched to
+Latents come top-down from the chosen model's priors and are returned as a
+LatentState, the container of every point estimate. Graders are matched to
 gradees uniformly at random (no self-grades, no duplicate pairs, fixed
 per-grader quota over the non-ground-truth submissions), ground-truth
 submissions are super-graded by a large random subset of the class, and
@@ -20,6 +21,7 @@ from .core import (
     GradingGraph,
     GroundTruth,
     Hyperparameters,
+    LatentState,
     Model,
     check_seed,
 )
@@ -28,7 +30,6 @@ from .gibbs import GibbsConfig, gibbs_infer
 
 __all__ = [
     "SynthConfig",
-    "TrueLatents",
     "generate",
     "IdentifiabilityRow",
     "identifiability_experiment",
@@ -86,30 +87,19 @@ class SynthConfig:
             )
 
 
-@dataclass(frozen=True)
-class TrueLatents:
-    """The generating latents, keyed by (assignment, student).
-
-    tau holds each grader's effective precision (the fixed value for the
-    shared-reliability model, the clamped affine value for the score-linked
-    model)."""
-
-    s: dict[tuple[int, str], float]
-    b: dict[tuple[int, str], float]
-    tau: dict[tuple[int, str], float]
-    theta: tuple[float, float] | None = None
-
-
 def _student_ids(n: int) -> list[str]:
     width = max(5, len(str(n - 1)))
     return [f"s{i:0{width}d}" for i in range(n)]
 
 
-def generate(cfg: SynthConfig) -> tuple[GradingGraph, TrueLatents]:
-    """Sample a grading network; deterministic in cfg.seed.
+def generate(cfg: SynthConfig) -> tuple[GradingGraph, LatentState]:
+    """Sample a grading network and its generating latents; deterministic in
+    cfg.seed.
 
-    Ground-truth submissions receive exactly cfg.super_grades grades from
-    distinct random graders and none from the regular matching, so their pool
+    The latents cover every student of every assignment; tau holds each
+    grader's effective precision: the fixed value for PG1-bias, the clamped
+    affine value for PG3. Ground-truth submissions receive exactly
+    cfg.super_grades grades from distinct random graders and none from the regular matching, so their pool
     size is exact. Their consensus score is the mean of those grades; their
     staff score is the generating true score.
     """
@@ -171,7 +161,7 @@ def generate(cfg: SynthConfig) -> tuple[GradingGraph, TrueLatents]:
                 staff_score=float(s[k][u]),
             )
 
-    latents = TrueLatents(
+    latents = LatentState(
         s={(a, students[u]): float(s[k][u]) for k, a in enumerate(assignments) for u in range(n)},
         b={(a, students[v]): float(b[k][v]) for k, a in enumerate(assignments) for v in range(n)},
         tau={(a, students[v]): float(tau[k][v]) for k, a in enumerate(assignments) for v in range(n)},

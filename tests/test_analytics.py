@@ -5,10 +5,15 @@ import pytest
 
 from peergrade import (
     Covariate,
+    Hyperparameters,
+    Model,
+    SynthConfig,
     bias_temporal_correlation,
+    generate,
     joint_residual_heatmap,
     residual_vs_covariate,
 )
+from peergrade.analytics import _residuals
 from peergrade.core import GradingGraph, PeerGrade
 
 
@@ -62,6 +67,19 @@ class TestBiasTemporalCorrelation:
         rep = bias_temporal_correlation(est)
         assert all(p.pearson == pytest.approx(1.0) for p in rep.pairs)
         assert rep.pooled < 0.9
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_generated_pg2_latents_recover_the_analytic_lag1_pearson(self, seed):
+        """generate's latents go in as they are; the chain's lag-1 Pearson is
+        sqrt(v1 / (v1 + 1/omega0)) with v1 = 1/eta0, about 0.011 standard error
+        at 2,000 graders."""
+        hp = Hyperparameters(mu0=75.0, gamma0=1 / 100, eta0=1 / 25, omega0=1 / 25, alpha0=2.0, beta0=8.0)
+        _, latents = generate(SynthConfig(n_students=2000, n_assignments=2, grades_per_grader=6,
+                                          n_ground_truth=0, super_grades=0, model=Model.PG2, hp=hp, seed=seed))
+        v1 = 1.0 / hp.eta0
+        rep = bias_temporal_correlation(latents)
+        assert rep.pairs[0].n_common == 2000
+        assert rep.pooled == pytest.approx(math.sqrt(v1 / (v1 + 1.0 / hp.omega0)), abs=0.04)
 
 
 def planted_graph(slope: float, seed: int = 0, n: int = 64, per: int = 40):
@@ -128,6 +146,23 @@ class TestResidualVsCovariate:
         table = residual_vs_covariate(graph, s_hat, Covariate.TIME_SPENT)
         assert table.n_grades == len(graph.grades)
         assert table.covariate is Covariate.TIME_SPENT
+
+    def test_residuals_keep_input_order_across_assignments(self):
+        rows = [(2, "a", "b", 61.0), (1, "b", "c", 72.5), (2, "c", "a", 58.0),
+                (1, "a", "b", 80.0), (2, "b", "c", 66.0), (1, "c", "a", 70.0)]
+        graph = GradingGraph([PeerGrade(*row) for row in rows])
+        s_hat = {(a, u): 60.0 + 10.0 * a + i for a in (1, 2) for i, u in enumerate("abc")}
+        resid, grader_s, gradee_s, _, assign = _residuals(graph, s_hat)
+        assert assign.tolist() == [a for a, _, _, _ in rows]
+        assert grader_s.tolist() == [s_hat[a, v] for a, v, _, _ in rows]
+        assert gradee_s.tolist() == [s_hat[a, u] for a, _, u, _ in rows]
+        assert resid.tolist() == [z - s_hat[a, u] for a, _, u, z in rows]
+
+    def test_missing_estimate_names_the_submission(self):
+        graph, s_hat = planted_graph(slope=0.1, n=20, per=5)
+        del s_hat[(1, "s007")]
+        with pytest.raises(KeyError, match=r"\(1, 's007'\)"):
+            residual_vs_covariate(graph, s_hat, Covariate.GRADER_SCORE)
 
     def test_accepts_posterior_summary_duck_type(self, small_pg1):
         from peergrade import GibbsConfig, Hyperparameters, Model, gibbs_infer

@@ -155,12 +155,14 @@ class TestOutputs:
     @pytest.mark.parametrize("model", [Model.PG1_BIAS, Model.PG1])
     def test_objective_is_the_log_joint_at_the_estimates(self, model):
         """The trace's last value, which pg1 takes from the reliability step's
-        residuals, equals the log joint recomputed at the estimates."""
+        residuals, equals the log joint recomputed at the estimates, which
+        are a LatentState the engine loads as they are."""
         g = random_net(15, 3, seed=3)
         cfg = EmConfig(model=model)
         pts = em_infer(g, HP, cfg)
+        assert isinstance(pts, LatentState) and pts.theta is None
         engine = _build_engine(g, HP, cfg)
-        engine.load_state(LatentState(pts.s, pts.b, pts.tau))
+        engine.load_state(pts)
         assert _log_joint(engine, 0).hex() == pts.objective_trace[1][-1].hex()
 
     @pytest.mark.parametrize("alpha0", [0.5, 1.5, 2.0, 3.0, 7.25, 100.0])

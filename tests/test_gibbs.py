@@ -567,6 +567,19 @@ class TestSharedTheta:
         assert summary.theta["theta0"].n == self.CFG.retained_sweeps
         assert engine.total_theta == 1
 
+    def test_point_is_the_mean_columns(self, pg3):
+        graph, _ = pg3
+        summary = gibbs_infer(graph, Hyperparameters(), self.CFG)
+        point = summary.point()
+        assert isinstance(point, LatentState)
+        for kind in ("s", "b", "tau"):
+            block, values = getattr(summary, kind), getattr(point, kind)
+            assert list(values) == list(block)
+            means = [m for col in block.columns.values() for m in col.mean.tolist()]
+            assert [v.hex() for v in values.values()] == [m.hex() for m in means]
+        assert len(point.s) == 180 and len(point.b) == 180
+        assert point.theta == (summary.theta["theta0"].mean, summary.theta["theta1"].mean)
+
     def test_likelihood_sums_every_assignment(self, pg3):
         graph, engine = pg3
         state = LatentState()

@@ -239,6 +239,7 @@ class TestCsvReaderErrors:
     @pytest.mark.parametrize("reader, header", [
         (read_grades_csv, b"assignment,grader,gradee,score\n"),
         (read_truth_csv, b"assignment,gradee,staff_score,consensus_score\n"),
+        (read_grades_csv, b"\xef\xbb\xbfassignment,grader,gradee,score\n"),
     ])
     def test_undecodable_bytes_name_file(self, tmp_path, reader, header):
         path = tmp_path / "f.csv"
@@ -246,6 +247,17 @@ class TestCsvReaderErrors:
         with pytest.raises(ValueError) as err:
             reader(path)
         assert str(err.value) == f"{path}: cannot decode as text (invalid start byte)"
+
+    @pytest.mark.parametrize("reader, text", [
+        (read_grades_csv, "assignment,grader,gradee,score,seconds\n1,v,u,70,12\n1,u,v,65.5,\n"),
+        (read_truth_csv, "assignment,gradee,staff_score,consensus_score\n1,u,,70\n1,v,72,71.5\n"),
+    ], ids=["grades", "truth"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, reader, text):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert reader(marked) == reader(plain)
 
     def test_cli_oversized_cell_exits_1(self, tmp_path, capsys):
         gpath = tmp_path / "g.csv"
@@ -703,6 +715,18 @@ class TestCliConfigFile:
         assert stdout.startswith("seed: 9")
         data = json.loads((out / "summary.json").read_text())
         assert data["n_samples"] == 60
+
+    def test_config_with_byte_order_mark(self, synth_dir, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sweeps = 70\nburnin = 10\nseed = 9\n", encoding="utf-8-sig")
+        out = tmp_path / "fit"
+        code, stdout, err = run_cli([
+            "infer", "--grades", str(synth_dir / "grades.csv"),
+            "--config", str(cfg), "--out", str(out),
+        ], capsys)
+        assert (code, err) == (0, "")
+        assert stdout.startswith("seed: 9")
+        assert json.loads((out / "summary.json").read_text())["n_samples"] == 60
 
     def test_explicit_flag_beats_config(self, synth_dir, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

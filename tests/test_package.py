@@ -61,8 +61,9 @@ def test_readme_quick_start_runs(tmp_path, monkeypatch):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(compile(quick_start, str(README), "exec"), {"__name__": "__main__"})
-    estimate, conf, bias = (float(line) for line in out.getvalue().split())
+    estimate, conf, bias, point_bias = (float(line) for line in out.getvalue().split())
     assert math.isfinite(estimate) and math.isfinite(bias)
+    assert point_bias == bias
     assert 0.0 < conf <= 1.0
 
 
