@@ -64,14 +64,18 @@ def _parse_trace_var(text: str) -> tuple[str, int, str]:
 def _load_config(path) -> dict[str, str]:
     out: dict[str, str] = {}
     with open(path, encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            key, sep, value = text.partition("=")
-            if not sep:
-                raise ValueError(f"{path} line {lineno}: expected key=value, got {text!r}")
-            out[key.strip()] = value.strip()
+        try:
+            lines = list(fh)
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{path}: cannot decode as text ({e.reason})") from None
+    for lineno, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        key, sep, value = text.partition("=")
+        if not sep:
+            raise ValueError(f"{path} line {lineno}: expected key=value, got {text!r}")
+        out[key.strip()] = value.strip()
     return out
 
 

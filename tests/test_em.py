@@ -10,7 +10,8 @@ from scipy.special import gammaln
 from peergrade import (
     EmConfig, GradingGraph, Hyperparameters, LatentState, Model, PeerGrade, SynthConfig, em_infer, generate,
 )
-from peergrade.em import _log_joint
+from peergrade import em
+from peergrade.em import _ascend, _log_joint
 from peergrade.gibbs import _build_engine
 from conftest import make_graph
 
@@ -196,14 +197,19 @@ class TestOutputs:
 
 class TestIterationCap:
     def test_warns_when_cap_stops_an_assignment(self, caplog):
+        """A capped run reports exactly max_iterations ascent maps, whether
+        the cap falls inside a SQUAREM cycle or at its end."""
         graph, _ = generate(SynthConfig(n_students=60, n_assignments=2, n_ground_truth=3,
                                         super_grades=20, seed=7))
-        with caplog.at_level(logging.WARNING, logger="peergrade.em"):
-            pts = em_infer(graph, Hyperparameters(), EmConfig(model=Model.PG1, max_iterations=3))
-        assert pts.converged == {1: False, 2: False}
-        messages = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
-        assert messages == [f"assignment {a}: EM stopped after 3 iterations (max_iterations) "
-                            "without meeting tol=1e-10" for a in (1, 2)]
+        for cap in range(1, 8):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="peergrade.em"):
+                pts = em_infer(graph, Hyperparameters(), EmConfig(model=Model.PG1, max_iterations=cap))
+            assert pts.n_iterations == {1: cap, 2: cap}
+            assert pts.converged == {1: False, 2: False}
+            messages = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+            assert messages == [f"assignment {a}: EM stopped after {cap} iterations (max_iterations) "
+                                "without meeting tol=1e-10" for a in (1, 2)]
 
     def test_silent_when_converged(self, caplog):
         with caplog.at_level(logging.WARNING, logger="peergrade.em"):
@@ -231,3 +237,63 @@ class TestMultiAssignment:
             assert [v.hex() for v in full.objective_trace[a]] == [v.hex() for v in alone.objective_trace[a]]
         assert len(full.s) == 180
         assert len(full.tau) == (180 if model is Model.PG1 else 0)
+
+
+def plain_ascent(graph: GradingGraph, hp: Hyperparameters, cfg: EmConfig, tol: float):
+    """Coordinate ascent without extrapolation, each row until one map moves
+    no parameter by tol: the estimates, each row's final log joint and the
+    maps each row took to first meet cfg.tol."""
+    engine = _build_engine(graph, hp, cfg)
+    rows = (engine.s, engine.b, engine.tau)
+    objective, maps = {}, {}
+    for k, a in enumerate(engine.assignments):
+        for n in range(1, 20_001):
+            before = [row[k] for row in rows]
+            resid = _ascend(engine, k)
+            delta = max(float(np.max(np.abs(row[k] - old))) for row, old in zip(rows, before))
+            if delta < cfg.tol:
+                maps.setdefault(a, n)
+            if delta < tol:
+                break
+        else:
+            raise AssertionError("plain ascent did not converge")
+        objective[a] = _log_joint(engine, k, resid)
+    out = LatentState({}, {}, {})
+    engine.export_state(out)
+    return out, objective, maps
+
+
+class TestSquarem:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("model", [Model.PG1_BIAS, Model.PG1], ids=lambda m: m.value)
+    def test_same_mode_as_plain_ascent(self, model, seed):
+        graph, _ = generate(SynthConfig(n_students=1200, model=model, seed=seed))
+        cfg = EmConfig(model=model)
+        pts = em_infer(graph, Hyperparameters(), cfg)
+        ref, objective, maps = plain_ascent(graph, Hyperparameters(), cfg, tol=1e-12)
+        assert all(pts.converged.values())
+        assert all(pts.n_iterations[a] <= n / 2 for a, n in maps.items())
+        for kind in ("s", "b", "tau"):
+            got, want = getattr(pts, kind), getattr(ref, kind)
+            assert got.keys() == want.keys()
+            assert max((abs(got[key] - v) for key, v in want.items()), default=0.0) < 1e-6, kind
+        for a, value in objective.items():
+            assert pts.objective_trace[a][-1] >= value - 1e-9 * abs(value)
+
+    @pytest.mark.parametrize("model", [Model.PG1_BIAS, Model.PG1], ids=lambda m: m.value)
+    def test_refused_extrapolations_keep_the_ascent(self, model, monkeypatch):
+        """A step length far too long lowers the objective on every cycle,
+        so the safeguard keeps each cycle's double step: the trace still
+        never decreases and the fit reaches the same mode."""
+        graph, _ = generate(SynthConfig(n_students=300, model=model, seed=5))
+        cfg = EmConfig(model=model, tol=1e-12, max_iterations=5000)
+        free = em_infer(graph, Hyperparameters(), cfg)
+        monkeypatch.setattr(em, "_step_length", lambda r, v: -1e6)
+        refused = em_infer(graph, Hyperparameters(), cfg)
+        assert refused.converged == {1: True}
+        assert refused.n_iterations[1] > free.n_iterations[1]
+        trace = np.asarray(refused.objective_trace[1])
+        assert np.diff(trace).min() >= -1e-9
+        for kind in ("s", "b", "tau"):
+            got, want = getattr(refused, kind), getattr(free, kind)
+            assert max((abs(got[key] - v) for key, v in want.items()), default=0.0) < 1e-8, kind

@@ -240,6 +240,7 @@ class TestCsvReaderErrors:
         (read_grades_csv, b"assignment,grader,gradee,score\n"),
         (read_truth_csv, b"assignment,gradee,staff_score,consensus_score\n"),
         (read_grades_csv, b"\xef\xbb\xbfassignment,grader,gradee,score\n"),
+        (cli._load_config, b"# fit settings\n"),
     ])
     def test_undecodable_bytes_name_file(self, tmp_path, reader, header):
         path = tmp_path / "f.csv"
