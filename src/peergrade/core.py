@@ -519,6 +519,17 @@ class GradingGraph:
         rows, first = self._rows(j), self._offsets[j]
         return self._grader_sid[rows] - first, self._gradee_sid[rows] - first
 
+    def grade_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every grade as arrays, grouped by assignment and in input order
+        within one. Returns where each assignment's submissions start in the
+        graph's numbering (assignment by assignment, each in submissions()
+        order) and where its grades start, each closed by the total; then,
+        per grade, its score and the numbers of its grader's and its
+        gradee's submissions."""
+        order, starts = self._by_assignment
+        return (self._offsets.copy(), starts.copy(), self._grades.score[order],
+                self._grader_sid[order], self._gradee_sid[order])
+
     def graders_of(self, assignment: int, gradee: str) -> GradeTable:
         """Grades received by a submission, in input order."""
         return self._grades.take(self._linked(self._by_gradee, self._sid(assignment, gradee)))
@@ -648,6 +659,15 @@ class Hyperparameters:
                 raise ValueError(f"{name} must be finite, got {v!r}")
         if not math.isfinite(self.theta1):
             raise ValueError(f"theta1 must be finite, got {self.theta1!r}")
+        # the fits divide by these precisions and rates, and EM's log joint takes lgamma(alpha0)
+        for name in ("gamma0", "eta0", "omega0", "beta0", "tau_fixed"):
+            v = getattr(self, name)
+            if v is not None and 1.0 / v == math.inf:
+                raise ValueError(f"{name}={v!r} is too small: its reciprocal overflows")
+        try:
+            math.lgamma(self.alpha0)
+        except OverflowError:
+            raise ValueError(f"alpha0={self.alpha0!r} is too large: lgamma(alpha0) overflows") from None
 
     @property
     def effective_tau_fixed(self) -> float:

@@ -1,9 +1,10 @@
 """MAP point estimation by coordinate ascent, accelerated by SQUAREM.
 
 Supports the fixed-reliability and per-grader reliability models. It runs on
-the Gibbs engine, whose rows (one per assignment) are independent for these
-models, with each block set to its conditional mode instead of drawn from it.
-Rows are fit one after another. One ascent map sets every score of the row,
+the Gibbs engine, whose rows (one per assignment, each a slice of every
+block's array) are independent for these models, with each block set to its
+conditional mode instead of drawn from it. Rows are fit one after another,
+each in place in its slices. One ascent map sets every score of the row,
 then every bias, then every reliability (in sweep order) to the exact
 maximizer of the log joint density given the others, so it never lowers the
 objective. Scores and biases take their Gaussian conditional means;
@@ -85,47 +86,35 @@ class PointEstimates(LatentState):
 def _log_joint(engine: _Engine, k: int, resid: np.ndarray | None = None) -> float:
     """Log joint density of row k (one assignment) at the engine's current
     state; resid, where given, is engine.residuals(k) at that state."""
-    idx, hp = engine.idx[k], engine.hp[k]
-    s, b, tau = engine.s[k], engine.b[k], engine.tau[k]
+    hp, r = engine.hp[k], engine.rows[k]
     resid = engine.residuals(k) if resid is None else resid
-    w = tau[idx.grader]
+    w = engine.tau[r.grader]
+    s, biased = engine.s[r.scores], engine.biased[r.graders]
     total = float(np.sum(0.5 * (np.log(w) - _LOG_2PI) - 0.5 * w * resid * resid))
     total += float(np.sum(0.5 * (math.log(hp.gamma0) - _LOG_2PI) - 0.5 * hp.gamma0 * (s - hp.mu0) ** 2))
-    bg = b[engine.biased[k]]
+    bg = engine.b[r.graders][biased]
     total += float(np.sum(0.5 * (math.log(hp.eta0) - _LOG_2PI) - 0.5 * hp.eta0 * bg * bg))
     if engine.infer_tau:
-        tg = tau[engine.biased[k]]
-        total += float(
-            np.sum(
-                hp.alpha0 * math.log(hp.beta0)
-                - math.lgamma(hp.alpha0)
-                + (hp.alpha0 - 1.0) * np.log(tg)
-                - hp.beta0 * tg
-            )
-        )
+        tg = engine.tau[r.graders][biased]
+        total += float(np.sum(hp.alpha0 * math.log(hp.beta0) - math.lgamma(hp.alpha0)
+                              + (hp.alpha0 - 1.0) * np.log(tg) - hp.beta0 * tg))
     return total
 
 
-def _ascend(engine: _Engine, k: int) -> np.ndarray | None:
-    """One ascent map on row k: its blocks, in sweep order, set to their
-    conditional modes. Returns the residuals at the new scores and biases
-    where the reliability step computed them."""
-    engine.s[k] = engine.score_conditional(k)[0]
-    engine.b[k] = engine.bias_conditional(k)[0]
+def _ascend(engine: _Engine, k: int) -> tuple[list[np.ndarray], np.ndarray | None]:
+    """One ascent map on row k: its blocks, in sweep order, set in place to
+    their conditional modes. Returns the row's new point (scores, biases
+    and, where inferred, reliabilities) and the residuals at the new scores
+    and biases where the reliability step computed them."""
+    r = engine.rows[k]
+    s = engine.s[r.scores] = engine.score_conditional(k)[0]
+    b = engine.b[r.graders] = engine.bias_conditional(k)[0]
     if not engine.infer_tau:
-        return None
+        return [s, b], None
     resid = engine.residuals(k)
     shape, rate = engine.reliability_conditional(k, resid)
-    engine.tau[k] = np.maximum((shape - 1.0) / rate, engine.hp[k].precision_floor)
-    return resid
-
-
-def _map(engine: _Engine, k: int, rows: tuple[list[np.ndarray], ...]) -> tuple[np.ndarray | None, float]:
-    """One ascent map on row k: what _ascend returns, and the largest
-    absolute change it made to the row."""
-    before = [row[k] for row in rows]
-    resid = _ascend(engine, k)
-    return resid, max(float(np.max(np.abs(row[k] - old), initial=0.0)) for row, old in zip(rows, before))
+    tau = engine.tau[r.graders] = np.maximum((shape - 1.0) / rate, engine.hp[k].precision_floor)
+    return [s, b, tau], resid
 
 
 def _step_length(r: list[np.ndarray], v: list[np.ndarray]) -> float:
@@ -146,39 +135,52 @@ def _squarem(engine: _Engine, k: int, cfg: EmConfig) -> tuple[int, bool, list[fl
     the cycle keeps x2. At alpha = -1 the extrapolated point is x2, whose
     map cannot lower the objective, so the safeguard is not evaluated. The
     run stops when a map x1 -> x2 or a stabilising map moves no parameter
-    by tol or more, or when max_iterations maps have run.
+    by tol or more, or when max_iterations maps have run. A point is the
+    row's scores, biases and, where inferred, reliabilities.
     """
-    rows = (engine.s, engine.b, engine.tau) if engine.infer_tau else (engine.s, engine.b)
+    r = engine.rows[k]
+    slots = [(engine.s, r.scores), (engine.b, r.graders)]
+    if engine.infer_tau:
+        slots.append((engine.tau, r.graders))
+
+    def ascend(before: list[np.ndarray]) -> tuple[np.ndarray | None, list[np.ndarray], float]:
+        """One ascent map from the point before: its residuals, the point it
+        reaches, and the largest absolute change it made."""
+        after, resid = _ascend(engine, k)
+        return resid, after, max(float(np.max(np.abs(a - b), initial=0.0)) for a, b in zip(after, before))
+
     trace = [_log_joint(engine, k)]
     maps = 0
+    x2 = [array[span].copy() for array, span in slots]  # the point each cycle keeps
     while True:
-        x0 = [row[k] for row in rows]
-        resid, delta = _map(engine, k, rows)
-        x1 = [row[k] for row in rows]
+        x0 = x2
+        resid, x1, delta = ascend(x0)
+        x2 = x1
         maps += 1
         if maps < cfg.max_iterations:
-            resid, delta = _map(engine, k, rows)
+            resid, x2, delta = ascend(x1)
             maps += 1
         objective = None
         if delta >= cfg.tol and maps < cfg.max_iterations:
-            x2 = [row[k] for row in rows]
             r = [a1 - a0 for a0, a1 in zip(x0, x1)]
             v = [a2 - 2.0 * a1 + a0 for a0, a1, a2 in zip(x0, x1, x2)]
             alpha = _step_length(r, v)
+            start = x2
             if alpha < -1.0:
                 objective = _log_joint(engine, k, resid)
-                for row, a0, dr, dv in zip(rows, x0, r, v):
-                    row[k] = a0 - 2.0 * alpha * dr + alpha * alpha * dv
+                start = [a0 - 2.0 * alpha * dr + alpha * alpha * dv for a0, dr, dv in zip(x0, r, v)]
                 if engine.infer_tau:
-                    engine.tau[k] = np.maximum(engine.tau[k], engine.hp[k].precision_floor)
-            resid, change = _map(engine, k, rows)
+                    start[2] = np.maximum(start[2], engine.hp[k].precision_floor)
+                for (array, span), a in zip(slots, start):
+                    array[span] = a
+            resid, x3, change = ascend(start)
             maps += 1
             stabilised = _log_joint(engine, k, resid)
             if objective is None or stabilised >= objective:
-                objective, delta = stabilised, change
+                objective, delta, x2 = stabilised, change, x3
             else:  # refused: keep x2
-                for row, a2 in zip(rows, x2):
-                    row[k] = a2
+                for (array, span), a2 in zip(slots, x2):
+                    array[span] = a2
         trace.append(_log_joint(engine, k, resid) if objective is None else objective)
         if delta < cfg.tol or maps == cfg.max_iterations:
             return maps, delta < cfg.tol, trace

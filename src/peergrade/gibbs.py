@@ -3,54 +3,50 @@
 One systematic-scan sweep updates every true score, then every grader bias,
 then every reliability (where inferred), then the reliability-line
 coefficients (score-linked model). Every fit runs one engine, configured by
-model, whose row k is the k-th assignment of the graph. For PG2 the rows
-share one grader list and the biases form a chain across them; for the
-other models each row is graded by its assignment's submissions and its
-biases are independent. Reliabilities are drawn or held fixed. The
-score-linked model (PG3) overrides only its score block, its bias arithmetic
-and its theta step, and holds one theta for all rows. Blocks that are
-conditionally independent given the rest are drawn as vectorized batches.
-The score-linked model's scores are not: each student's score enters the
-likelihood precisions of the grades they gave. Its score block therefore
+model, whose row k is the k-th assignment of the graph. Each block (scores,
+biases, reliabilities) is one array whose row k is a slice, and the grades
+are indexed once for all rows, so the score and reliability blocks, and the
+bias block where rows are independent, are each one vectorized pass over
+every row. For PG2 every row holds the graph's graders and a grader's
+biases form a chain across rows, so its bias block runs row by row. The
+score-linked model (PG3) overrides only its score block, its bias
+arithmetic and its theta step, and holds one theta for all rows. Its scores
+enter the likelihood precisions of the grades they give, so its score block
 runs on a chromatic schedule (Gonzalez et al., "Parallel Gibbs Sampling:
-From Colored Fields to Thin Junction Trees", AISTATS 2011): students are
-greedily coloured so that no grade joins two students of one colour, and
-each colour class takes one vectorized Metropolis step, which is a
-sequential scan in class order.
+From Colored Fields to Thin Junction Trees", AISTATS 2011): no grade joins
+two students of one colour, and each colour class, which spans every row,
+takes one vectorized Metropolis step, classes in turn.
 
-Each block of the engine first computes its conditional's parameters (score
-mean and precision, bias-chain mean and precision, reliability shape and
-rate) and then shifts and scales its variates by them; coordinate ascent
-(em.py) sets the same blocks to their conditional modes. Scalar reference
-implementations of each conditional sampler are exposed for
-distribution-level testing; the engine implements the same conditionals on
-arrays.
+Each block shifts and scales its variates by its conditional's parameters;
+coordinate ascent (em.py) sets one row's blocks at a time to their modes.
+Scalar reference samplers of each conditional are exposed for testing.
 
 A sweep's variates do not depend on the chain's state: standard normals for
 every score and every bias, standard gammas of the fixed shapes
 alpha0 + n_given / 2 where reliabilities are drawn, and for PG3 the
 exponentials of its score proposals and theta's proposal variates. The
-engine's plan lists them in the order the blocks consume them, and the
-engine draws them into a buffer set before the sweep. When a sweep needs at
-least _DRAW_AHEAD_MIN variates, gibbs_infer draws the next sweep's set on
-one helper thread while the current sweep computes, alternating two sets;
-smaller fits draw inline into one set. Each generator is used by one thread
-at a time and called in the same order either way, so the draws and every
-output are the same.
+engine's plan lists them in the order the blocks consume them, each row's
+from its own generator into its slice of one buffer per block. When a sweep
+needs at least _DRAW_AHEAD_MIN variates, gibbs_infer draws the next sweep's
+buffers on one helper thread while the current sweep computes, alternating
+two sets; smaller fits draw inline into one set. Each generator is used by
+one thread at a time and called in the same order either way, so the draws
+and every output are the same.
 
-The engine's layout is the one table of what a fit reports: one entry per
-(block, row), listing the reported students or graders, their positions in
-the row's array and where the row starts in the draw vector. Each retained
-sweep's draw vector feeds the posterior moments; a trace is one array of its
-columns. Each row carries its normalization, and NormalizationParams.to_pp
-maps its values back to percentage points.
+A sweep's draw vector is s, b, tau where drawn, then theta where the model
+has it; retained ones feed the posterior moments, and a trace is one array
+of their columns. The engine's layout, the one table of what a fit reports,
+lists per (block, row) the reported students or graders and their positions
+in the block and in the draw vector, mapped to pp by NormalizationParams.to_pp.
 """
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -270,43 +266,16 @@ def cond_sample_score_affine(
 # ---------------------------------------------------------------------------
 
 
-class _AssignmentIndex:
-    """Array view of one assignment: grade triples as index arrays plus
-    per-student grade counts. Graders are positions in the given grader
-    list, or in the assignment's own students when none is given."""
+# Row k of an engine: its slices of the score array, the bias and reliability
+# arrays and the grade arrays, and views, made once, of its grades' z, grader
+# and gradee, its scores' priors, and its graders' grade counts and gamma shapes.
+_Row = namedtuple("_Row", "scores graders grades z grader gradee gamma0 gamma0_mu0 n_given tau_shape")
 
-    def __init__(
-        self,
-        graph: GradingGraph,
-        assignment: int,
-        graders: tuple[list[str], dict[str, int]] | None = None,
-    ) -> None:
-        self.assignment = assignment
-        self.students = list(graph.submissions(assignment))
-        self.n_students = len(self.students)
-        self.z = graph.scores_in(assignment)
-        self.grader, self.gradee = graph.grade_positions(assignment)
-        if graders is None:
-            self.graders = self.students
-        else:  # a student's position in the grader list, read through its own position
-            self.graders, gpos = graders
-            shared = np.array([gpos.get(s, -1) for s in self.students], dtype=np.intp)
-            self.grader = shared[self.grader]
-        self.n_graders = len(self.graders)
-        self.n_given = np.bincount(self.grader, minlength=self.n_graders).astype(float)
-        self.n_received = np.bincount(self.gradee, minlength=self.n_students).astype(float)
 
-    def sum_by_gradee(self, values: np.ndarray) -> np.ndarray:
-        return np.bincount(self.gradee, weights=values, minlength=self.n_students)
-
-    def sum_by_grader(self, values: np.ndarray) -> np.ndarray:
-        return np.bincount(self.grader, weights=values, minlength=self.n_graders)
-
-    def mean_received(self, mu0: float) -> np.ndarray:
-        out = np.full(self.n_students, mu0, dtype=float)
-        has = self.n_received > 0
-        out[has] = self.sum_by_gradee(self.z)[has] / self.n_received[has]
-        return out
+def _sums(at: np.ndarray, weights: np.ndarray, rows: slice) -> np.ndarray:
+    """Sums of weights by position over the positions rows spans, each adding its weights in order."""
+    sums = np.bincount(at, weights, rows.stop)
+    return sums[rows.start:] if rows.start else sums
 
 
 class _Accumulator:
@@ -337,7 +306,7 @@ class _Accumulator:
         return mean, np.maximum(self.sumsq / self.n - d * d, 0.0)
 
 
-_Variates = dict[str, list[np.ndarray]]  # one sweep's variates: per block, one array per row
+_Variates = dict[str, np.ndarray]  # one sweep's variates: one array per block, row k's at its slice
 
 
 def _normals(rng: np.random.Generator, out: np.ndarray) -> None:
@@ -374,46 +343,40 @@ def _gammas(shape: np.ndarray) -> Callable[[np.random.Generator, np.ndarray], No
 
 class _Reported(NamedTuple):
     """The latents of one block ("s", "b" or "tau") in row k that a fit
-    reports: their students or graders, their positions in the row's array,
-    and where the row starts in the draw vector."""
+    reports: their students or graders, their positions in the block's
+    array and their positions in the draw vector."""
 
     kind: str
     k: int
     keys: list[str]
     pos: np.ndarray
-    start: int
+    at: np.ndarray
 
 
 class _Engine:
     """Gibbs engine over every assignment of a graph, configured by model.
 
-    Row k is assignment k: its scores, and the biases and reliabilities of
-    its graders, are one array each. With a grader list given (PG2), every
-    row is graded by that list and the bias block is a chain across rows:
-    eta0 anchors the first, omega0 links consecutive ones. Otherwise each
-    row is graded by its assignment's submissions and each bias is anchored
-    at eta0 alone, so rows are independent. Reliabilities are drawn for PG1
-    and PG2 and held at the fixed value for PG1-bias. The plan lists a
-    sweep's variates in draw order, block by block, as (block, k, size,
-    fill) per row, where fill(rng, out) fills row k's array from the k-th
-    generator; draw fills a buffer set by it and sweep consumes it.
-
-    The layout holds the reported latents in draw-vector order: every score,
-    the bias of every grader with a grade in any row (PG2) or in its row, and,
-    where drawn, the reliability of every grader with a grade in its row. The
-    engine works in the graph's units (z-scores for PG2 unless
-    assume_normalized), and row k maps back to percentage points through
-    norm[k], the identity where the graph was not z-scored.
+    Row k is assignment k: the scores s at rows[k].scores, in the graph's
+    numbering, and the biases b and reliabilities tau of its graders at
+    rows[k].graders; submissions and graders give each position's
+    (assignment, student). The grades z are grouped by row at
+    rows[k].grades, in input order within one, with their gradee (a
+    position in s) and grader (a position in b and tau); whole is one row
+    spanning them all. With a grader list given (PG2), every row holds that
+    list and the bias block is a chain across rows: eta0 anchors the first,
+    omega0 links consecutive ones. Otherwise each row is graded by its
+    assignment's submissions and each bias is anchored at eta0 alone.
+    Reliabilities are drawn for PG1 and PG2 and held at the fixed value for
+    PG1-bias. The conditionals take a row k, or None for every row, which
+    the chained bias block does not allow; their bincounts add each
+    position's grades in order either way. The plan lists a sweep's
+    variates as (block, k, slice, fill) per row, where fill(rng, out) fills
+    row k's slice of the block's buffer from the k-th generator. Row k maps
+    back to percentage points through norm[k].
     """
 
-    def __init__(
-        self,
-        graph: GradingGraph,
-        graders: Sequence[str] | None,
-        resolved: dict[int, Hyperparameters],
-        norm: dict[int, NormalizationParams],
-        cfg: GibbsConfig | EmConfig,
-    ) -> None:
+    def __init__(self, graph: GradingGraph, graders: Sequence[str] | None, resolved: dict[int, Hyperparameters],
+                 norm: dict[int, NormalizationParams], cfg: GibbsConfig | EmConfig) -> None:
         self.assignments = list(graph.assignments)
         self.hp = [resolved[a] for a in self.assignments]
         base = self.hp[0]
@@ -421,48 +384,66 @@ class _Engine:
         self.alpha0, self.beta0 = base.alpha0, base.beta0
         self.norm = [norm.get(a, IDENTITY_NORMALIZATION) for a in self.assignments]
         self.chained = graders is not None
-        shared = (list(graders), {v: j for j, v in enumerate(graders)}) if self.chained else None
-        self.idx = [_AssignmentIndex(graph, a, shared) for a in self.assignments]
-        given = [ix.n_given for ix in self.idx]
+        so, eo, self.z, self.grader, self.gradee = graph.grade_index()
+        self.submissions = [(a, u) for a in self.assignments for u in graph.submissions(a)]
+        n_rows = len(self.assignments)
+        if self.chained:  # row k holds the grader list at k * len(graders)
+            code = {v: j for j, v in enumerate(graders)}
+            shared = np.array([code.get(u, -1) for _, u in self.submissions], dtype=np.intp)
+            self.grader = np.repeat(np.arange(n_rows) * len(graders), np.diff(eo)) + shared[self.grader]
+            go = np.arange(n_rows + 1) * len(graders)
+            self.graders = [(a, v) for a in self.assignments for v in graders]
+        else:
+            go, self.graders = so, self.submissions
+        per_score = np.diff(so)  # each score's prior, from its row's hyperparameters
+        self.gamma0 = np.repeat([hp.gamma0 for hp in self.hp], per_score)
+        self.gamma0_mu0 = np.repeat([hp.gamma0 * hp.mu0 for hp in self.hp], per_score)
+        self.n_given = np.bincount(self.grader, minlength=go[-1]).astype(float)
+        self.biased = self.n_given > 0  # the graders whose bias a fit reports
         if self.chained:  # a chained grader carries a bias in every row once it grades in any
-            given = [np.sum(given, axis=0)] * len(given)
-        self.biased = [np.flatnonzero(n > 0) for n in given]
+            self.biased = np.tile(self.biased.reshape(n_rows, len(graders)).any(axis=0), n_rows)
         self.infer_tau = cfg.model.has_reliability
         tau0 = self.alpha0 / self.beta0 if self.infer_tau else base.effective_tau_fixed
-        self.tau_shape = [self.alpha0 + 0.5 * ix.n_given for ix in self.idx]
-        self.plan = [("s", k, ix.n_students, _normals) for k, ix in enumerate(self.idx)]
-        self.plan += [("b", k, ix.n_graders, _normals) for k, ix in enumerate(self.idx)]
+        self.tau_shape = self.alpha0 + 0.5 * self.n_given
+        so, go, eo = so.tolist(), go.tolist(), eo.tolist()
+        self.rows = [self._view(slice(so[k], so[k + 1]), slice(go[k], go[k + 1]), slice(eo[k], eo[k + 1]))
+                     for k in range(n_rows)]
+        self.whole = self._view(slice(0, so[-1]), slice(0, go[-1]), slice(0, eo[-1]))
+        self.plan = [("s", k, r.scores, _normals) for k, r in enumerate(self.rows)]
+        self.plan += [("b", k, r.graders, _normals) for k, r in enumerate(self.rows)]
         if self.infer_tau:
-            self.plan += [("tau", k, ix.n_graders, _gammas(shape))
-                          for k, (ix, shape) in enumerate(zip(self.idx, self.tau_shape))]
-        self.s = [ix.mean_received(hp.mu0) for ix, hp in zip(self.idx, self.hp)]
-        self.b = [np.zeros(ix.n_graders) for ix in self.idx]
-        self.tau = [np.full(ix.n_graders, tau0) for ix in self.idx]
-        reported = {"s": [np.arange(ix.n_students) for ix in self.idx], "b": self.biased}
+            self.plan += [("tau", k, r.graders, _gammas(r.tau_shape)) for k, r in enumerate(self.rows)]
+        n_received = np.bincount(self.gradee, minlength=so[-1]).astype(float)
+        has = n_received > 0  # a score starts at the mean of its grades, or at mu0
+        self.s = np.repeat([hp.mu0 for hp in self.hp], per_score)
+        self.s[has] = np.bincount(self.gradee, self.z, so[-1])[has] / n_received[has]
+        self.b = np.zeros(go[-1])
+        self.tau = np.full(go[-1], tau0)
+        reported = {"s": np.ones(so[-1], dtype=bool), "b": self.biased}
         if self.infer_tau:
-            reported["tau"] = [np.flatnonzero(ix.n_given > 0) for ix in self.idx]
+            reported["tau"] = self.n_given > 0
         self.layout, start = [], 0
-        for kind, rows in reported.items():
-            for k, (ix, pos) in enumerate(zip(self.idx, rows)):
-                names = ix.students if kind == "s" else ix.graders
-                self.layout.append(_Reported(kind, k, [names[j] for j in pos.tolist()], pos, start))
-                start += len(names)
+        for kind, mask in reported.items():
+            keys = self.submissions if kind == "s" else self.graders
+            for k, r in enumerate(self.rows):
+                span = r.scores if kind == "s" else r.graders
+                pos = span.start + np.flatnonzero(mask[span])
+                self.layout.append(_Reported(kind, k, [keys[i][1] for i in pos.tolist()], pos, start + pos))
+            start += mask.size
         self.theta: tuple[float, float] | None = None
-        self.acc = _Accumulator()  # the row of every layout entry, then theta, in one array
+        self.acc = _Accumulator()  # the draw vector's moments
         self.accept_s = self.total_s = 0
         self.accept_theta = self.total_theta = 0
 
     def variates(self) -> _Variates:
         """An unfilled buffer set for draw."""
-        v: _Variates = {}
-        for block, _, size, _ in self.plan:
-            v.setdefault(block, []).append(np.empty(size))
-        return v
+        ends = {block: rows.stop for block, _, rows, _ in self.plan}  # each block's last row ends it
+        return {block: np.empty(n) for block, n in ends.items()}
 
     def draw(self, rngs: Sequence[np.random.Generator], v: _Variates) -> None:
         """Fill v with one sweep's variates by the plan, row k's from rngs[k]."""
-        for block, k, _, fill in self.plan:
-            fill(rngs[k], v[block][k])
+        for block, k, rows, fill in self.plan:
+            fill(rngs[k], v[block][rows])
 
     def sweep(self, v: _Variates) -> None:
         """Every row's scores, then every row's biases, then reliabilities, on the variates in v."""
@@ -471,65 +452,80 @@ class _Engine:
         if self.infer_tau:
             self._reliability_block(v["tau"])
 
-    def score_conditional(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Mean and precision of row k's scores given the rest."""
-        idx, hp = self.idx[k], self.hp[k]
-        w = self.tau[k][idx.grader]
-        prec = hp.gamma0 + idx.sum_by_gradee(w)
-        num = hp.gamma0 * hp.mu0 + idx.sum_by_gradee(w * (idx.z - self.b[k][idx.grader]))
+    def _view(self, scores: slice, graders: slice, grades: slice) -> _Row:
+        return _Row(scores, graders, grades, self.z[grades], self.grader[grades], self.gradee[grades],
+                    self.gamma0[scores], self.gamma0_mu0[scores], self.n_given[graders], self.tau_shape[graders])
+
+    def score_conditional(self, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Mean and precision of row k's scores given the rest; of every row's for k None."""
+        r = self.whole if k is None else self.rows[k]
+        w = self.tau[r.grader]
+        wr = self.b[r.grader]  # w * (z - b), in place: one temporary fewer on a large graph
+        np.subtract(r.z, wr, out=wr)
+        wr *= w
+        prec = r.gamma0 + _sums(r.gradee, w, r.scores)
+        num = r.gamma0_mu0 + _sums(r.gradee, wr, r.scores)
         return num / prec, prec
 
-    def _score_block(self, normals: Sequence[np.ndarray]) -> None:
-        for k, eps in enumerate(normals):
-            mean, prec = self.score_conditional(k)
-            self.s[k] = mean + np.sqrt(1.0 / prec) * eps
+    def _score_block(self, normals: np.ndarray) -> None:
+        mean, prec = self.score_conditional()
+        self.s = mean + np.sqrt(1.0 / prec) * normals
 
-    def _bias_likelihood(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+    def _bias_likelihood(self, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Precision and precision-weighted residual sum that row k's grades
-        contribute to each grader's bias."""
-        idx = self.idx[k]
-        return idx.n_given * self.tau[k], self.tau[k] * idx.sum_by_grader(idx.z - self.s[k][idx.gradee])
+        (every grade for k None) contribute to each grader's bias."""
+        r = self.whole if k is None else self.rows[k]
+        tau = self.tau if k is None else self.tau[r.graders]
+        zs = self.s[r.gradee]  # z - s, in place
+        np.subtract(r.z, zs, out=zs)
+        return r.n_given * tau, tau * _sums(r.grader, zs, r.graders)
 
-    def bias_conditional(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Mean and precision of row k's biases given the rest."""
-        anchored = k == 0 or not self.chained
+    def bias_conditional(self, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Mean and precision of row k's biases given the rest; of every row's
+        for k None, which only rows that are not chained allow."""
+        anchored = not self.chained or k == 0
         prec = self.eta0 if anchored else self.omega0
-        num = 0.0 if anchored else self.omega0 * self.b[k - 1]
-        if self.chained and k + 1 < len(self.b):
+        num = 0.0 if anchored else self.omega0 * self.b[self.rows[k - 1].graders]
+        if self.chained and k + 1 < len(self.rows):
             prec += self.omega0
-            num = num + self.omega0 * self.b[k + 1]
+            num = num + self.omega0 * self.b[self.rows[k + 1].graders]
         lik_prec, lik_num = self._bias_likelihood(k)
         prec = prec + lik_prec
         num = num + lik_num
         return num / prec, prec
 
-    def _bias_block(self, normals: Sequence[np.ndarray]) -> None:
-        for k, eps in enumerate(normals):
+    def _bias_block(self, normals: np.ndarray) -> None:
+        if not self.chained:
+            mean, prec = self.bias_conditional()
+            self.b = mean + np.sqrt(1.0 / prec) * normals
+            return
+        for k, r in enumerate(self.rows):  # row by row, each after the row before it
             mean, prec = self.bias_conditional(k)
-            self.b[k] = mean + np.sqrt(1.0 / prec) * eps
+            self.b[r.graders] = mean + np.sqrt(1.0 / prec) * normals[r.graders]
 
-    def residuals(self, k: int) -> np.ndarray:
-        """Each grade of row k less its gradee's score and its grader's bias."""
-        idx = self.idx[k]
-        return idx.z - self.s[k][idx.gradee] - self.b[k][idx.grader]
+    def residuals(self, k: int | None = None) -> np.ndarray:
+        """Each grade of row k (every grade for k None) less its gradee's
+        score and its grader's bias."""
+        r = self.whole if k is None else self.rows[k]
+        resid = self.s[r.gradee]  # z - s - b, in place
+        np.subtract(r.z, resid, out=resid)
+        resid -= self.b[r.grader]
+        return resid
 
-    def reliability_conditional(self, k: int, resid: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Gamma shape and rate of row k's reliabilities given the rest;
-        resid, where given, is residuals(k) at the current state."""
+    def reliability_conditional(self, k: int | None = None,
+                                resid: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Gamma shape and rate of row k's reliabilities given the rest (every
+        row's for k None); resid, where given, is residuals(k) at this state."""
         resid = self.residuals(k) if resid is None else resid
-        return self.tau_shape[k], self.beta0 + 0.5 * self.idx[k].sum_by_grader(resid * resid)
+        r = self.whole if k is None else self.rows[k]
+        return r.tau_shape, self.beta0 + 0.5 * _sums(r.grader, resid * resid, r.graders)
 
-    def _reliability_block(self, gammas: Sequence[np.ndarray]) -> None:
-        for k, g in enumerate(gammas):
-            self.tau[k] = (1.0 / self.reliability_conditional(k)[1]) * g
-
-    def row(self, e: _Reported) -> np.ndarray:
-        """The current array, in working units, that a layout entry reports from."""
-        return getattr(self, e.kind)[e.k]
+    def _reliability_block(self, gammas: np.ndarray) -> None:
+        self.tau = (1.0 / self.reliability_conditional()[1]) * gammas
 
     def accumulate(self) -> np.ndarray:
         """Add this sweep's draw vector to the moments and return it."""
-        draws = [self.row(e) for e in self.layout]
+        draws = [self.s, self.b, self.tau] if self.infer_tau else [self.s, self.b]
         if self.theta is not None:
             draws.append(self.theta)
         values = np.concatenate(draws)
@@ -537,22 +533,18 @@ class _Engine:
         return values
 
     def load_state(self, state: LatentState) -> None:
-        for k, (a, ix) in enumerate(zip(self.assignments, self.idx)):
-            for i, student in enumerate(ix.students):
-                if (a, student) in state.s:
-                    self.s[k][i] = state.s[(a, student)]
-            for j, grader in enumerate(ix.graders):
-                if (a, grader) in state.b:
-                    self.b[k][j] = state.b[(a, grader)]
-                if (a, grader) in state.tau:
-                    self.tau[k][j] = state.tau[(a, grader)]
+        for array, keys, values in ((self.s, self.submissions, state.s), (self.b, self.graders, state.b),
+                                    (self.tau, self.graders, state.tau)):
+            for i, key in enumerate(keys):
+                if key in values:
+                    array[i] = values[key]
         if self.theta is not None and state.theta is not None:
             self.theta = tuple(state.theta)
 
     def export_state(self, state: LatentState) -> None:
         for e in self.layout:
             a = self.assignments[e.k]
-            getattr(state, e.kind).update(zip([(a, u) for u in e.keys], self.row(e)[e.pos].tolist()))
+            getattr(state, e.kind).update(zip([(a, u) for u in e.keys], getattr(self, e.kind)[e.pos].tolist()))
         if self.theta is not None:
             state.theta = self.theta
 
@@ -562,8 +554,7 @@ class _Engine:
         n = self.acc.n
         mean, var = self.acc.moments()
         for e in self.layout:
-            at = e.start + e.pos
-            m, v = self.norm[e.k].to_pp(e.kind, mean[at], var[at])
+            m, v = self.norm[e.k].to_pp(e.kind, mean[e.at], var[e.at])
             blocks[e.kind][self.assignments[e.k]] = StatColumn(e.keys, m, v, np.full(e.pos.size, n))
         return (mean[-2:], var[-2:]) if self.theta is not None else None  # theta closes the vector
 
@@ -571,8 +562,8 @@ class _Engine:
         """The layout entry that reports each (kind, assignment, student) and
         its position in the draw vector, read from one table of the layout; a
         ValueError for a latent that summarize does not report."""
-        table = {(e.kind, self.assignments[e.k], u): (e, e.start + j)
-                 for e in self.layout for u, j in zip(e.keys, e.pos.tolist())}
+        table = {(e.kind, self.assignments[e.k], u): (e, at)
+                 for e in self.layout for u, at in zip(e.keys, e.at.tolist())}
         columns = []
         for kind, a, student in variables:
             column = table.get((kind, a, student))
@@ -583,38 +574,44 @@ class _Engine:
 
 
 class _ColourClass:
-    """Students of one colour class with their grade index arrays.
+    """Students of one colour class, from every row, with their grade index arrays.
 
     recv/give are the grades the members received/gave, *_loc the class-local
-    position of the member each grade belongs to, and draws the slice of the
-    sweep's draw arrays that the class consumes.
+    position of the member each grade belongs to, draws the positions of the
+    sweep's score variates that the members read (a slice where they are
+    consecutive), and gamma0 and gamma0_mu0 the members' score priors.
     """
 
-    def __init__(self, idx: _AssignmentIndex, members: np.ndarray, draws: slice) -> None:
+    def __init__(self, engine: _Engine, members: np.ndarray, draws: np.ndarray) -> None:
         self.members = members
         self.size = members.size
-        self.draws = draws
-        local = np.full(idx.n_students, -1, dtype=np.intp)
+        consecutive = draws.size and draws[-1] - draws[0] == draws.size - 1  # draws ascend
+        self.draws = slice(int(draws[0]), int(draws[-1]) + 1) if consecutive else draws
+        local = np.full(engine.s.size, -1, dtype=np.intp)
         local[members] = np.arange(members.size)
-        self.recv = np.flatnonzero(local[idx.gradee] >= 0)
-        self.recv_loc = local[idx.gradee[self.recv]]
-        self.recv_grader = idx.grader[self.recv]
-        self.give = np.flatnonzero(local[idx.grader] >= 0)
-        self.give_loc = local[idx.grader[self.give]]
-        self.give_gradee = idx.gradee[self.give]
-        self.n_given = idx.n_given[members]
+        self.recv = np.flatnonzero(local[engine.gradee] >= 0)
+        self.recv_loc = local[engine.gradee[self.recv]]
+        self.recv_grader = engine.grader[self.recv]
+        self.give = np.flatnonzero(local[engine.grader] >= 0)
+        self.give_loc = local[engine.grader[self.give]]
+        self.give_gradee = engine.gradee[self.give]
+        self.n_given = engine.n_given[members]
+        self.gamma0 = engine.gamma0[members]
+        self.gamma0_mu0 = engine.gamma0_mu0[members]
 
 
-def _colour_classes(idx: _AssignmentIndex) -> list[_ColourClass]:
-    """Greedy colouring of the undirected grader-gradee graph.
+def _colour_classes(engine: _Engine) -> list[_ColourClass]:
+    """Greedy colouring of the undirected grader-gradee graph of every row.
 
     Students are visited in index order and each takes the smallest colour
     none of its neighbours holds, so no grade joins two members of one class
-    and the classes depend only on the graph.
+    and the classes depend only on the graph. No grade joins two rows, so a
+    row's colours are those it would have alone. A row's students, stably
+    sorted by colour, read its slice of the score variates in turn.
     """
-    n = idx.n_students
+    n = engine.s.size
     neighbours: list[list[int]] = [[] for _ in range(n)]
-    for v, u in zip(idx.grader.tolist(), idx.gradee.tolist()):
+    for v, u in zip(engine.grader.tolist(), engine.gradee.tolist()):
         neighbours[v].append(u)
         neighbours[u].append(v)
     colours: list[int] = []
@@ -625,10 +622,14 @@ def _colour_classes(idx: _AssignmentIndex) -> list[_ColourClass]:
             c += 1
         colours.append(c)
     colour = np.array(colours, dtype=np.intp)
+    row = np.repeat(np.arange(len(engine.rows)), [r.scores.stop - r.scores.start for r in engine.rows])
+    draws = np.empty(n, dtype=np.intp)
+    draws[np.lexsort((colour, row))] = np.arange(n)
     order = np.argsort(colour, kind="stable")
     classes, start = [], 0
     for stop in np.cumsum(np.bincount(colour)).tolist():
-        classes.append(_ColourClass(idx, order[start:stop], slice(start, stop)))
+        members = order[start:stop]
+        classes.append(_ColourClass(engine, members, draws[members]))
         start = stop
     return classes
 
@@ -638,80 +639,76 @@ class _Pg3Engine(_Engine):
 
     Overrides the score block and the bias arithmetic, draws no
     reliabilities, and adds the theta step. Scores move by
-    Metropolis-within-Gibbs on a chromatic schedule: the conditional of s_i
+    Metropolis-within-Gibbs on a chromatic schedule: s_i's conditional
     involves only its graders (proposal precisions) and its gradees
-    (acceptance residuals), so the students of one colour class are
-    conditionally independent and take one vectorized Metropolis step
-    together, classes in turn. Each row's score normals and exponentials
-    are drawn in one call each, laid out class by class. Biases stay
-    conjugate, with each grade weighted by the precision at its grader's
-    score. One theta serves every row: it moves by joint random-walk
-    Metropolis once per sweep under a flat prior restricted to the
-    precision-floor feasible region over every row's current scores,
-    against the likelihood of every row's grades, on two proposal normals
-    and one exponential that close the plan, from row 0's generator.
+    (acceptance residuals), so one colour class's students are
+    conditionally independent, and so are rows given theta. Each class,
+    coloured on first use and spanning every row, takes one vectorized
+    Metropolis step, classes in turn. Biases stay conjugate, each grade
+    weighted by the precision at its grader's score. One theta serves every
+    row: one joint random-walk Metropolis step per sweep, under a flat prior
+    on the precision-floor feasible region over every row's scores, against
+    every row's grades, on two normals and one exponential from row 0's
+    generator that close the plan.
     """
 
-    def __init__(self, graph: GradingGraph, graders: Sequence[str] | None,
-                 resolved: dict[int, Hyperparameters], norm: dict[int, NormalizationParams],
-                 cfg: GibbsConfig) -> None:
+    def __init__(self, graph: GradingGraph, graders: Sequence[str] | None, resolved: dict[int, Hyperparameters],
+                 norm: dict[int, NormalizationParams], cfg: GibbsConfig) -> None:
         super().__init__(graph, graders, resolved, norm, cfg)
         hp = self.hp[0]
-        self.classes = [_colour_classes(ix) for ix in self.idx]
         self.theta = (hp.effective_theta0, hp.theta1)
         ref = hp.alpha0 / hp.beta0
         score_scale = max(1.0, abs(hp.mu0) + 4.0 / math.sqrt(hp.gamma0))
         self.sig0 = cfg.mh_proposal_scale * ref
         self.sig1 = cfg.mh_proposal_scale * ref / score_scale
-        rows = len(self.idx)  # each row's exponentials follow every row's score normals
-        self.plan[rows:rows] = [("e2", k, ix.n_students, _doubled_exponentials) for k, ix in enumerate(self.idx)]
+        n_rows = len(self.rows)  # each row's exponentials follow every row's score normals
+        self.plan[n_rows:n_rows] = [("e2", k, r.scores, _doubled_exponentials) for k, r in enumerate(self.rows)]
         if cfg.sample_theta:
-            self.plan.append(("theta", 0, 3, _theta_variates))
+            self.plan.append(("theta", 0, slice(0, 3), _theta_variates))
+
+    @cached_property
+    def classes(self) -> list[_ColourClass]:
+        return _colour_classes(self)
 
     def _prec(self, s_values: np.ndarray) -> np.ndarray:
         th0, th1 = self.theta
         return np.maximum(th1 * s_values + th0, self.hp[0].precision_floor)
 
     def _feasible(self, th0: float, th1: float) -> bool:
-        ends = [float(end(s)) for s in self.s if s.size for end in (np.min, np.max)]
+        # th1 * v + th0 is monotone in v, so the extreme scores bound it
+        ends = [float(self.s.min()), float(self.s.max())] if self.s.size else []
         return min((th1 * v + th0 for v in ends), default=th0) >= self.hp[0].precision_floor
 
     def _log_likelihood(self, th0: float, th1: float) -> float:
+        s = self.s
+        w = th1 * s[self.grader] + th0  # feasibility guarantees w >= floor > 0
+        resid = self.z - s[self.gradee] - self.b[self.grader]
+        log_w, weighted = np.log(w), w * resid * resid
         total = 0.0
-        for idx, s, b in zip(self.idx, self.s, self.b):
-            w = th1 * s[idx.grader] + th0  # feasibility guarantees w >= floor > 0
-            resid = idx.z - s[idx.gradee] - b[idx.grader]
-            total += float(0.5 * np.sum(np.log(w)) - 0.5 * np.sum(w * resid * resid))
+        for r in self.rows:  # one sum per row, added in row order
+            total += float(0.5 * np.sum(log_w[r.grades]) - 0.5 * np.sum(weighted[r.grades]))
         return total
 
     def sweep(self, v: _Variates) -> None:
-        """Every row's scores, then every row's biases, then theta, on the variates in v."""
-        for k, classes in enumerate(self.classes):
-            self._update_scores(k, v["s"][k], v["e2"][k], classes)
+        """Every class's scores, then every row's biases, then theta, on the variates in v."""
+        zb = self.z - self.b[self.grader]
+        w = self._prec(self.s)
+        for c in self.classes:
+            self._class_step(c, zb, w, v["s"], v["e2"])
+        self.total_s += self.s.size
         self._bias_block(v["b"])
         if "theta" in v:  # where the plan samples theta
-            self._theta_step(*v["theta"][0].tolist())
+            self._theta_step(*v["theta"].tolist())
 
-    def _update_scores(self, k: int, eps: np.ndarray, e2: np.ndarray, classes: Sequence[_ColourClass]) -> None:
-        """One Metropolis step for every member of the given classes of row k,
-        class by class, on the row's proposal normals eps and acceptance
-        exponentials e2 (of mean 2)."""
-        idx = self.idx[k]
-        zb = idx.z - self.b[k][idx.grader]
-        w = self._prec(self.s[k])
-        for c in classes:
-            self._class_step(k, c, zb, w, eps, e2)
-            self.total_s += c.size
-
-    def _class_step(
-        self, k: int, c: _ColourClass, zb: np.ndarray, w: np.ndarray, eps: np.ndarray, e2: np.ndarray
-    ) -> None:
+    def _class_step(self, c: _ColourClass, zb: np.ndarray, w: np.ndarray, eps: np.ndarray, e2: np.ndarray) -> None:
         """Same proposal and acceptance as cond_sample_score_affine, for all
-        members at once; w holds the precisions of row k's current scores."""
-        hp, s = self.hp[k], self.s[k]
+        members at once, on the proposal normals eps and acceptance
+        exponentials e2 (of mean 2); zb holds each grade less its grader's
+        bias, and w the precisions of the current scores."""
+        s = self.s
         w_recv = w[c.recv_grader]
-        prec = hp.gamma0 + np.bincount(c.recv_loc, w_recv, c.size)
-        num = hp.gamma0 * hp.mu0 + np.bincount(c.recv_loc, w_recv * zb[c.recv], c.size)
+        prec = c.gamma0 + np.bincount(c.recv_loc, w_recv, c.size)
+        num = c.gamma0_mu0 + np.bincount(c.recv_loc, w_recv * zb[c.recv], c.size)
         prop = (num + eps[c.draws] * np.sqrt(prec)) / prec
         cur = s[c.members]
         w_old = w[c.members]
@@ -725,10 +722,10 @@ class _Pg3Engine(_Engine):
         w[c.members] = w_old
         self.accept_s += int(np.count_nonzero(accept))
 
-    def _bias_likelihood(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        idx, s = self.idx[k], self.s[k]
-        w = self._prec(s)[idx.grader]
-        return idx.sum_by_grader(w), idx.sum_by_grader(w * (idx.z - s[idx.gradee]))
+    def _bias_likelihood(self, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        r = self.whole if k is None else self.rows[k]
+        w = self._prec(self.s)[r.grader]
+        return _sums(r.grader, w, r.graders), _sums(r.grader, w * (r.z - self.s[r.gradee]), r.graders)
 
     def _theta_step(self, n0: float, n1: float, e: float) -> None:
         """One random-walk Metropolis step on proposal normals n0, n1 and a standard exponential
@@ -878,7 +875,7 @@ def gibbs_infer(
     record = np.empty((cfg.retained_sweeps, picked.size))
 
     first = engine.variates()
-    ahead = sum(row.size for block in first.values() for row in block) >= _DRAW_AHEAD_MIN
+    ahead = sum(block.size for block in first.values()) >= _DRAW_AHEAD_MIN
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="peergrade-draw") if ahead else nullcontext() as helper:
         for sweep_no, v in enumerate(_drawn(engine, rngs, first, cfg.total_sweeps, helper), start=1):
             engine.sweep(v)

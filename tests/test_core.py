@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -178,6 +180,23 @@ class TestHyperparameters:
             Hyperparameters(eta0=-1.0)
         with pytest.raises(ValueError):
             Hyperparameters(beta0=0.0)
+
+    @pytest.mark.parametrize("name", ["gamma0", "eta0", "omega0", "beta0", "tau_fixed"])
+    def test_rejects_a_precision_whose_reciprocal_overflows(self, name):
+        # 1 / (1 / max) rounds up to inf; the next float above has a finite reciprocal
+        smallest = 1.0 / sys.float_info.max
+        with pytest.raises(ValueError, match=re.escape(f"{name}={smallest!r} is too small: its reciprocal overflows")):
+            Hyperparameters(**{name: smallest})
+        above = math.nextafter(smallest, 1.0)
+        assert math.isfinite(1.0 / above)
+        assert getattr(Hyperparameters(**{name: above}), name) == above
+
+    def test_rejects_an_alpha0_whose_lgamma_overflows(self):
+        # lgamma overflows between these two, near 2.56e305
+        assert Hyperparameters(alpha0=2.5e305).alpha0 == 2.5e305
+        for alpha0 in (2.6e305, 1e308):
+            with pytest.raises(ValueError, match=re.escape(f"alpha0={alpha0!r} is too large: lgamma(alpha0) overflows")):
+                Hyperparameters(alpha0=alpha0)
 
     def test_resolve_from_scores(self):
         hp = Hyperparameters().resolve([70.0, 80.0, 90.0])

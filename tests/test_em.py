@@ -181,9 +181,9 @@ class TestOutputs:
         pts = em_infer(g, hp, cfg)
         engine = _build_engine(g, hp, cfg)
         engine.load_state(LatentState(pts.s, pts.b, pts.tau))
-        idx, biased = engine.idx[0], engine.biased[0]
-        s, b, tau = engine.s[0], engine.b[0], engine.tau[0]
-        expected = (stats.norm.logpdf(engine.residuals(0), scale=tau[idx.grader] ** -0.5).sum()
+        grader, biased = engine.grader, engine.biased  # one assignment: its row is the whole of each array
+        s, b, tau = engine.s, engine.b, engine.tau
+        expected = (stats.norm.logpdf(engine.residuals(0), scale=tau[grader] ** -0.5).sum()
                     + stats.norm.logpdf(s, hp.mu0, hp.gamma0 ** -0.5).sum()
                     + stats.norm.logpdf(b[biased], 0.0, hp.eta0 ** -0.5).sum()
                     + stats.gamma.logpdf(tau[biased], alpha0, scale=1.0 / hp.beta0).sum())
@@ -244,13 +244,14 @@ def plain_ascent(graph: GradingGraph, hp: Hyperparameters, cfg: EmConfig, tol: f
     no parameter by tol: the estimates, each row's final log joint and the
     maps each row took to first meet cfg.tol."""
     engine = _build_engine(graph, hp, cfg)
-    rows = (engine.s, engine.b, engine.tau)
     objective, maps = {}, {}
     for k, a in enumerate(engine.assignments):
+        r = engine.rows[k]
+        before = [engine.s[r.scores].copy(), engine.b[r.graders].copy(), engine.tau[r.graders].copy()]
         for n in range(1, 20_001):
-            before = [row[k] for row in rows]
-            resid = _ascend(engine, k)
-            delta = max(float(np.max(np.abs(row[k] - old))) for row, old in zip(rows, before))
+            after, resid = _ascend(engine, k)
+            delta = max(float(np.max(np.abs(new - old))) for new, old in zip(after, before))
+            before = after
             if delta < cfg.tol:
                 maps.setdefault(a, n)
             if delta < tol:

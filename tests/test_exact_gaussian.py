@@ -142,22 +142,25 @@ def _held_tau_moments(
     bias, and their retained draws' mean, variance and batch-means standard
     error of the mean, streamed so that no draw is kept."""
     engine = _build_engine(graph, hp, cfg)
-    for k, (a, ix) in enumerate(zip(engine.assignments, engine.idx)):
-        engine.tau[k] = np.array([tau[a, v] for v in ix.graders])
-    keys = [("s", a, u) for a, ix in zip(engine.assignments, engine.idx) for u in ix.students]
-    keys += [("b", a, v) for a, ix in zip(engine.assignments, engine.idx) for v in ix.graders]
+    engine.tau[:] = [tau[key] for key in engine.graders]
+    keys = [("s", a, u) for a, u in engine.submissions] + [("b", a, v) for a, v in engine.graders]
     rngs = [np.random.default_rng([cfg.seed, k]) for k in range(len(engine.assignments))]
     if engine.chained:
         rngs = rngs[:1] * len(rngs)
     batch = (sweeps - burn_in) // n_batches
     sums, sumsq = np.zeros((n_batches, len(keys))), np.zeros(len(keys))
+    s_eps, b_eps = np.empty(engine.s.size), np.empty(engine.b.size)
     for n in range(burn_in + batch * n_batches):
-        engine._score_block([rng.standard_normal(ix.n_students) for rng, ix in zip(rngs, engine.idx)])
-        engine._bias_block([rng.standard_normal(ix.n_graders) for rng, ix in zip(rngs, engine.idx)])
+        for rng, r in zip(rngs, engine.rows):
+            rng.standard_normal(out=s_eps[r.scores])
+        engine._score_block(s_eps)
+        for rng, r in zip(rngs, engine.rows):
+            rng.standard_normal(out=b_eps[r.graders])
+        engine._bias_block(b_eps)
         if n == burn_in - 1:
-            shift = np.concatenate(engine.s + engine.b)  # moments are taken about it
+            shift = np.concatenate([engine.s, engine.b])  # moments are taken about it
         elif n >= burn_in:
-            d = np.concatenate(engine.s + engine.b) - shift
+            d = np.concatenate([engine.s, engine.b]) - shift
             sums[(n - burn_in) // batch] += d
             sumsq += d * d
     total = batch * n_batches

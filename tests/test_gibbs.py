@@ -276,8 +276,9 @@ class TestRecord:
         engine.sweep(v)
         vector = engine.accumulate()
         for e in engine.layout:
-            assert np.array_equal(vector[e.start + e.pos], engine.row(e)[e.pos])
-        assert vector.size == e.start + engine.row(e).size + (2 if model is Model.PG3 else 0)
+            assert np.array_equal(vector[e.at], getattr(engine, e.kind)[e.pos])
+        blocks = ("s", "b", "tau") if engine.infer_tau else ("s", "b")
+        assert vector.size == sum(getattr(engine, kind).size for kind in blocks) + (2 if model is Model.PG3 else 0)
 
     def test_pg3_traces_match_score_traces_and_summary(self, pg3_graph):
         cfg = GibbsConfig(model=Model.PG3, total_sweeps=60, burn_in=10, seed=3)
@@ -492,15 +493,17 @@ class TestChromaticPg3:
         n = 20_000
         engine = self.engine(graph, self.HP)
         engine.load_state(state)
-        i = engine.idx[0].students.index("u")
-        cls = next(c for c in engine.classes[0] if i in c.members)
-        s = engine.s[0]
+        i = engine.submissions.index((1, "u"))
+        cls = next(c for c in engine.classes if i in c.members)
+        s = engine.s
         s0 = s.copy()
+        zb = engine.z - engine.b[engine.grader]
         rng = np.random.default_rng(31)
         got = np.empty(n)
         for k in range(n):
             s[:] = s0
-            engine._update_scores(0, rng.standard_normal(s.size), rng.exponential(2.0, s.size), [cls])
+            eps, e2 = rng.standard_normal(s.size), rng.exponential(2.0, s.size)
+            engine._class_step(cls, zb, engine._prec(s), eps, e2)
             got[k] = s[i]
         got_accept = float(np.mean(got != s0[i]))
 
@@ -517,16 +520,15 @@ class TestChromaticPg3:
     @staticmethod
     def check_colouring(graph, hp):
         engine = TestChromaticPg3.engine(graph, hp)
-        idx = engine.idx[0]
-        colour = np.full(idx.n_students, -1)
-        for k, c in enumerate(engine.classes[0]):
+        colour = np.full(engine.s.size, -1)
+        for k, c in enumerate(engine.classes):
             assert (colour[c.members] == -1).all(), "a student is in two classes"
             colour[c.members] = k
         assert (colour >= 0).all(), "a student is in no class"
-        assert not np.any(colour[idx.grader] == colour[idx.gradee]), "a grade joins one class"
+        assert not np.any(colour[engine.grader] == colour[engine.gradee]), "a grade joins one class"
         again = TestChromaticPg3.engine(graph, hp)
-        assert [c.members.tolist() for c in again.classes[0]] == [c.members.tolist() for c in engine.classes[0]]
-        return engine.classes[0]
+        assert [c.members.tolist() for c in again.classes] == [c.members.tolist() for c in engine.classes]
+        return engine.classes
 
     def test_colouring_on_hci_shaped_network(self):
         cfg = SynthConfig(
@@ -596,7 +598,7 @@ class TestSharedTheta:
     def test_feasibility_covers_every_assignment(self, pg3):
         _, engine = pg3
         floor = engine.hp[0].precision_floor
-        engine.s[2][0] = -50.0  # the lowest score of the graph, in the last assignment
+        engine.s[engine.rows[2].scores.start] = -50.0  # the lowest score of the graph, in the last assignment
         assert not engine._feasible(floor + 49.0, 1.0)
         assert engine._feasible(floor + 50.5, 1.0)
 
@@ -633,8 +635,8 @@ class TestThetaStep:
     def grid_moments(engine, centre, spread, n=401):
         """theta0 and theta1 means and variances of the conditional on an
         n x n grid of centre +- 8 spread, and the grid's mass on its edges."""
-        idx, s, b = engine.idx[0], engine.s[0], engine.b[0]
-        w_of, resid = s[idx.grader], idx.z - s[idx.gradee] - b[idx.grader]
+        s, b = engine.s, engine.b  # one assignment: its row is the whole of each array
+        w_of, resid = s[engine.grader], engine.z - s[engine.gradee] - b[engine.grader]
         th0 = np.linspace(centre[0] - 8 * spread[0], centre[0] + 8 * spread[0], n)
         th1 = np.linspace(centre[1] - 8 * spread[1], centre[1] + 8 * spread[1], n)
         log_p = np.full((n, n), -np.inf)

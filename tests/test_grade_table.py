@@ -105,6 +105,23 @@ def test_grade_positions_index_the_submissions(network):
             (g.grader, g.gradee) for g in ref.grades_in(a)]
 
 
+def test_grade_index_numbers_every_submission(network):
+    """The one index of all grades: assignment j's slice holds its grades in
+    input order, and a submission's number is its position in
+    submissions(), counted from the assignment's offset."""
+    rows, universe, _ = network
+    graph, ref = GradingGraph(rows, submissions=universe), RowwiseGraph(rows, universe)
+    offsets, starts, score, grader, gradee = graph.grade_index()
+    assert len(offsets) == len(starts) == len(graph.assignments) + 1
+    assert (offsets[-1], starts[-1]) == (sum(len(s) for s in ref.submissions.values()), len(ref.grades))
+    for j, a in enumerate(graph.assignments):
+        subs, lo = ref.submissions[a], offsets[j]
+        assert offsets[j + 1] - lo == len(subs)
+        grades = slice(starts[j], starts[j + 1])
+        assert [(subs[v - lo], subs[u - lo], z) for v, u, z in zip(grader[grades], gradee[grades], score[grades])] == [
+            (g.grader, g.gradee, g.score) for g in ref.grades_in(a)]
+
+
 def test_derived_graphs_match_their_rowwise_definitions(network):
     rows, universe, _ = network
     graph = GradingGraph(rows, submissions=universe)
@@ -195,16 +212,22 @@ def test_nothing_builds_a_peer_grade_from_generate_to_a_fit(tmp_path, monkeypatc
 
 def test_a_pg2_fit_copies_each_assignments_rows_once(monkeypatch):
     """z-scoring reads each assignment's scores once, and the engine reads the
-    z-scored graph's once; neither builds an assignment's table again."""
+    z-scored graph's grades once, all assignments in one index; neither
+    builds an assignment's table again."""
     copies = []
     for name in ("grades_in", "scores_in"):
         def counted(graph, a, read=getattr(GradingGraph, name)):
             copies.append((graph, a))  # holding the graph keeps its id from being reused
             return read(graph, a)
         monkeypatch.setattr(GradingGraph, name, counted)
+
+    def indexed(graph, read=GradingGraph.grade_index):
+        copies.append((graph, "all"))
+        return read(graph)
+    monkeypatch.setattr(GradingGraph, "grade_index", indexed)
     graph, _ = generate(SynthConfig(n_students=40, n_assignments=4, super_grades=10, model=Model.PG2, seed=5))
     gibbs_infer(graph, Hyperparameters(), GibbsConfig(model=Model.PG2, total_sweeps=4, burn_in=1, seed=3))
     per_graph = {}
     for g, a in copies:
         per_graph.setdefault(id(g), []).append(a)
-    assert list(per_graph.values()) == [[1, 2, 3, 4], [1, 2, 3, 4]]
+    assert list(per_graph.values()) == [[1, 2, 3, 4], ["all"]]

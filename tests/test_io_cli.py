@@ -594,6 +594,24 @@ class TestCliErrors:
         assert code == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("args, message", [
+        (["infer", "--engine", "em", "--hp", "alpha0=1e308"], "alpha0=1e+308 is too large: lgamma(alpha0) overflows"),
+        (["calibrate", "--hp", "alpha0=1e308"], "alpha0=1e+308 is too large: lgamma(alpha0) overflows"),
+        (["infer", "--model", "pg1", "--hp", "gamma0=1e-320"], "gamma0=1e-320 is too small: its reciprocal overflows"),
+        (["infer", "--model", "pg2", "--hp", "alpha0=1e308"], "alpha0=1e+308 is too large: lgamma(alpha0) overflows"),
+        (["evaluate", "--hp", "alpha0=1e308"], "alpha0=1e+308 is too large: lgamma(alpha0) overflows"),
+    ], ids=["infer-em", "calibrate", "infer-pg1", "infer-pg2", "evaluate"])
+    def test_hyperparameter_whose_use_overflows(self, tmp_path, capsys, args, message):
+        """Each of these once ended in a traceback or wrote NaN or Infinity
+        with exit 0; now the run stops before any fit, naming the field."""
+        synth = Path(__file__).parent / "golden" / "synth"
+        truth = ["--truth", str(synth / "truth.csv")] if args[0] in ("calibrate", "evaluate") else []
+        out = tmp_path / "x"
+        code, _, err = run_cli([*args, "--grades", str(synth / "grades.csv"), *truth, "--sweeps", "20",
+                                "--burnin", "5", "--out", str(out)], capsys)
+        assert (code, err) == (1, f"error: {message}\n")
+        assert not out.exists()
+
     def test_em_rejects_pg3(self, synth_dir, tmp_path, capsys):
         code, _, err = run_cli([
             "infer", "--grades", str(synth_dir / "grades.csv"),
@@ -784,28 +802,33 @@ class TestCliDeterminism:
 
 
 GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_4X = Path(__file__).parent / "golden_4x"
 
 
 def test_golden_bytes(tmp_path, capsys):
-    """The CLI writes the committed bytes under tests/golden: synth (PG2, 60
-    students x 2 assignments, seed 7), infer for pg1bias, pg1 and pg2, and
-    infer --engine em. PG3 is left out: its accept test goes through np.log,
-    whose last bit may differ between libm builds."""
-    grades = str(tmp_path / "synth" / "grades.csv")
-    commands = [["synth", "--model", "pg2", "--students", "60", "--assignments", "2", "--gt", "3",
-                 "--super-grades", "20", "--seed", "7", "--out", str(tmp_path / "synth")]]
-    for model in ("pg1bias", "pg1", "pg2"):
-        commands.append(["infer", "--grades", grades, "--model", model, "--sweeps", "300",
-                         "--burnin", "50", "--seed", "7", "--out", str(tmp_path / f"infer-{model}")])
-    commands.append(["infer", "--grades", grades, "--model", "pg1", "--engine", "em",
-                     "--out", str(tmp_path / "infer-em")])
-    for args in commands:
-        assert run_cli(args, capsys)[0] == 0
-    expected = sorted(p.relative_to(GOLDEN) for p in GOLDEN.rglob("*") if p.is_file())
-    written = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file())
-    assert written == expected
-    for rel in expected:
-        assert (tmp_path / rel).read_bytes() == (GOLDEN / rel).read_bytes(), rel
+    """The CLI writes the committed bytes under tests/golden and
+    tests/golden_4x: synth (PG2, 60 students x 2 assignments at seed 7, and
+    x 4 assignments at seed 11, where a PG2 row has two chain neighbours),
+    then, at the same seed, infer for pg1bias, pg1 and pg2, and infer
+    --engine em. PG3 is left out: its accept test goes through np.log, whose
+    last bit may differ between libm builds."""
+    for golden, assignments, seed in ((GOLDEN, "2", "7"), (GOLDEN_4X, "4", "11")):
+        out = tmp_path / golden.name
+        grades = str(out / "synth" / "grades.csv")
+        commands = [["synth", "--model", "pg2", "--students", "60", "--assignments", assignments, "--gt", "3",
+                     "--super-grades", "20", "--seed", seed, "--out", str(out / "synth")]]
+        for model in ("pg1bias", "pg1", "pg2"):
+            commands.append(["infer", "--grades", grades, "--model", model, "--sweeps", "300",
+                             "--burnin", "50", "--seed", seed, "--out", str(out / f"infer-{model}")])
+        commands.append(["infer", "--grades", grades, "--model", "pg1", "--engine", "em",
+                         "--out", str(out / "infer-em")])
+        for args in commands:
+            assert run_cli(args, capsys)[0] == 0
+        expected = sorted(p.relative_to(golden) for p in golden.rglob("*") if p.is_file())
+        written = sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+        assert written == expected
+        for rel in expected:
+            assert (out / rel).read_bytes() == (golden / rel).read_bytes(), (golden.name, rel)
 
 
 GOLDEN_EM_PG1BIAS = Path(__file__).parent / "golden_em_pg1bias" / "summary.json"
