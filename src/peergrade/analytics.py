@@ -163,12 +163,11 @@ def _residuals(graph: GradingGraph, estimates) -> tuple[np.ndarray, ...]:
     submission's estimate is looked up once; a missing one raises KeyError."""
     s_hat = _point_block(estimates, "s")
     t = graph.grades
+    s = np.array([s_hat[a, u] for a in graph.assignments for u in graph.submissions(a)], dtype=float)
+    *_, grader, gradee = graph.grade_index()
+    rows = np.argsort(t.assignment, kind="stable")  # the index's order: by assignment, input order within
     grader_s, gradee_s = np.empty(len(t)), np.empty(len(t))
-    for a in graph.assignments:
-        s = np.array([s_hat[a, u] for u in graph.submissions(a)], dtype=float)
-        grader, gradee = graph.grade_positions(a)
-        rows = np.flatnonzero(t.assignment == a)
-        grader_s[rows], gradee_s[rows] = s[grader], s[gradee]
+    grader_s[rows], gradee_s[rows] = s[grader], s[gradee]
     seconds = np.full(len(t), np.nan) if t.seconds is None else t.seconds
     return t.score - gradee_s, grader_s, gradee_s, seconds, t.assignment
 

@@ -510,15 +510,6 @@ class GradingGraph:
         """Grades of one assignment, in input order."""
         return self._grades.take(self._rows_of(assignment))
 
-    def grade_positions(self, assignment: int) -> tuple[np.ndarray, np.ndarray]:
-        """For each grade of one assignment, in input order, the positions of
-        its grader and its gradee in submissions(assignment)."""
-        j = self._index.get(assignment)
-        if j is None:
-            raise KeyError(f"unknown assignment {assignment}")
-        rows, first = self._rows(j), self._offsets[j]
-        return self._grader_sid[rows] - first, self._gradee_sid[rows] - first
-
     def grade_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Every grade as arrays, grouped by assignment and in input order
         within one. Returns where each assignment's submissions start in the

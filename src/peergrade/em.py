@@ -88,7 +88,7 @@ def _log_joint(engine: _Engine, k: int, resid: np.ndarray | None = None) -> floa
     state; resid, where given, is engine.residuals(k) at that state."""
     hp, r = engine.hp[k], engine.rows[k]
     resid = engine.residuals(k) if resid is None else resid
-    w = engine.tau[r.grader]
+    w = engine.tau[r.graders][r.grader]
     s, biased = engine.s[r.scores], engine.biased[r.graders]
     total = float(np.sum(0.5 * (np.log(w) - _LOG_2PI) - 0.5 * w * resid * resid))
     total += float(np.sum(0.5 * (math.log(hp.gamma0) - _LOG_2PI) - 0.5 * hp.gamma0 * (s - hp.mu0) ** 2))

@@ -268,14 +268,9 @@ def cond_sample_score_affine(
 
 # Row k of an engine: its slices of the score array, the bias and reliability
 # arrays and the grade arrays, and views, made once, of its grades' z, grader
-# and gradee, its scores' priors, and its graders' grade counts and gamma shapes.
+# and gradee (positions in the row's slices of b and s), its scores' priors,
+# and its graders' grade counts and gamma shapes.
 _Row = namedtuple("_Row", "scores graders grades z grader gradee gamma0 gamma0_mu0 n_given tau_shape")
-
-
-def _sums(at: np.ndarray, weights: np.ndarray, rows: slice) -> np.ndarray:
-    """Sums of weights by position over the positions rows spans, each adding its weights in order."""
-    sums = np.bincount(at, weights, rows.stop)
-    return sums[rows.start:] if rows.start else sums
 
 
 class _Accumulator:
@@ -361,8 +356,9 @@ class _Engine:
     rows[k].graders; submissions and graders give each position's
     (assignment, student). The grades z are grouped by row at
     rows[k].grades, in input order within one, with their gradee (a
-    position in s) and grader (a position in b and tau); whole is one row
-    spanning them all. With a grader list given (PG2), every row holds that
+    position in s) and grader (a position in b and tau). A row's views
+    count those positions from the start of its own slices, so its sums
+    cover its own bins; whole is one row spanning them all. With a grader list given (PG2), every row holds that
     list and the bias block is a chain across rows: eta0 anchors the first,
     omega0 links consecutive ones. Otherwise each row is graded by its
     assignment's submissions and each bias is anchored at eta0 alone.
@@ -390,8 +386,8 @@ class _Engine:
         if self.chained:  # row k holds the grader list at k * len(graders)
             code = {v: j for j, v in enumerate(graders)}
             shared = np.array([code.get(u, -1) for _, u in self.submissions], dtype=np.intp)
-            self.grader = np.repeat(np.arange(n_rows) * len(graders), np.diff(eo)) + shared[self.grader]
             go = np.arange(n_rows + 1) * len(graders)
+            self.grader = np.repeat(go[:-1], np.diff(eo)) + shared[self.grader]
             self.graders = [(a, v) for a in self.assignments for v in graders]
         else:
             go, self.graders = so, self.submissions
@@ -405,10 +401,13 @@ class _Engine:
         self.infer_tau = cfg.model.has_reliability
         tau0 = self.alpha0 / self.beta0 if self.infer_tau else base.effective_tau_fixed
         self.tau_shape = self.alpha0 + 0.5 * self.n_given
+        local = (self.grader, self.gradee)  # each grade's grader and gradee in its row's slices
+        if n_rows > 1:
+            local = (self.grader - np.repeat(go[:-1], np.diff(eo)), self.gradee - np.repeat(so[:-1], np.diff(eo)))
         so, go, eo = so.tolist(), go.tolist(), eo.tolist()
-        self.rows = [self._view(slice(so[k], so[k + 1]), slice(go[k], go[k + 1]), slice(eo[k], eo[k + 1]))
+        self.rows = [self._view(slice(so[k], so[k + 1]), slice(go[k], go[k + 1]), slice(eo[k], eo[k + 1]), *local)
                      for k in range(n_rows)]
-        self.whole = self._view(slice(0, so[-1]), slice(0, go[-1]), slice(0, eo[-1]))
+        self.whole = self._view(slice(0, so[-1]), slice(0, go[-1]), slice(0, eo[-1]), self.grader, self.gradee)
         self.plan = [("s", k, r.scores, _normals) for k, r in enumerate(self.rows)]
         self.plan += [("b", k, r.graders, _normals) for k, r in enumerate(self.rows)]
         if self.infer_tau:
@@ -452,19 +451,19 @@ class _Engine:
         if self.infer_tau:
             self._reliability_block(v["tau"])
 
-    def _view(self, scores: slice, graders: slice, grades: slice) -> _Row:
-        return _Row(scores, graders, grades, self.z[grades], self.grader[grades], self.gradee[grades],
+    def _view(self, scores: slice, graders: slice, grades: slice, grader: np.ndarray, gradee: np.ndarray) -> _Row:
+        return _Row(scores, graders, grades, self.z[grades], grader[grades], gradee[grades],
                     self.gamma0[scores], self.gamma0_mu0[scores], self.n_given[graders], self.tau_shape[graders])
 
     def score_conditional(self, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Mean and precision of row k's scores given the rest; of every row's for k None."""
         r = self.whole if k is None else self.rows[k]
-        w = self.tau[r.grader]
-        wr = self.b[r.grader]  # w * (z - b), in place: one temporary fewer on a large graph
+        w = self.tau[r.graders][r.grader]
+        wr = self.b[r.graders][r.grader]  # w * (z - b), in place: one temporary fewer on a large graph
         np.subtract(r.z, wr, out=wr)
         wr *= w
-        prec = r.gamma0 + _sums(r.gradee, w, r.scores)
-        num = r.gamma0_mu0 + _sums(r.gradee, wr, r.scores)
+        prec = r.gamma0 + np.bincount(r.gradee, w, r.gamma0.size)
+        num = r.gamma0_mu0 + np.bincount(r.gradee, wr, r.gamma0.size)
         return num / prec, prec
 
     def _score_block(self, normals: np.ndarray) -> None:
@@ -475,10 +474,10 @@ class _Engine:
         """Precision and precision-weighted residual sum that row k's grades
         (every grade for k None) contribute to each grader's bias."""
         r = self.whole if k is None else self.rows[k]
-        tau = self.tau if k is None else self.tau[r.graders]
-        zs = self.s[r.gradee]  # z - s, in place
+        tau = self.tau[r.graders]
+        zs = self.s[r.scores][r.gradee]  # z - s, in place
         np.subtract(r.z, zs, out=zs)
-        return r.n_given * tau, tau * _sums(r.grader, zs, r.graders)
+        return r.n_given * tau, tau * np.bincount(r.grader, zs, tau.size)
 
     def bias_conditional(self, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Mean and precision of row k's biases given the rest; of every row's
@@ -507,9 +506,9 @@ class _Engine:
         """Each grade of row k (every grade for k None) less its gradee's
         score and its grader's bias."""
         r = self.whole if k is None else self.rows[k]
-        resid = self.s[r.gradee]  # z - s - b, in place
+        resid = self.s[r.scores][r.gradee]  # z - s - b, in place
         np.subtract(r.z, resid, out=resid)
-        resid -= self.b[r.grader]
+        resid -= self.b[r.graders][r.grader]
         return resid
 
     def reliability_conditional(self, k: int | None = None,
@@ -518,7 +517,7 @@ class _Engine:
         row's for k None); resid, where given, is residuals(k) at this state."""
         resid = self.residuals(k) if resid is None else resid
         r = self.whole if k is None else self.rows[k]
-        return r.tau_shape, self.beta0 + 0.5 * _sums(r.grader, resid * resid, r.graders)
+        return r.tau_shape, self.beta0 + 0.5 * np.bincount(r.grader, resid * resid, r.tau_shape.size)
 
     def _reliability_block(self, gammas: np.ndarray) -> None:
         self.tau = (1.0 / self.reliability_conditional()[1]) * gammas
@@ -578,15 +577,14 @@ class _ColourClass:
 
     recv/give are the grades the members received/gave, *_loc the class-local
     position of the member each grade belongs to, draws the positions of the
-    sweep's score variates that the members read (a slice where they are
-    consecutive), and gamma0 and gamma0_mu0 the members' score priors.
+    sweep's score variates that the members read, and gamma0 and gamma0_mu0
+    the members' score priors.
     """
 
     def __init__(self, engine: _Engine, members: np.ndarray, draws: np.ndarray) -> None:
         self.members = members
         self.size = members.size
-        consecutive = draws.size and draws[-1] - draws[0] == draws.size - 1  # draws ascend
-        self.draws = slice(int(draws[0]), int(draws[-1]) + 1) if consecutive else draws
+        self.draws = draws
         local = np.full(engine.s.size, -1, dtype=np.intp)
         local[members] = np.arange(members.size)
         self.recv = np.flatnonzero(local[engine.gradee] >= 0)
@@ -724,8 +722,9 @@ class _Pg3Engine(_Engine):
 
     def _bias_likelihood(self, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         r = self.whole if k is None else self.rows[k]
-        w = self._prec(self.s)[r.grader]
-        return _sums(r.grader, w, r.graders), _sums(r.grader, w * (r.z - self.s[r.gradee]), r.graders)
+        s = self.s[r.scores]  # a PG3 row's graders are its students
+        w = self._prec(s)[r.grader]
+        return np.bincount(r.grader, w, s.size), np.bincount(r.grader, w * (r.z - s[r.gradee]), s.size)
 
     def _theta_step(self, n0: float, n1: float, e: float) -> None:
         """One random-walk Metropolis step on proposal normals n0, n1 and a standard exponential

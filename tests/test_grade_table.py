@@ -94,17 +94,6 @@ def test_views_match_the_rowwise_graph(network):
     assert graph.graders == tuple(sorted({g.grader for g in ref.grades}))
 
 
-def test_grade_positions_index_the_submissions(network):
-    rows, universe, _ = network
-    graph, ref = GradingGraph(rows, submissions=universe), RowwiseGraph(rows, universe)
-    for a in graph.assignments:
-        grader, gradee = graph.grade_positions(a)
-        assert grader.dtype == gradee.dtype == np.intp
-        subs = ref.submissions[a]
-        assert [(subs[v], subs[u]) for v, u in zip(grader, gradee)] == [
-            (g.grader, g.gradee) for g in ref.grades_in(a)]
-
-
 def test_grade_index_numbers_every_submission(network):
     """The one index of all grades: assignment j's slice holds its grades in
     input order, and a submission's number is its position in
@@ -112,6 +101,7 @@ def test_grade_index_numbers_every_submission(network):
     rows, universe, _ = network
     graph, ref = GradingGraph(rows, submissions=universe), RowwiseGraph(rows, universe)
     offsets, starts, score, grader, gradee = graph.grade_index()
+    assert grader.dtype == gradee.dtype == np.intp
     assert len(offsets) == len(starts) == len(graph.assignments) + 1
     assert (offsets[-1], starts[-1]) == (sum(len(s) for s in ref.submissions.values()), len(ref.grades))
     for j, a in enumerate(graph.assignments):
