@@ -358,11 +358,11 @@ class _Engine:
     rows[k].grades, in input order within one, with their gradee (a
     position in s) and grader (a position in b and tau). A row's views
     count those positions from the start of its own slices, so its sums
-    cover its own bins; whole is one row spanning them all. With a grader list given (PG2), every row holds that
-    list and the bias block is a chain across rows: eta0 anchors the first,
-    omega0 links consecutive ones. Otherwise each row is graded by its
-    assignment's submissions and each bias is anchored at eta0 alone.
-    Reliabilities are drawn for PG1 and PG2 and held at the fixed value for
+    cover its own bins; whole is one row spanning them all. With a grader
+    list given (PG2), every row holds that list and the bias block is a
+    chain across rows: eta0 anchors the first, omega0 links consecutive
+    ones. Otherwise each row is graded by its assignment's submissions and
+    each bias is anchored at eta0 alone. Reliabilities are drawn for PG1 and PG2 and held at the fixed value for
     PG1-bias. The conditionals take a row k, or None for every row, which
     the chained bias block does not allow; their bincounts add each
     position's grades in order either way. The plan lists a sweep's
