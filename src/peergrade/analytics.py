@@ -68,6 +68,15 @@ class TemporalCorrelationReport:
     pooled: float = float("nan")  # Pearson over (b_prev, b_next) points stacked across pairs
 
 
+def _pearson(x: np.ndarray, y: np.ndarray) -> float:
+    """Pearson correlation of x and y; NaN, the undefined correlation, where
+    either side does not vary: its variance is zero, because its values are
+    equal or so close that their squared spread underflows."""
+    if np.var(x) == 0.0 or np.var(y) == 0.0:
+        return float("nan")
+    return float(np.corrcoef(x, y)[0, 1])
+
+
 def bias_temporal_correlation(
     estimates,
     assignments: tuple[int, ...] | None = None,
@@ -75,7 +84,9 @@ def bias_temporal_correlation(
 ) -> TemporalCorrelationReport:
     """Pearson correlation of estimated biases between consecutive assignments,
     over graders present in both; pairs with fewer than min_overlap common
-    graders are skipped with a notice.
+    graders are skipped with a notice. A correlation is NaN, undefined,
+    where the biases on one side do not vary, as when EM pins every bias at
+    zero under a huge eta0.
 
     estimates may be a PosteriorSummary (its posterior means), a LatentState
     (EM's PointEstimates, generate's latents, a summary's point()) or a
@@ -102,14 +113,14 @@ def bias_temporal_correlation(
             continue
         x = np.array([bias[(a_prev, v)] for v in common])
         y = np.array([bias[(a_next, v)] for v in common])
-        r = float(np.corrcoef(x, y)[0, 1])
+        r = _pearson(x, y)
         pairs.append(PairCorrelation(a_prev, a_next, len(common), r))
         stacked_prev.extend(x)
         stacked_next.extend(y)
 
     pooled = float("nan")
     if len(stacked_prev) >= 2:
-        pooled = float(np.corrcoef(np.array(stacked_prev), np.array(stacked_next))[0, 1])
+        pooled = _pearson(np.array(stacked_prev), np.array(stacked_next))
     return TemporalCorrelationReport(pairs=tuple(pairs), skipped=tuple(skipped), pooled=pooled)
 
 

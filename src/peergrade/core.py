@@ -659,6 +659,14 @@ class Hyperparameters:
             math.lgamma(self.alpha0)
         except OverflowError:
             raise ValueError(f"alpha0={self.alpha0!r} is too large: lgamma(alpha0) overflows") from None
+        # the fits square how far reliabilities and PG3's theta move: they start at and step on the
+        # scale of the prior-mean reliability alpha0/beta0, and EM may clamp them at the floor
+        if not math.isfinite(self.precision_floor * self.precision_floor):
+            raise ValueError(f"precision_floor={self.precision_floor!r} is too large: its square overflows")
+        ref = self.alpha0 / self.beta0
+        if not math.isfinite(ref * ref):
+            raise ValueError(f"beta0={self.beta0!r} is too small for alpha0={self.alpha0!r}: "
+                             "the prior-mean reliability alpha0/beta0 squared overflows")
 
     @property
     def effective_tau_fixed(self) -> float:

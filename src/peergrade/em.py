@@ -1,15 +1,14 @@
 """MAP point estimation by coordinate ascent, accelerated by SQUAREM.
 
-Supports the fixed-reliability and per-grader reliability models. It runs on
-the Gibbs engine, whose rows (one per assignment, each a slice of every
-block's array) are independent for these models, with each block set to its
-conditional mode instead of drawn from it. Rows are fit one after another,
-each in place in its slices. One ascent map sets every score of the row,
-then every bias, then every reliability (in sweep order) to the exact
-maximizer of the log joint density given the others, so it never lowers the
-objective. Scores and biases take their Gaussian conditional means;
-reliabilities take the Gamma conditional mode (shape - 1) / rate, clamped at
-the precision floor.
+Supports the fixed-reliability and per-grader reliability models, whose
+assignments are independent. Each assignment is fit on a Gibbs engine of its
+own, with each block set to its conditional mode instead of drawn from it,
+one assignment after another. One ascent map sets every score, then every
+bias, then every reliability (in sweep order) to the exact maximizer of the
+log joint density given the others, so it never lowers the objective.
+Scores and biases take their Gaussian conditional means; reliabilities take
+the Gamma conditional mode (shape - 1) / rate, clamped at the precision
+floor.
 SQUAREM (Varadhan & Roland, Scand. J. Statist. 2008) wraps that map: each
 cycle extrapolates along two maps' path, takes one stabilising map from
 there, and falls back to the two maps' end point when that would lower the
@@ -83,38 +82,36 @@ class PointEstimates(LatentState):
         return self.s[(assignment, student)]
 
 
-def _log_joint(engine: _Engine, k: int, resid: np.ndarray | None = None) -> float:
-    """Log joint density of row k (one assignment) at the engine's current
-    state; resid, where given, is engine.residuals(k) at that state."""
-    hp, r = engine.hp[k], engine.rows[k]
-    resid = engine.residuals(k) if resid is None else resid
-    w = engine.tau[r.graders][r.grader]
-    s, biased = engine.s[r.scores], engine.biased[r.graders]
+def _log_joint(engine: _Engine, resid: np.ndarray | None = None) -> float:
+    """Log joint density of a one-assignment engine at its current state;
+    resid, where given, is engine.residuals() at that state."""
+    hp = engine.hp[0]
+    resid = engine.residuals() if resid is None else resid
+    w = engine.tau[engine.grader]
     total = float(np.sum(0.5 * (np.log(w) - _LOG_2PI) - 0.5 * w * resid * resid))
-    total += float(np.sum(0.5 * (math.log(hp.gamma0) - _LOG_2PI) - 0.5 * hp.gamma0 * (s - hp.mu0) ** 2))
-    bg = engine.b[r.graders][biased]
+    total += float(np.sum(0.5 * (math.log(hp.gamma0) - _LOG_2PI) - 0.5 * hp.gamma0 * (engine.s - hp.mu0) ** 2))
+    bg = engine.b[engine.biased]
     total += float(np.sum(0.5 * (math.log(hp.eta0) - _LOG_2PI) - 0.5 * hp.eta0 * bg * bg))
     if engine.infer_tau:
-        tg = engine.tau[r.graders][biased]
+        tg = engine.tau[engine.biased]
         total += float(np.sum(hp.alpha0 * math.log(hp.beta0) - math.lgamma(hp.alpha0)
                               + (hp.alpha0 - 1.0) * np.log(tg) - hp.beta0 * tg))
     return total
 
 
-def _ascend(engine: _Engine, k: int) -> tuple[list[np.ndarray], np.ndarray | None]:
-    """One ascent map on row k: its blocks, in sweep order, set in place to
-    their conditional modes. Returns the row's new point (scores, biases
-    and, where inferred, reliabilities) and the residuals at the new scores
-    and biases where the reliability step computed them."""
-    r = engine.rows[k]
-    s = engine.s[r.scores] = engine.score_conditional(k)[0]
-    b = engine.b[r.graders] = engine.bias_conditional(k)[0]
+def _ascend(engine: _Engine) -> tuple[list[np.ndarray], np.ndarray | None]:
+    """One ascent map: the engine's blocks, in sweep order, set to their
+    conditional modes. Returns the new point (scores, biases and, where
+    inferred, reliabilities) and the residuals at the new scores and biases
+    where the reliability step computed them."""
+    engine.s = engine.score_conditional()[0]
+    engine.b = engine.bias_conditional()[0]
     if not engine.infer_tau:
-        return [s, b], None
-    resid = engine.residuals(k)
-    shape, rate = engine.reliability_conditional(k, resid)
-    tau = engine.tau[r.graders] = np.maximum((shape - 1.0) / rate, engine.hp[k].precision_floor)
-    return [s, b, tau], resid
+        return [engine.s, engine.b], None
+    resid = engine.residuals()
+    shape, rate = engine.reliability_conditional(resid)
+    engine.tau = np.maximum((shape - 1.0) / rate, engine.hp[0].precision_floor)
+    return [engine.s, engine.b, engine.tau], resid
 
 
 def _step_length(r: list[np.ndarray], v: list[np.ndarray]) -> float:
@@ -124,9 +121,10 @@ def _step_length(r: list[np.ndarray], v: list[np.ndarray]) -> float:
     return -max(1.0, r_norm / v_norm) if v_norm > 0 else -1.0
 
 
-def _squarem(engine: _Engine, k: int, cfg: EmConfig) -> tuple[int, bool, list[float]]:
-    """SQUAREM on row k: ascent maps, whether the last counted map met tol,
-    and the objective at the start and after each cycle.
+def _squarem(engine: _Engine, cfg: EmConfig) -> tuple[int, bool, list[float]]:
+    """SQUAREM on a one-assignment engine: ascent maps, whether the last
+    counted map met tol, and the objective at the start and after each
+    cycle.
 
     A cycle runs two maps x0 -> x1 -> x2, extrapolates to
     x0 - 2 alpha r + alpha^2 v (r = x1 - x0, v = x2 - 2 x1 + x0, alpha =
@@ -136,22 +134,24 @@ def _squarem(engine: _Engine, k: int, cfg: EmConfig) -> tuple[int, bool, list[fl
     map cannot lower the objective, so the safeguard is not evaluated. The
     run stops when a map x1 -> x2 or a stabilising map moves no parameter
     by tol or more, or when max_iterations maps have run. A point is the
-    row's scores, biases and, where inferred, reliabilities.
+    engine's scores, biases and, where inferred, reliabilities, and
+    moving to one rebinds the engine's arrays to it.
     """
-    r = engine.rows[k]
-    slots = [(engine.s, r.scores), (engine.b, r.graders)]
-    if engine.infer_tau:
-        slots.append((engine.tau, r.graders))
+    kinds = ("s", "b", "tau") if engine.infer_tau else ("s", "b")
+
+    def move(point: list[np.ndarray]) -> None:
+        for kind, array in zip(kinds, point):
+            setattr(engine, kind, array)
 
     def ascend(before: list[np.ndarray]) -> tuple[np.ndarray | None, list[np.ndarray], float]:
         """One ascent map from the point before: its residuals, the point it
         reaches, and the largest absolute change it made."""
-        after, resid = _ascend(engine, k)
+        after, resid = _ascend(engine)
         return resid, after, max(float(np.max(np.abs(a - b), initial=0.0)) for a, b in zip(after, before))
 
-    trace = [_log_joint(engine, k)]
+    trace = [_log_joint(engine)]
     maps = 0
-    x2 = [array[span].copy() for array, span in slots]  # the point each cycle keeps
+    x2 = [getattr(engine, kind) for kind in kinds]  # the point each cycle keeps
     while True:
         x0 = x2
         resid, x1, delta = ascend(x0)
@@ -167,21 +167,19 @@ def _squarem(engine: _Engine, k: int, cfg: EmConfig) -> tuple[int, bool, list[fl
             alpha = _step_length(r, v)
             start = x2
             if alpha < -1.0:
-                objective = _log_joint(engine, k, resid)
+                objective = _log_joint(engine, resid)
                 start = [a0 - 2.0 * alpha * dr + alpha * alpha * dv for a0, dr, dv in zip(x0, r, v)]
                 if engine.infer_tau:
-                    start[2] = np.maximum(start[2], engine.hp[k].precision_floor)
-                for (array, span), a in zip(slots, start):
-                    array[span] = a
+                    start[2] = np.maximum(start[2], engine.hp[0].precision_floor)
+                move(start)
             resid, x3, change = ascend(start)
             maps += 1
-            stabilised = _log_joint(engine, k, resid)
+            stabilised = _log_joint(engine, resid)
             if objective is None or stabilised >= objective:
                 objective, delta, x2 = stabilised, change, x3
             else:  # refused: keep x2
-                for (array, span), a2 in zip(slots, x2):
-                    array[span] = a2
-        trace.append(_log_joint(engine, k, resid) if objective is None else objective)
+                move(x2)
+        trace.append(_log_joint(engine, resid) if objective is None else objective)
         if delta < cfg.tol or maps == cfg.max_iterations:
             return maps, delta < cfg.tol, trace
 
@@ -193,16 +191,23 @@ def em_infer(graph: GradingGraph, hp: Hyperparameters, cfg: EmConfig) -> PointEs
     reaches its exact MAP. For pg1 it is not concave: the ascent stops at a
     local mode, and converged means tol was met, not that the global MAP
     was found.
+
+    Each assignment is fit on an engine of its own, so no assignment moves
+    another: a graph of one assignment is used as it is, any other is split
+    into one graph per assignment. Every engine is built, and so every
+    assignment's priors resolved, before the first fit.
     """
     out = PointEstimates(model=cfg.model)
-    engine = _build_engine(graph, hp, cfg)
-    for k, a in enumerate(engine.assignments):
-        maps, converged, trace = _squarem(engine, k, cfg)
+    parts = [graph] if len(graph.assignments) < 2 else [
+        GradingGraph(graph.grades_in(a), submissions={a: graph.submissions(a)}) for a in graph.assignments]
+    for engine in [_build_engine(part, hp, cfg) for part in parts]:
+        a = engine.assignments[0]
+        maps, converged, trace = _squarem(engine, cfg)
         out.n_iterations[a] = maps
         out.converged[a] = converged
         if not converged:
             log.warning("assignment %d: EM stopped after %d iterations (max_iterations) "
                         "without meeting tol=%g", a, maps, cfg.tol)
         out.objective_trace[a] = trace
-    engine.export_state(out)
+        engine.export_state(out)
     return out

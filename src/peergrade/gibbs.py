@@ -18,7 +18,8 @@ two students of one colour, and each colour class, which spans every row,
 takes one vectorized Metropolis step, classes in turn.
 
 Each block shifts and scales its variates by its conditional's parameters;
-coordinate ascent (em.py) sets one row's blocks at a time to their modes.
+coordinate ascent (em.py) sets the blocks of a one-assignment engine to
+their modes instead.
 Scalar reference samplers of each conditional are exposed for testing.
 
 A sweep's variates do not depend on the chain's state: standard normals for
@@ -266,11 +267,9 @@ def cond_sample_score_affine(
 # ---------------------------------------------------------------------------
 
 
-# Row k of an engine: its slices of the score array, the bias and reliability
-# arrays and the grade arrays, and views, made once, of its grades' z, grader
-# and gradee (positions in the row's slices of b and s), its scores' priors,
-# and its graders' grade counts and gamma shapes.
-_Row = namedtuple("_Row", "scores graders grades z grader gradee gamma0 gamma0_mu0 n_given tau_shape")
+# Row k of an engine: its slices of the score array, of the bias and
+# reliability arrays, and of the grade arrays.
+_Row = namedtuple("_Row", "scores graders grades")
 
 
 class _Accumulator:
@@ -356,19 +355,19 @@ class _Engine:
     rows[k].graders; submissions and graders give each position's
     (assignment, student). The grades z are grouped by row at
     rows[k].grades, in input order within one, with their gradee (a
-    position in s) and grader (a position in b and tau). A row's views
-    count those positions from the start of its own slices, so its sums
-    cover its own bins; whole is one row spanning them all. With a grader
+    position in s) and grader (a position in b and tau). With a grader
     list given (PG2), every row holds that list and the bias block is a
     chain across rows: eta0 anchors the first, omega0 links consecutive
     ones. Otherwise each row is graded by its assignment's submissions and
-    each bias is anchored at eta0 alone. Reliabilities are drawn for PG1 and PG2 and held at the fixed value for
-    PG1-bias. The conditionals take a row k, or None for every row, which
-    the chained bias block does not allow; their bincounts add each
-    position's grades in order either way. The plan lists a sweep's
-    variates as (block, k, slice, fill) per row, where fill(rng, out) fills
-    row k's slice of the block's buffer from the k-th generator. Row k maps
-    back to percentage points through norm[k].
+    each bias is anchored at eta0 alone. Reliabilities are drawn for PG1
+    and PG2 and held at the fixed value for PG1-bias. Every conditional
+    covers every row at once: its bincounts add each position's grades in
+    input order, and no position takes grades from two rows, so each sum
+    is the one its row alone would make. The chained bias block reads its
+    rows' likelihoods from one such pass and walks the chain row by row.
+    The plan lists a sweep's variates as (block, k, slice, fill) per row,
+    where fill(rng, out) fills row k's slice of the block's buffer from the
+    k-th generator. Row k maps back to percentage points through norm[k].
     """
 
     def __init__(self, graph: GradingGraph, graders: Sequence[str] | None, resolved: dict[int, Hyperparameters],
@@ -401,17 +400,13 @@ class _Engine:
         self.infer_tau = cfg.model.has_reliability
         tau0 = self.alpha0 / self.beta0 if self.infer_tau else base.effective_tau_fixed
         self.tau_shape = self.alpha0 + 0.5 * self.n_given
-        local = (self.grader, self.gradee)  # each grade's grader and gradee in its row's slices
-        if n_rows > 1:
-            local = (self.grader - np.repeat(go[:-1], np.diff(eo)), self.gradee - np.repeat(so[:-1], np.diff(eo)))
         so, go, eo = so.tolist(), go.tolist(), eo.tolist()
-        self.rows = [self._view(slice(so[k], so[k + 1]), slice(go[k], go[k + 1]), slice(eo[k], eo[k + 1]), *local)
+        self.rows = [_Row(slice(so[k], so[k + 1]), slice(go[k], go[k + 1]), slice(eo[k], eo[k + 1]))
                      for k in range(n_rows)]
-        self.whole = self._view(slice(0, so[-1]), slice(0, go[-1]), slice(0, eo[-1]), self.grader, self.gradee)
         self.plan = [("s", k, r.scores, _normals) for k, r in enumerate(self.rows)]
         self.plan += [("b", k, r.graders, _normals) for k, r in enumerate(self.rows)]
         if self.infer_tau:
-            self.plan += [("tau", k, r.graders, _gammas(r.tau_shape)) for k, r in enumerate(self.rows)]
+            self.plan += [("tau", k, r.graders, _gammas(self.tau_shape[r.graders])) for k, r in enumerate(self.rows)]
         n_received = np.bincount(self.gradee, minlength=so[-1]).astype(float)
         has = n_received > 0  # a score starts at the mean of its grades, or at mu0
         self.s = np.repeat([hp.mu0 for hp in self.hp], per_score)
@@ -451,73 +446,63 @@ class _Engine:
         if self.infer_tau:
             self._reliability_block(v["tau"])
 
-    def _view(self, scores: slice, graders: slice, grades: slice, grader: np.ndarray, gradee: np.ndarray) -> _Row:
-        return _Row(scores, graders, grades, self.z[grades], grader[grades], gradee[grades],
-                    self.gamma0[scores], self.gamma0_mu0[scores], self.n_given[graders], self.tau_shape[graders])
-
-    def score_conditional(self, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Mean and precision of row k's scores given the rest; of every row's for k None."""
-        r = self.whole if k is None else self.rows[k]
-        w = self.tau[r.graders][r.grader]
-        wr = self.b[r.graders][r.grader]  # w * (z - b), in place: one temporary fewer on a large graph
-        np.subtract(r.z, wr, out=wr)
+    def score_conditional(self) -> tuple[np.ndarray, np.ndarray]:
+        """Mean and precision of every score given the rest."""
+        w = self.tau[self.grader]
+        wr = self.b[self.grader]  # w * (z - b), in place: one temporary fewer on a large graph
+        np.subtract(self.z, wr, out=wr)
         wr *= w
-        prec = r.gamma0 + np.bincount(r.gradee, w, r.gamma0.size)
-        num = r.gamma0_mu0 + np.bincount(r.gradee, wr, r.gamma0.size)
+        prec = self.gamma0 + np.bincount(self.gradee, w, self.gamma0.size)
+        num = self.gamma0_mu0 + np.bincount(self.gradee, wr, self.gamma0.size)
         return num / prec, prec
 
     def _score_block(self, normals: np.ndarray) -> None:
         mean, prec = self.score_conditional()
         self.s = mean + np.sqrt(1.0 / prec) * normals
 
-    def _bias_likelihood(self, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Precision and precision-weighted residual sum that row k's grades
-        (every grade for k None) contribute to each grader's bias."""
-        r = self.whole if k is None else self.rows[k]
-        tau = self.tau[r.graders]
-        zs = self.s[r.scores][r.gradee]  # z - s, in place
-        np.subtract(r.z, zs, out=zs)
-        return r.n_given * tau, tau * np.bincount(r.grader, zs, tau.size)
+    def _bias_likelihood(self) -> tuple[np.ndarray, np.ndarray]:
+        """Precision and precision-weighted residual sum that the grades
+        contribute to each grader's bias; they read the scores and
+        reliabilities, never the biases."""
+        zs = self.s[self.gradee]  # z - s, in place
+        np.subtract(self.z, zs, out=zs)
+        return self.n_given * self.tau, self.tau * np.bincount(self.grader, zs, self.tau.size)
 
-    def bias_conditional(self, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Mean and precision of row k's biases given the rest; of every row's
-        for k None, which only rows that are not chained allow."""
-        anchored = not self.chained or k == 0
-        prec = self.eta0 if anchored else self.omega0
-        num = 0.0 if anchored else self.omega0 * self.b[self.rows[k - 1].graders]
-        if self.chained and k + 1 < len(self.rows):
-            prec += self.omega0
-            num = num + self.omega0 * self.b[self.rows[k + 1].graders]
-        lik_prec, lik_num = self._bias_likelihood(k)
-        prec = prec + lik_prec
-        num = num + lik_num
-        return num / prec, prec
+    def bias_conditional(self) -> tuple[np.ndarray, np.ndarray]:
+        """Mean and precision of every bias given the rest, for rows that
+        are not chained: each bias is anchored at eta0 alone."""
+        lik_prec, lik_num = self._bias_likelihood()
+        prec = self.eta0 + lik_prec
+        return lik_num / prec, prec
 
     def _bias_block(self, normals: np.ndarray) -> None:
         if not self.chained:
             mean, prec = self.bias_conditional()
             self.b = mean + np.sqrt(1.0 / prec) * normals
             return
-        for k, r in enumerate(self.rows):  # row by row, each after the row before it
-            mean, prec = self.bias_conditional(k)
-            self.b[r.graders] = mean + np.sqrt(1.0 / prec) * normals[r.graders]
+        lik_prec, lik_num = self._bias_likelihood()
+        for k, r in enumerate(self.rows):  # row by row, each given the rows either side of it
+            prec = self.eta0 if k == 0 else self.omega0
+            num = 0.0 if k == 0 else self.omega0 * self.b[self.rows[k - 1].graders]
+            if k + 1 < len(self.rows):
+                prec += self.omega0
+                num = num + self.omega0 * self.b[self.rows[k + 1].graders]
+            prec = prec + lik_prec[r.graders]
+            num = num + lik_num[r.graders]
+            self.b[r.graders] = num / prec + np.sqrt(1.0 / prec) * normals[r.graders]
 
-    def residuals(self, k: int | None = None) -> np.ndarray:
-        """Each grade of row k (every grade for k None) less its gradee's
-        score and its grader's bias."""
-        r = self.whole if k is None else self.rows[k]
-        resid = self.s[r.scores][r.gradee]  # z - s - b, in place
-        np.subtract(r.z, resid, out=resid)
-        resid -= self.b[r.graders][r.grader]
+    def residuals(self) -> np.ndarray:
+        """Each grade less its gradee's score and its grader's bias."""
+        resid = self.s[self.gradee]  # z - s - b, in place
+        np.subtract(self.z, resid, out=resid)
+        resid -= self.b[self.grader]
         return resid
 
-    def reliability_conditional(self, k: int | None = None,
-                                resid: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Gamma shape and rate of row k's reliabilities given the rest (every
-        row's for k None); resid, where given, is residuals(k) at this state."""
-        resid = self.residuals(k) if resid is None else resid
-        r = self.whole if k is None else self.rows[k]
-        return r.tau_shape, self.beta0 + 0.5 * np.bincount(r.grader, resid * resid, r.tau_shape.size)
+    def reliability_conditional(self, resid: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Gamma shape and rate of every reliability given the rest; resid,
+        where given, is residuals() at this state."""
+        resid = self.residuals() if resid is None else resid
+        return self.tau_shape, self.beta0 + 0.5 * np.bincount(self.grader, resid * resid, self.tau_shape.size)
 
     def _reliability_block(self, gammas: np.ndarray) -> None:
         self.tau = (1.0 / self.reliability_conditional()[1]) * gammas
@@ -720,11 +705,10 @@ class _Pg3Engine(_Engine):
         w[c.members] = w_old
         self.accept_s += int(np.count_nonzero(accept))
 
-    def _bias_likelihood(self, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        r = self.whole if k is None else self.rows[k]
-        s = self.s[r.scores]  # a PG3 row's graders are its students
-        w = self._prec(s)[r.grader]
-        return np.bincount(r.grader, w, s.size), np.bincount(r.grader, w * (r.z - s[r.gradee]), s.size)
+    def _bias_likelihood(self) -> tuple[np.ndarray, np.ndarray]:
+        s = self.s  # a PG3 row's graders are its students
+        w = self._prec(s)[self.grader]
+        return np.bincount(self.grader, w, s.size), np.bincount(self.grader, w * (self.z - s[self.gradee]), s.size)
 
     def _theta_step(self, n0: float, n1: float, e: float) -> None:
         """One random-walk Metropolis step on proposal normals n0, n1 and a standard exponential

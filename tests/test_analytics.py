@@ -47,6 +47,18 @@ class TestBiasTemporalCorrelation:
         assert rep.skipped == ((1, 2, 2), (2, 3, 2))
         assert math.isnan(rep.pooled)
 
+    @pytest.mark.parametrize("scale", [0.0, 1e-300], ids=["zero", "underflowing"])
+    def test_constant_biases_give_an_undefined_correlation(self, scale):
+        """Biases that do not vary on one side, all zero or spread so little
+        that their variance underflows (EM's under eta0=1e300), correlate as
+        NaN, with no numpy warning: the pytest config makes one an error."""
+        est = {(1, f"g{i}"): scale * (i % 3 - 1) for i in range(10)}
+        est.update({(2, f"g{i}"): float(i * i) for i in range(10)})
+        rep = bias_temporal_correlation(est)
+        assert rep.pairs[0].n_common == 10
+        assert math.isnan(rep.pairs[0].pearson)
+        assert math.isnan(rep.pooled)
+
     def test_needs_two_assignments(self):
         with pytest.raises(ValueError, match="at least 2 assignments"):
             bias_temporal_correlation({(1, "a"): 0.0, (1, "b"): 1.0})

@@ -189,14 +189,32 @@ class TestHyperparameters:
             Hyperparameters(**{name: smallest})
         above = math.nextafter(smallest, 1.0)
         assert math.isfinite(1.0 / above)
-        assert getattr(Hyperparameters(**{name: above}), name) == above
+        # a beta0 this small needs an alpha0 as small for alpha0/beta0 to stay representable
+        scale = {"alpha0": above} if name == "beta0" else {}
+        assert getattr(Hyperparameters(**{name: above}, **scale), name) == above
 
     def test_rejects_an_alpha0_whose_lgamma_overflows(self):
         # lgamma overflows between these two, near 2.56e305
-        assert Hyperparameters(alpha0=2.5e305).alpha0 == 2.5e305
+        assert Hyperparameters(alpha0=2.5e305, beta0=1e305).alpha0 == 2.5e305
         for alpha0 in (2.6e305, 1e308):
             with pytest.raises(ValueError, match=re.escape(f"alpha0={alpha0!r} is too large: lgamma(alpha0) overflows")):
                 Hyperparameters(alpha0=alpha0)
+
+    def test_rejects_a_reliability_scale_whose_square_overflows(self):
+        # squares overflow above sqrt(max float), about 1.34e154: a PG3 fit
+        # overflows from beta0=1e-154 (alpha0/beta0 = 2e154) on, not at 1e-153
+        limit = math.sqrt(sys.float_info.max)
+        assert Hyperparameters(beta0=1e-153).beta0 == 1e-153
+        assert Hyperparameters(precision_floor=limit).precision_floor == limit
+        with pytest.raises(ValueError, match=re.escape("beta0=1e-154 is too small for alpha0=2.0: "
+                                                       "the prior-mean reliability alpha0/beta0 squared overflows")):
+            Hyperparameters(beta0=1e-154)
+        with pytest.raises(ValueError, match=re.escape("beta0=18.0 is too small for alpha0=1e+200: ")):
+            Hyperparameters(alpha0=1e200)
+        above = math.nextafter(limit, math.inf)
+        message = f"precision_floor={above!r} is too large: its square overflows"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Hyperparameters(precision_floor=above)
 
     def test_resolve_from_scores(self):
         hp = Hyperparameters().resolve([70.0, 80.0, 90.0])

@@ -164,7 +164,7 @@ class TestOutputs:
         assert isinstance(pts, LatentState) and pts.theta is None
         engine = _build_engine(g, HP, cfg)
         engine.load_state(pts)
-        assert _log_joint(engine, 0).hex() == pts.objective_trace[1][-1].hex()
+        assert _log_joint(engine).hex() == pts.objective_trace[1][-1].hex()
 
     @pytest.mark.parametrize("alpha0", [0.5, 1.5, 2.0, 3.0, 7.25, 100.0])
     def test_log_joint_agrees_with_scipy(self, alpha0):
@@ -181,13 +181,13 @@ class TestOutputs:
         pts = em_infer(g, hp, cfg)
         engine = _build_engine(g, hp, cfg)
         engine.load_state(LatentState(pts.s, pts.b, pts.tau))
-        grader, biased = engine.grader, engine.biased  # one assignment: its row is the whole of each array
+        grader, biased = engine.grader, engine.biased
         s, b, tau = engine.s, engine.b, engine.tau
-        expected = (stats.norm.logpdf(engine.residuals(0), scale=tau[grader] ** -0.5).sum()
+        expected = (stats.norm.logpdf(engine.residuals(), scale=tau[grader] ** -0.5).sum()
                     + stats.norm.logpdf(s, hp.mu0, hp.gamma0 ** -0.5).sum()
                     + stats.norm.logpdf(b[biased], 0.0, hp.eta0 ** -0.5).sum()
                     + stats.gamma.logpdf(tau[biased], alpha0, scale=1.0 / hp.beta0).sum())
-        assert _log_joint(engine, 0) == pytest.approx(expected, rel=1e-12)
+        assert _log_joint(engine) == pytest.approx(expected, rel=1e-12)
 
     def test_estimate_accessor(self):
         g = make_graph([(1, "v", "u", 80.0), (1, "w", "u", 74.0)])
@@ -238,18 +238,31 @@ class TestMultiAssignment:
         assert len(full.s) == 180
         assert len(full.tau) == (180 if model is Model.PG1 else 0)
 
+    def test_unresolvable_assignment_stops_the_run_before_any_fit(self, monkeypatch):
+        """Every assignment's priors are resolved before the first fit, so
+        assignment 2's single grade stops the run before assignment 1 is fit."""
+        calls = []
+        squarem = em._squarem
+        monkeypatch.setattr(em, "_squarem", lambda *args: calls.append(args) or squarem(*args))
+        graph = make_graph([(1, "a", "b", 70.0), (1, "b", "c", 80.0), (1, "c", "a", 75.0), (2, "a", "b", 72.0)])
+        with pytest.raises(ValueError, match=r"^assignment 2: cannot resolve data-driven priors "
+                                             r"from fewer than 2 grades; "):
+            em_infer(graph, Hyperparameters(), EmConfig(model=Model.PG1))
+        assert calls == []
+
 
 def plain_ascent(graph: GradingGraph, hp: Hyperparameters, cfg: EmConfig, tol: float):
-    """Coordinate ascent without extrapolation, each row until one map moves
-    no parameter by tol: the estimates, each row's final log joint and the
-    maps each row took to first meet cfg.tol."""
-    engine = _build_engine(graph, hp, cfg)
+    """Coordinate ascent without extrapolation, each assignment on its own
+    engine, as em_infer fits them, until one map moves no parameter by tol:
+    the estimates, each assignment's final log joint and the maps each took
+    to first meet cfg.tol."""
+    out = LatentState({}, {}, {})
     objective, maps = {}, {}
-    for k, a in enumerate(engine.assignments):
-        r = engine.rows[k]
-        before = [engine.s[r.scores].copy(), engine.b[r.graders].copy(), engine.tau[r.graders].copy()]
+    for a in graph.assignments:
+        engine = _build_engine(GradingGraph(graph.grades_in(a), submissions={a: graph.submissions(a)}), hp, cfg)
+        before = [engine.s, engine.b, engine.tau]
         for n in range(1, 20_001):
-            after, resid = _ascend(engine, k)
+            after, resid = _ascend(engine)
             delta = max(float(np.max(np.abs(new - old))) for new, old in zip(after, before))
             before = after
             if delta < cfg.tol:
@@ -258,9 +271,8 @@ def plain_ascent(graph: GradingGraph, hp: Hyperparameters, cfg: EmConfig, tol: f
                 break
         else:
             raise AssertionError("plain ascent did not converge")
-        objective[a] = _log_joint(engine, k, resid)
-    out = LatentState({}, {}, {})
-    engine.export_state(out)
+        objective[a] = _log_joint(engine, resid)
+        engine.export_state(out)
     return out, objective, maps
 
 

@@ -600,7 +600,11 @@ class TestCliErrors:
         (["infer", "--model", "pg1", "--hp", "gamma0=1e-320"], "gamma0=1e-320 is too small: its reciprocal overflows"),
         (["infer", "--model", "pg2", "--hp", "alpha0=1e308"], "alpha0=1e+308 is too large: lgamma(alpha0) overflows"),
         (["evaluate", "--hp", "alpha0=1e308"], "alpha0=1e+308 is too large: lgamma(alpha0) overflows"),
-    ], ids=["infer-em", "calibrate", "infer-pg1", "infer-pg2", "evaluate"])
+        (["infer", "--model", "pg3", "--hp", "precision_floor=1e308"],
+         "precision_floor=1e+308 is too large: its square overflows"),
+        (["infer", "--model", "pg3", "--hp", "beta0=1e-300"],
+         "beta0=1e-300 is too small for alpha0=2.0: the prior-mean reliability alpha0/beta0 squared overflows"),
+    ], ids=["infer-em", "calibrate", "infer-pg1", "infer-pg2", "evaluate", "infer-pg3-floor", "infer-pg3-beta0"])
     def test_hyperparameter_whose_use_overflows(self, tmp_path, capsys, args, message):
         """Each of these once ended in a traceback or wrote NaN or Infinity
         with exit 0; now the run stops before any fit, naming the field."""
