@@ -119,8 +119,8 @@ def _gibbs_cfg(args, model: Model) -> GibbsConfig:
         total_sweeps=args.sweeps,
         burn_in=args.burnin,
         seed=args.seed,
-        mh_proposal_scale=getattr(args, "mh_scale", 0.1),
-        assume_normalized=getattr(args, "assume_normalized", False),
+        mh_proposal_scale=args.mh_scale,
+        assume_normalized=args.assume_normalized,
     )
 
 
@@ -378,7 +378,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         description="Probabilistic peer grading: inference, evaluation and diagnostics.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    registry: dict[str, argparse.ArgumentParser] = {}
 
     p = subs.add_parser("infer", help="fit one model and write posterior summaries")
     _add_grades(p)
@@ -388,7 +387,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--trace", action="append", default=[], metavar="KIND:ASSIGNMENT:STUDENT",
                    help="record per-sweep draws of a latent (kind s, b or tau), repeatable")
     p.set_defaults(func=cmd_infer)
-    registry["infer"] = p
 
     p = subs.add_parser("evaluate", help="leave-one-out accuracy against ground truth")
     _add_grades(p, truth_required=True)
@@ -401,7 +399,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--skip-baseline", action="store_true", help="skip the median baseline column")
     p.add_argument("--dump-residuals", action="store_true", help="also write per-simulation residuals.csv")
     p.set_defaults(func=cmd_evaluate)
-    registry["evaluate"] = p
 
     p = subs.add_parser("calibrate", help="confidence calibration of the evaluation posteriors")
     _add_grades(p, truth_required=True)
@@ -412,7 +409,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     _add_common(p)
     p.add_argument("--truth-source", choices=[t.value for t in TruthSource], default="consensus")
     p.set_defaults(func=cmd_calibrate)
-    registry["calibrate"] = p
 
     p = subs.add_parser("rounds", help="confident submissions as grades arrive round by round")
     _add_grades(p)
@@ -425,7 +421,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--max-rounds", type=int, default=None)
     p.add_argument("--method", choices=["closed_form", "empirical"], default="closed_form")
     p.set_defaults(func=cmd_rounds)
-    registry["rounds"] = p
 
     p = subs.add_parser("synth", help="generate a synthetic grading network")
     _add_model(p, with_engine=False)
@@ -436,7 +431,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--gt", type=int, default=3, help="ground-truth submissions per assignment")
     p.add_argument("--super-grades", type=int, default=160, help="graders per ground-truth submission")
     p.set_defaults(func=cmd_synth)
-    registry["synth"] = p
 
     p = subs.add_parser("analyze", help="residual diagnostics and grader-bias drift")
     _add_grades(p)
@@ -450,7 +444,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--min-support", type=int, default=30)
     p.add_argument("--min-overlap", type=int, default=3)
     p.set_defaults(func=cmd_analyze)
-    registry["analyze"] = p
 
     p = subs.add_parser("identifiability", help="reliability recovery vs grades per grader")
     _add_common(p)
@@ -463,17 +456,16 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--sweeps", type=int, default=800)
     p.add_argument("--burnin", type=int, default=80)
     p.set_defaults(func=cmd_identifiability)
-    registry["identifiability"] = p
 
-    return parser, registry
+    return parser, subs.choices
 
 
 def main(argv=None) -> int:
-    parser, registry = build_parser()
+    parser, subparsers = build_parser()
     args = parser.parse_args(argv)
     try:
         if getattr(args, "config", None):
-            _apply_config(registry[args.command], _load_config(args.config))
+            _apply_config(subparsers[args.command], _load_config(args.config))
             args = parser.parse_args(argv)
         return args.func(args)
     except (ValueError, OSError, KeyError) as e:

@@ -14,7 +14,6 @@ estimates, generating latents, posterior means) are LatentStates of dicts.
 from __future__ import annotations
 
 import math
-from collections.abc import ItemsView
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
@@ -435,15 +434,13 @@ class GradingGraph:
         sid = int(self._sub_keys.searchsorted(key))
         return sid if sid < len(self._sub_keys) and self._sub_keys[sid] == key else None
 
-    def _rows(self, j: int) -> np.ndarray:
-        """The rows of the j-th assignment, in input order."""
-        order, starts = self._by_assignment
-        return order[starts[j]:starts[j + 1]]
-
     def _rows_of(self, assignment: int) -> np.ndarray:
         """The rows of an assignment, in input order; none for an unknown one."""
         j = self._index.get(assignment)
-        return np.empty(0, dtype=np.intp) if j is None else self._rows(j)
+        if j is None:
+            return np.empty(0, dtype=np.intp)
+        order, starts = self._by_assignment
+        return order[starts[j]:starts[j + 1]]
 
     def _linked(self, index: tuple[np.ndarray, np.ndarray], sid: int | None) -> np.ndarray:
         """The rows an index links to a submission, in input order; none for no submission."""
@@ -451,20 +448,6 @@ class GradingGraph:
             return np.empty(0, dtype=np.intp)
         order, starts = index
         return order[starts[sid]:starts[sid + 1]]
-
-    def _pairs(self, rows: np.ndarray, codes: np.ndarray) -> list[tuple[str, float]]:
-        ids = self._grades.ids
-        return list(zip([ids[c] for c in codes[rows].tolist()], self._grades.score[rows].tolist()))
-
-    def _received(self, assignment: int, gradee: str) -> list[tuple[str, float]]:
-        """(grader, score) per grade received by a submission, in input order;
-        graders_of's rows without building a table."""
-        return self._pairs(self._linked(self._by_gradee, self._sid(assignment, gradee)), self._grades.grader)
-
-    def _given(self, assignment: int, grader: str) -> list[tuple[str, float]]:
-        """(gradee, score) per grade given by a grader in an assignment, in
-        input order; gradees_of's rows without building a table."""
-        return self._pairs(self._linked(self._by_grader, self._sid(assignment, grader)), self._grades.gradee)
 
     # -- basic views ------------------------------------------------------
 
@@ -719,8 +702,9 @@ def prepare_graph(
     per-assignment normalization parameters; the mapping is empty when the
     fit runs in percentage points, so callers resolve priors with
     normalized=bool(norm). Raises on a graph with no submissions at all, and,
-    when z-scoring, on an assignment without grades: its scores could not be
-    mapped back to percentage points.
+    when z-scoring, on an assignment without grades or with a spread so
+    small that the fourth power of its std underflows: its scores, or its
+    precisions, could not be mapped back to percentage points.
     """
     if not graph.assignments:
         raise ValueError("empty graph: no submissions to infer over")
@@ -732,6 +716,13 @@ def prepare_graph(
             raise ValueError(
                 f"assignment {a}: no grades to resolve data-driven priors from or to "
                 "normalize by; grade it, or use assume_normalized with explicit mu0 and gamma0"
+            )
+        sd2 = norm[a].std * norm[a].std  # to_pp divides a precision's variance by sd2 * sd2
+        if sd2 * sd2 < np.finfo(float).tiny:
+            raise ValueError(
+                f"assignment {a}: grades spread too little (std {norm[a].std:g}) for z-scored precisions "
+                "to map back to percentage points; rescale the grades, or use assume_normalized "
+                "(--assume-normalized)"
             )
     return work, norm
 
@@ -895,20 +886,8 @@ class StatBlock(Mapping[tuple[int, str], VariableStat]):
     def __len__(self) -> int:
         return sum(len(col.students) for col in self.columns.values())
 
-    def items(self) -> ItemsView:
-        return _StatItems(self)
-
     def __repr__(self) -> str:
         return f"StatBlock(assignments={list(self.columns)}, latents={len(self)})"
-
-
-class _StatItems(ItemsView):
-    """A StatBlock's items, read column by column instead of key by key."""
-
-    def __iter__(self) -> Iterator[tuple[tuple[int, str], VariableStat]]:
-        for a, col in self._mapping.columns.items():
-            for student, m, v, n in zip(col.students, col.mean.tolist(), col.var.tolist(), col.n.tolist()):
-                yield (a, student), VariableStat(m, v, n)
 
 
 def _gaussian_within(delta: float, var: float) -> float:

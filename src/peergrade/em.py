@@ -34,12 +34,18 @@ log = logging.getLogger(__name__)
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
+# Far from zero one ulp can exceed tol, and a map's fixed point holds only to
+# a few ulps of the grades' magnitude: a change within this many spacings of
+# the largest grade (or of mu0) counts as below tol.
+_ULPS = 4
+
 
 @dataclass(frozen=True)
 class EmConfig:
     """Coordinate-ascent settings: max_iterations caps the ascent maps per
     assignment, extrapolation aside; tol bounds one map's largest parameter
-    change at convergence."""
+    change at convergence. Where four spacings of the largest grade (or of
+    mu0) exceed tol, as for grades beyond about 1.3e5, they bound it instead."""
 
     model: Model = Model.PG1
     max_iterations: int = 500
@@ -114,10 +120,21 @@ def _ascend(engine: _Engine) -> tuple[list[np.ndarray], np.ndarray | None]:
     return [engine.s, engine.b, engine.tau], resid
 
 
+def _norm(blocks: list[np.ndarray]) -> float:
+    """The Euclidean norm of the blocks as one vector: the root of their sum
+    of squares where it is finite, else taken on the blocks scaled by their
+    largest magnitude, so that it does not overflow."""
+    with np.errstate(over="ignore"):
+        total = sum(float(np.sum(d * d)) for d in blocks)
+    if math.isfinite(total):
+        return math.sqrt(total)
+    scale = max(float(np.max(np.abs(d), initial=0.0)) for d in blocks)
+    return scale * math.sqrt(sum(float(np.sum(np.square(d / scale))) for d in blocks))
+
+
 def _step_length(r: list[np.ndarray], v: list[np.ndarray]) -> float:
     """SQUAREM's step length -|r| / |v|, capped at -1."""
-    r_norm = math.sqrt(sum(float(np.sum(d * d)) for d in r))
-    v_norm = math.sqrt(sum(float(np.sum(d * d)) for d in v))
+    r_norm, v_norm = _norm(r), _norm(v)
     return -max(1.0, r_norm / v_norm) if v_norm > 0 else -1.0
 
 
@@ -133,11 +150,13 @@ def _squarem(engine: _Engine, cfg: EmConfig) -> tuple[int, bool, list[float]]:
     the cycle keeps x2. At alpha = -1 the extrapolated point is x2, whose
     map cannot lower the objective, so the safeguard is not evaluated. The
     run stops when a map x1 -> x2 or a stabilising map moves no parameter
-    by tol or more, or when max_iterations maps have run. A point is the
+    by tol (widened as EmConfig says) or more, or when max_iterations maps
+    have run. A point is the
     engine's scores, biases and, where inferred, reliabilities, and
     moving to one rebinds the engine's arrays to it.
     """
     kinds = ("s", "b", "tau") if engine.infer_tau else ("s", "b")
+    tol = max(cfg.tol, _ULPS * float(np.spacing(np.max(np.abs(engine.z), initial=abs(engine.hp[0].mu0)))))
 
     def move(point: list[np.ndarray]) -> None:
         for kind, array in zip(kinds, point):
@@ -161,7 +180,7 @@ def _squarem(engine: _Engine, cfg: EmConfig) -> tuple[int, bool, list[float]]:
             resid, x2, delta = ascend(x1)
             maps += 1
         objective = None
-        if delta >= cfg.tol and maps < cfg.max_iterations:
+        if delta >= tol and maps < cfg.max_iterations:
             r = [a1 - a0 for a0, a1 in zip(x0, x1)]
             v = [a2 - 2.0 * a1 + a0 for a0, a1, a2 in zip(x0, x1, x2)]
             alpha = _step_length(r, v)
@@ -180,8 +199,8 @@ def _squarem(engine: _Engine, cfg: EmConfig) -> tuple[int, bool, list[float]]:
             else:  # refused: keep x2
                 move(x2)
         trace.append(_log_joint(engine, resid) if objective is None else objective)
-        if delta < cfg.tol or maps == cfg.max_iterations:
-            return maps, delta < cfg.tol, trace
+        if delta < tol or maps == cfg.max_iterations:
+            return maps, delta < tol, trace
 
 
 def em_infer(graph: GradingGraph, hp: Hyperparameters, cfg: EmConfig) -> PointEstimates:

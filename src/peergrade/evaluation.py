@@ -337,6 +337,16 @@ def _run_indexed(tasks, max_workers: int):
         return [f.result() for f in futures]
 
 
+def _report(label: str, eval_cfg: EvalConfig, subs: Sequence[SubmissionEval]) -> EvaluationReport:
+    return EvaluationReport(
+        label=label,
+        n_simulations=eval_cfg.n_simulations,
+        grades_per_simulation=eval_cfg.grades_per_simulation,
+        truth_source=eval_cfg.truth_source,
+        submissions=tuple(subs),
+    )
+
+
 def evaluate_model(
     graph: GradingGraph,
     hp: Hyperparameters,
@@ -357,14 +367,7 @@ def evaluate_model(
         ))
         for i, key in enumerate(keys)
     ]
-    subs = _run_indexed(tasks, max_workers)
-    return EvaluationReport(
-        label=f"{model.value}-{engine}",
-        n_simulations=eval_cfg.n_simulations,
-        grades_per_simulation=eval_cfg.grades_per_simulation,
-        truth_source=eval_cfg.truth_source,
-        submissions=tuple(subs),
-    )
+    return _report(f"{model.value}-{engine}", eval_cfg, _run_indexed(tasks, max_workers))
 
 
 def evaluate_baseline(
@@ -385,11 +388,4 @@ def evaluate_baseline(
                          lambda chosen: (median_baseline(scores[chosen]), None))
 
     tasks = [(lambda key=key, i=i: run_one(key, i)) for i, key in enumerate(keys)]
-    subs = _run_indexed(tasks, max_workers)
-    return EvaluationReport(
-        label="median-baseline",
-        n_simulations=eval_cfg.n_simulations,
-        grades_per_simulation=eval_cfg.grades_per_simulation,
-        truth_source=eval_cfg.truth_source,
-        submissions=tuple(subs),
-    )
+    return _report("median-baseline", eval_cfg, _run_indexed(tasks, max_workers))

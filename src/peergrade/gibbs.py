@@ -146,7 +146,7 @@ def cond_sample_score(
     a, student = u
     p = hp.gamma0
     num = hp.gamma0 * hp.mu0
-    for grader, z in graph._received(a, student):
+    for _, grader, _, z, _ in graph.graders_of(a, student).records():
         t = state.tau[(a, grader)]
         p += t
         num += t * (z - state.b[(a, grader)])
@@ -164,9 +164,9 @@ def cond_sample_bias(
     tau_v * sum(z - s_u) / precision."""
     a, grader = v
     t = state.tau[v]
-    given = graph._given(a, grader)
+    given = graph.gradees_of(a, grader)
     p = hp.eta0 + len(given) * t
-    num = t * sum(z - state.s[(a, u)] for u, z in given)
+    num = t * sum(z - state.s[(a, u)] for _, _, u, z, _ in given.records())
     return float(rng.normal(num / p, math.sqrt(1.0 / p)))
 
 
@@ -179,8 +179,8 @@ def cond_sample_reliability(
 ) -> float:
     """Draw tau_v | rest: Gamma(alpha0 + n_v/2, beta0 + sum resid^2 / 2), shape-rate."""
     a, grader = v
-    given = graph._given(a, grader)
-    rss = sum((z - state.s[(a, u)] - state.b[v]) ** 2 for u, z in given)
+    given = graph.gradees_of(a, grader)
+    rss = sum((z - state.s[(a, u)] - state.b[v]) ** 2 for _, _, u, z, _ in given.records())
     shape = hp.alpha0 + 0.5 * len(given)
     rate = hp.beta0 + 0.5 * rss
     return float(rng.gamma(shape, 1.0 / rate))
@@ -214,9 +214,9 @@ def cond_sample_bias_chain(
         p += hp.omega0
         num += hp.omega0 * state.b[(assignments[k + 1], v)]
     t = state.tau[(T, v)]
-    given = graph._given(T, v)
+    given = graph.gradees_of(T, v)
     p += len(given) * t
-    num += t * sum(z - state.s[(T, u)] for u, z in given)
+    num += t * sum(z - state.s[(T, u)] for _, _, u, z, _ in given.records())
     return float(rng.normal(num / p, math.sqrt(1.0 / p)))
 
 
@@ -243,19 +243,19 @@ def cond_sample_score_affine(
     a, student = u
     p = hp.gamma0
     num = hp.gamma0 * hp.mu0
-    for grader, z in graph._received(a, student):
+    for _, grader, _, z, _ in graph.graders_of(a, student).records():
         w = max(th1 * state.s[(a, grader)] + th0, floor)
         p += w
         num += w * (z - state.b[(a, grader)])
     prop = float(rng.normal(num / p, math.sqrt(1.0 / p)))
 
-    given = graph._given(a, student)
+    given = graph.gradees_of(a, student)
     if not given:
         return prop, True
     cur = state.s[u]
     w_old = max(th1 * cur + th0, floor)
     w_new = max(th1 * prop + th0, floor)
-    rss = sum((z - state.s[(a, gradee)] - state.b[u]) ** 2 for gradee, z in given)
+    rss = sum((z - state.s[(a, gradee)] - state.b[u]) ** 2 for _, _, gradee, z, _ in given.records())
     log_ratio = 0.5 * len(given) * (math.log(w_new) - math.log(w_old)) - 0.5 * (w_new - w_old) * rss
     if log_ratio >= 0.0 or math.log(rng.uniform()) < log_ratio:
         return prop, True
@@ -663,9 +663,8 @@ class _Pg3Engine(_Engine):
         return min((th1 * v + th0 for v in ends), default=th0) >= self.hp[0].precision_floor
 
     def _log_likelihood(self, th0: float, th1: float) -> float:
-        s = self.s
-        w = th1 * s[self.grader] + th0  # feasibility guarantees w >= floor > 0
-        resid = self.z - s[self.gradee] - self.b[self.grader]
+        w = th1 * self.s[self.grader] + th0  # feasibility guarantees w >= floor > 0
+        resid = self.residuals()
         log_w, weighted = np.log(w), w * resid * resid
         total = 0.0
         for r in self.rows:  # one sum per row, added in row order

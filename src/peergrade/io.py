@@ -249,20 +249,25 @@ def _records(path) -> Iterator[tuple[int, list[str]]]:
             raise ValueError(f"{path}: cannot decode as text ({e.reason})") from None
 
 
+def _header(path, records: Iterator[tuple[int, list[str]]], accepted: Sequence[list[str]], note: str = "") -> list[str]:
+    """A CSV file's header, read off its records: one of accepted, else a
+    ValueError naming the file and the first accepted header, then note."""
+    _, header = next(records, (1, None))
+    if header is None:
+        raise ValueError(f"{path}: empty file, expected header {','.join(accepted[0])}")
+    if header not in accepted:
+        raise ValueError(f"{path}: bad header {','.join(header)!r}; expected {','.join(accepted[0])}{note}")
+    return header
+
+
 def read_grades_csv(path) -> GradeTable:
     """Parse a grades file (header assignment,grader,gradee,score with an
     optional trailing seconds column) into a table whose rows know their
     lines. Errors name the line of the first bad row, as reading row by row
     would."""
     records = _records(path)
-    _, header = next(records, (1, None))
-    if header is None:
-        raise ValueError(f"{path}: empty file, expected header {','.join(GRADE_HEADER)}")
-    if header not in (GRADE_HEADER, GRADE_HEADER_SECONDS):
-        raise ValueError(
-            f"{path}: bad header {','.join(header)!r}; expected {','.join(GRADE_HEADER)}"
-            " (optionally with a trailing seconds column)"
-        )
+    header = _header(path, records, (GRADE_HEADER, GRADE_HEADER_SECONDS),
+                     " (optionally with a trailing seconds column)")
     has_seconds, n_cells = header == GRADE_HEADER_SECONDS, len(header)
     code: dict[str, int] = {}
     assignment, grader, gradee, score, seconds, lines = [], [], [], [], [], []
@@ -299,11 +304,7 @@ def read_truth_csv(path) -> dict[tuple[int, str], GroundTruth]:
     """Parse a ground-truth file (staff_score may be empty)."""
     truth: dict[tuple[int, str], GroundTruth] = {}
     records = _records(path)
-    _, header = next(records, (1, None))
-    if header is None:
-        raise ValueError(f"{path}: empty file, expected header {','.join(TRUTH_HEADER)}")
-    if header != TRUTH_HEADER:
-        raise ValueError(f"{path}: bad header {','.join(header)!r}; expected {','.join(TRUTH_HEADER)}")
+    _header(path, records, (TRUTH_HEADER,))
     for lineno, row in records:
         if not row:
             continue

@@ -7,10 +7,13 @@ import pytest
 
 from peergrade import GradingGraph, Model, PeerGrade, SynthConfig, generate
 
-# pyproject's pythonpath setting reaches only the test process; CLI
-# subprocesses the tests start find this checkout's package through PYTHONPATH.
+# pyproject's pythonpath and filterwarnings settings reach only the test
+# process; CLI subprocesses the tests start find this checkout's package
+# through PYTHONPATH, and turn a RuntimeWarning into an error through
+# PYTHONWARNINGS, whose last matching entry wins.
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
+os.environ["PYTHONWARNINGS"] = ",".join(filter(None, (os.environ.get("PYTHONWARNINGS"), "error::RuntimeWarning")))
 
 
 @pytest.fixture(autouse=True)

@@ -23,6 +23,7 @@ from peergrade import (
     resolve_priors,
     zscore_normalize,
 )
+from peergrade.core import prepare_graph
 from conftest import make_graph
 
 
@@ -164,6 +165,22 @@ class TestZscore:
         z = np.array([x.score for x in normed.grades])
         assert abs(z.mean()) < 1e-12
         assert np.std(z) == pytest.approx(1.0, abs=1e-12)
+
+    def test_pg2_rejects_a_spread_whose_precisions_cannot_map_back(self):
+        """PG2 maps a z-scored precision's variance back to pp by dividing by
+        std**4; at grades of 1e-149 that underflows, and the fit is refused
+        before it runs. Assumed-normalized grades, and grades of 1e-60, pass."""
+        rows = [(1, "a", "u", 6e-149), (1, "b", "u", 8e-149), (2, "a", "u", 7e-149), (2, "b", "u", 9e-149)]
+        g = make_graph(rows)
+        with pytest.raises(ValueError) as err:
+            prepare_graph(g, Model.PG2)
+        assert str(err.value) == (
+            "assignment 1: grades spread too little (std 1e-149) for z-scored precisions to map back to "
+            "percentage points; rescale the grades, or use assume_normalized (--assume-normalized)")
+        assert prepare_graph(g, Model.PG2, assume_normalized=True) == (g, {})
+        assert prepare_graph(g, Model.PG1) == (g, {})
+        _, norm = prepare_graph(make_graph([(a, v, u, x * 1e89) for a, v, u, x in rows]), Model.PG2)
+        assert norm[1].std == pytest.approx(1e-60)
 
 
 class TestHyperparameters:

@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from scipy import stats
 from scipy.special import gammaln
 
 from peergrade import (
-    EmConfig, GradingGraph, Hyperparameters, LatentState, Model, PeerGrade, SynthConfig, em_infer, generate,
+    EmConfig, GibbsConfig, GradingGraph, Hyperparameters, LatentState, Model, PeerGrade, SynthConfig, em_infer,
+    generate, gibbs_infer,
 )
+from peergrade.io import ingest
 from peergrade import em
 from peergrade.em import _ascend, _log_joint
 from peergrade.gibbs import _build_engine
@@ -310,3 +313,47 @@ class TestSquarem:
         for kind in ("s", "b", "tau"):
             got, want = getattr(refused, kind), getattr(free, kind)
             assert max((abs(got[key] - v) for key, v in want.items()), default=0.0) < 1e-8, kind
+
+
+class TestLargeScoreOffsets:
+    """Every grade of the golden synth set shifted by +1e6 pp: the fit is the
+    unshifted one shifted. One ulp of a score near 1e6 (1.16e-10) exceeds
+    EM's default tol, so EM's stop test has to allow for rounding at the
+    grades' magnitude; the Gibbs half guards the samplers' arithmetic."""
+
+    SHIFT = 1e6
+
+    @pytest.fixture(scope="class")
+    def graphs(self):
+        graph = ingest(Path(__file__).parent / "golden" / "synth" / "grades.csv")
+        shifted = graph.with_grades([PeerGrade(g.assignment, g.grader, g.gradee, g.score + self.SHIFT)
+                                     for g in graph.grades])
+        return graph, shifted
+
+    @staticmethod
+    def assert_shifted(got: LatentState, want: LatentState, shift: float) -> None:
+        """got's scores are want's plus shift, and its biases want's, within
+        1e-6 pp; its reliabilities are want's within 1e-6 relative."""
+        assert (got.s.keys(), got.b.keys(), got.tau.keys()) == (want.s.keys(), want.b.keys(), want.tau.keys())
+        assert max(abs(got.s[k] - v - shift) for k, v in want.s.items()) < 1e-6
+        assert max(abs(got.b[k] - v) for k, v in want.b.items()) < 1e-6
+        assert max((abs(got.tau[k] / v - 1.0) for k, v in want.tau.items()), default=0.0) < 1e-6
+
+    @pytest.mark.parametrize("model", [Model.PG1_BIAS, Model.PG1], ids=lambda m: m.value)
+    def test_em_converges_to_the_shifted_mode(self, graphs, model):
+        graph, shifted = graphs
+        cfg = EmConfig(model=model)
+        want, got = em_infer(graph, Hyperparameters(), cfg), em_infer(shifted, Hyperparameters(), cfg)
+        assert all(got.converged.values())
+        assert all(got.n_iterations[a] <= 2 * n for a, n in want.n_iterations.items())
+        self.assert_shifted(got, want, self.SHIFT)
+
+    @pytest.mark.parametrize("model", [Model.PG1_BIAS, Model.PG1], ids=lambda m: m.value)
+    def test_gibbs_shifts_its_moments(self, graphs, model):
+        graph, shifted = graphs
+        cfg = GibbsConfig(model=model, total_sweeps=400, burn_in=50, seed=4)
+        want, got = gibbs_infer(graph, Hyperparameters(), cfg), gibbs_infer(shifted, Hyperparameters(), cfg)
+        self.assert_shifted(got.point(), want.point(), self.SHIFT)
+        for kind in ("s", "b", "tau"):
+            got_block, want_block = getattr(got, kind), getattr(want, kind)
+            assert max((abs(got_block[k].var / st.var - 1.0) for k, st in want_block.items()), default=0.0) < 1e-6

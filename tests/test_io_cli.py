@@ -902,3 +902,55 @@ def test_golden_table_bytes(tmp_path, capsys):
     # the seconds branch of write_grades_csv writes back the bytes it read
     write_grades_csv(read_grades_csv(timed), tmp_path / "timed-again.csv")
     assert (tmp_path / "timed-again.csv").read_bytes() == timed.read_bytes()
+
+
+def _scaled(src: Path, dst: Path, columns: tuple[int, ...], factor: float) -> None:
+    """A copy of a CSV file with the non-empty cells of some columns multiplied by factor."""
+    lines = src.read_text().splitlines()
+    rows = [lines[0]] + [",".join(repr(float(c) * factor) if i in columns and c else c
+                                  for i, c in enumerate(line.split(","))) for line in lines[1:]]
+    dst.write_text("\n".join(rows) + "\n")
+
+
+def _numbers(doc) -> list[float]:
+    """Every number of a parsed JSON document."""
+    if isinstance(doc, dict):
+        return [x for v in doc.values() for x in _numbers(v)]
+    if isinstance(doc, list):
+        return [x for v in doc for x in _numbers(v)]
+    return [doc] if isinstance(doc, (int, float)) and not isinstance(doc, bool) else []
+
+
+def test_pg2_on_grades_of_tiny_magnitude_stops_with_exit_1(tmp_path, capsys):
+    """Every score and truth of the golden synth set scaled by 1e-150: PG2's
+    z-scored precisions cannot be mapped back to percentage points (std**4
+    underflows), so infer, evaluate and calibrate stop with exit 1, naming
+    the assignment, before any fit runs."""
+    grades, truth = tmp_path / "grades.csv", tmp_path / "truth.csv"
+    _scaled(GOLDEN / "synth" / "grades.csv", grades, (3,), 1e-150)
+    _scaled(GOLDEN / "synth" / "truth.csv", truth, (2, 3), 1e-150)
+    fit = ["--grades", str(grades), "--model", "pg2", "--sweeps", "20", "--burnin", "5"]
+    for command in (["infer"], ["evaluate", "--truth", str(truth), "--sims", "5"],
+                    ["calibrate", "--truth", str(truth), "--sims", "5"]):
+        code, _, err = run_cli([*command, *fit, "--out", str(tmp_path / command[0])], capsys)
+        assert code == 1, command[0]
+        assert re.fullmatch(r"error: assignment 1: grades spread too little \(std 1\.0\d+e-149\) for z-scored "
+                            r"precisions to map back to percentage points; rescale the grades, or use "
+                            r"assume_normalized \(--assume-normalized\)\n", err), err
+
+
+def test_em_under_a_huge_precision_floor_writes_finite_numbers(tmp_path, capsys):
+    """precision_floor=1.3e154 lies under the bound on its square, but EM's
+    reliabilities move to it, and their squared changes overflow when summed
+    over the graders. The run must not leak numpy's warning (an error under
+    pytest): it writes only finite numbers, or stops with exit 1 naming
+    precision_floor."""
+    out = tmp_path / "infer"
+    code, _, err = run_cli(["infer", "--grades", str(GOLDEN / "synth" / "grades.csv"), "--model", "pg1",
+                            "--engine", "em", "--hp", "precision_floor=1.3e154", "--out", str(out)], capsys)
+    if code == 1:
+        assert "precision_floor" in err
+    else:
+        assert code == 0
+        numbers = _numbers(json.loads((out / "summary.json").read_text()))
+        assert numbers and all(math.isfinite(x) for x in numbers)

@@ -51,6 +51,16 @@ class TestNamespace:
         assert sorted(namespace) == sorted(peergrade.__all__)
 
 
+def test_subprocesses_fail_on_a_runtime_warning():
+    """Subprocesses that the tests start, CLI runs among them, turn a
+    RuntimeWarning into an error, as pyproject's filterwarnings makes the
+    test process do."""
+    proc = subprocess.run([sys.executable, "-c", "import warnings; warnings.warn('leaked', RuntimeWarning)"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert "RuntimeWarning: leaked" in proc.stderr
+
+
 def test_readme_quick_start_runs(tmp_path, monkeypatch):
     grades_csv, truth_csv = _section_blocks("Data formats", "csv")
     (quick_start,) = _section_blocks("Library quick start", "python")
